@@ -7,7 +7,7 @@ of node spacings.  Q and the preconditioners are stored for the unit
 interval; the step size is applied by the sweeper.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,9 +181,6 @@ class CollocationTable:
     q : integration matrix for the unit interval
     qd_imp : lower-triangular implicit preconditioner
     qd_exp : strictly lower-triangular explicit preconditioner
-    h_broadcast_last : step-transfer convention; the end-of-step value is
-        the last-node value broadcast to all nodes of the next step
-        (valid because the last node sits on the right boundary)
     """
 
     m: int
@@ -193,7 +190,6 @@ class CollocationTable:
     q: np.ndarray
     qd_imp: np.ndarray
     qd_exp: np.ndarray
-    h_broadcast_last: bool = field(default=True)
 
 
 def make_radau_table(m, t0=0.0, t1=1.0, implicit="lu"):

@@ -78,7 +78,6 @@ class RunConfig:
     coarse_sweeps: int = 1
     tolerance: float = 1e-8
     max_iterations: int = 50
-    seed: int = 0
     rendezvous_bytes: int = DEFAULT_RENDEZVOUS_BYTES
     latency: float = 0.0
     deadlock_timeout: float = 60.0
@@ -155,7 +154,7 @@ class _Worker:
             self.fine = LevelState.spread(cfg.u0, cfg.pair.fine_table.m, cfg.dt, self.pair.fine_problem)
             coarse_u0 = self.pair.restrict(self.fine.u0)
             self.coarse = LevelState.spread(coarse_u0, cfg.pair.coarse_table.m, cfg.dt, self.pair.coarse_problem)
-            self._restricted = [v.copy() for v in self.coarse.u]
+            self._restricted = self.coarse.u.copy()
             for s in range(self.rank + 1):
                 imex_sweep(self.coarse, self.pair.coarse_table, self.pair.coarse_problem)
                 self._send(("coarse", "value", -(s + 1)), pack_array(self.coarse.u[-1]))
@@ -165,8 +164,8 @@ class _Worker:
             self._correct_fine()
 
     def _correct_fine(self):
-        for m in range(len(self.fine.u)):
-            self.fine.u[m] = self.fine.u[m] + self.pair.prolong(self.coarse.u[m] - self._restricted[m])
+        correction = self.coarse.u - self._restricted
+        self.fine.u += np.stack([self.pair.prolong(c) for c in correction])
         self.fine.refresh_rhs(self.pair.fine_problem)
 
     def iteration(self, k):
@@ -189,8 +188,8 @@ class _Worker:
             if self.rank > 0 and not self.prev_stopped:
                 msg = self._recv(("fine", "value", k))
                 self.fine.u0 = unpack_array(msg.payload)
-            self._restricted = [self.pair.restrict(v) for v in self.fine.u]
-            self.coarse.u = [v.copy() for v in self._restricted]
+            self._restricted = np.stack([self.pair.restrict(v) for v in self.fine.u])
+            self.coarse.u = self._restricted.copy()
             self.coarse.u0 = self.pair.restrict(self.fine.u0)
             self.coarse.refresh_rhs(self.pair.coarse_problem)
             self.coarse.tau = compute_fas_tau(self.fine, self.coarse, self.pair)
@@ -448,6 +447,5 @@ def allen_cahn_config(
         num_steps=num_steps,
         dt=dt,
         workers=num_steps if workers is None else workers,
-        seed=seed,
         **kwargs,
     )

@@ -3,14 +3,19 @@
 One sweep applies the preconditioned Picard update node by node, with
 the stiff right-hand side treated implicitly (diagonal solve supplied by
 the problem) and the remaining part explicitly.  The residual measures
-how far the node values are from solving the collocation system.
+how far the node values are from solving the collocation system.  A
+level's node data are (M, ...) arrays, and every quadrature over the
+nodes goes through node_integrals.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["LevelState", "SolveFailure", "imex_sweep", "residual", "collocation_solve_direct"]
+__all__ = ["LevelState", "SolveFailure", "imex_sweep", "residual", "node_integrals", "collocation_solve_direct"]
+
+# per-node data of a level, each one (M, ...) array
+_NODE_ARRAYS = frozenset(("u", "f_imp", "f_exp", "tau"))
 
 
 class SolveFailure(RuntimeError):
@@ -21,6 +26,15 @@ class SolveFailure(RuntimeError):
         self.node = node
 
 
+def node_integrals(q, values):
+    """Row-wise quadrature sum_j q[i, j] values[j] over node-stacked values.
+
+    einsum without path optimization runs its own loops, never BLAS, so
+    the sweep stays single-threaded under the threaded execution model.
+    """
+    return np.einsum("ij,j...->i...", q, values)
+
+
 @dataclass
 class LevelState:
     """Solution data of one time step on one level.
@@ -28,35 +42,53 @@ class LevelState:
     u0 is the value at the interval start, u[m] the current iterate at
     node m, f_imp/f_exp the cached right-hand-side evaluations (kept
     consistent with u after every update), tau the FAS correction per
-    node (zero on the finest level), dt the step size.
+    node (zero on the finest level), dt the step size.  u, f_imp, f_exp
+    and tau are each one (M, ...) array with the node index first;
+    assigning a list of per-node values stacks it.
     """
 
     u0: np.ndarray
-    u: list
-    f_imp: list
-    f_exp: list
-    tau: list
+    u: np.ndarray
+    f_imp: np.ndarray
+    f_exp: np.ndarray
+    tau: np.ndarray
     dt: float
     residual_norm: float = field(default=np.inf)
 
+    def __setattr__(self, name, value):
+        if name in _NODE_ARRAYS:
+            value = np.asarray(value)
+        super().__setattr__(name, value)
+
     @classmethod
     def spread(cls, u0, num_nodes, dt, problem):
-        """Start-of-step state: u0 copied to every node, caches filled."""
+        """Start-of-step state: u0 copied to every node, caches filled.
+
+        Every node holds u0, so each right-hand side is evaluated once and
+        copied; the node arrays take the type of u0 and both evaluations.
+        """
         u0 = np.asarray(u0)
-        u = [u0.copy() for _ in range(num_nodes)]
+        f_imp = problem.eval_implicit(u0)
+        f_exp = problem.eval_explicit(u0)
+        dtype = np.result_type(u0, f_imp, f_exp)
+
+        def nodes(value):
+            return np.repeat(np.asarray(value, dtype)[None], num_nodes, axis=0)
+
         return cls(
             u0=u0.copy(),
-            u=u,
-            f_imp=[problem.eval_implicit(v) for v in u],
-            f_exp=[problem.eval_explicit(v) for v in u],
-            tau=[np.zeros_like(u0) for _ in range(num_nodes)],
+            u=nodes(u0),
+            f_imp=nodes(f_imp),
+            f_exp=nodes(f_exp),
+            tau=np.zeros((num_nodes, *u0.shape), dtype),
             dt=float(dt),
         )
 
     def refresh_rhs(self, problem):
-        """Re-evaluate both right-hand-side caches at the current nodes."""
-        self.f_imp = [problem.eval_implicit(v) for v in self.u]
-        self.f_exp = [problem.eval_explicit(v) for v in self.u]
+        """Re-evaluate both right-hand-side caches at the current nodes,
+        one call per part on the whole node stack."""
+        self.f_imp = problem.eval_implicit(self.u)
+        self.f_exp = problem.eval_explicit(self.u)
 
 
 def imex_sweep(state, tab, problem):
@@ -69,30 +101,29 @@ def imex_sweep(state, tab, problem):
             + dt sum_j [(q - qdI)_mj fI(u_j^old) + (q - qdE)_mj fE(u_j^old)]
 
     with the diagonal implicit part resolved by problem.implicit_solve.
-    Right-hand-side caches are refreshed node by node as values update.
+    Right-hand-side caches are refreshed node by node as values update,
+    written into rows of the (M, ...) node arrays.  The solve itself
+    gives the implicit part: with f = dt qdI_mm nonzero,
+    fI(u_m) = (u_m - rhs_m)/f, so fI is not evaluated again.  A node
+    whose diagonal is zero (an explicit preconditioner) evaluates it.
     """
     dt = state.dt
     q, qdi, qde = tab.q, tab.qd_imp, tab.qd_exp
-    m = tab.m
-    # integral terms from the previous iterate, fixed for the whole sweep
-    old = [
-        dt
-        * sum(
-            (q[row, j] - qdi[row, j]) * state.f_imp[j] + (q[row, j] - qde[row, j]) * state.f_exp[j]
-            for j in range(m)
-        )
-        for row in range(m)
-    ]
-    for row in range(m):
-        rhs = state.u0 + state.tau[row] + old[row]
+    # u0, tau and the integral terms from the previous iterate, per node
+    rhs = node_integrals(q - qdi, state.f_imp) + node_integrals(q - qde, state.f_exp)
+    rhs *= dt
+    rhs += state.u0
+    rhs += state.tau
+    for row in range(tab.m):
         for j in range(row):
-            rhs = rhs + dt * (qdi[row, j] * state.f_imp[j] + qde[row, j] * state.f_exp[j])
+            rhs[row] += dt * (qdi[row, j] * state.f_imp[j] + qde[row, j] * state.f_exp[j])
+        factor = dt * qdi[row, row]
         try:
-            u_new = problem.implicit_solve(rhs, dt * qdi[row, row])
+            u_new = problem.implicit_solve(rhs[row], factor)
         except Exception as exc:
             raise SolveFailure(f"implicit solve failed at node {row}: {exc}", node=row) from exc
         state.u[row] = u_new
-        state.f_imp[row] = problem.eval_implicit(u_new)
+        state.f_imp[row] = (u_new - rhs[row]) / factor if factor else problem.eval_implicit(u_new)
         state.f_exp[row] = problem.eval_explicit(u_new)
     return state
 
@@ -103,16 +134,13 @@ def residual(state, tab):
     Uses the cached right-hand-side values; it never re-evaluates the
     problem, so evaluation counts stay attributable to sweeps.
     """
-    dt = state.dt
-    worst = 0.0
-    for row in range(tab.m):
-        integral = dt * sum(
-            tab.q[row, j] * (state.f_imp[j] + state.f_exp[j]) for j in range(tab.m)
-        )
-        defect = state.u0 + integral + state.tau[row] - state.u[row]
-        worst = max(worst, float(np.max(np.abs(defect))))
-    state.residual_norm = worst
-    return worst
+    defect = node_integrals(tab.q, state.f_imp + state.f_exp)
+    defect *= state.dt
+    defect += state.u0
+    defect += state.tau
+    defect -= state.u
+    state.residual_norm = float(np.max(np.abs(defect)))
+    return state.residual_norm
 
 
 def collocation_solve_direct(u0, tab, problem, dt):

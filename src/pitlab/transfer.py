@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import _forward, _inverse
+from .sweeper import node_integrals
 
-__all__ = ["LevelPair", "SpectralResampler", "IdentityResampler", "restrict_space", "prolong_space", "compute_fas_tau"]
+__all__ = ["LevelPair", "SpectralResampler", "IdentityResampler", "compute_fas_tau"]
 
 
 class SpectralResampler:
@@ -102,19 +103,9 @@ class LevelPair:
         return self.resampler.prolong(values)
 
 
-def restrict_space(field_values, pair):
-    """Band-limit fine node values onto the coarse grid."""
-    return pair.restrict(field_values)
-
-
-def prolong_space(field_values, pair):
-    """Zero-pad coarse node values onto the fine grid."""
-    return pair.prolong(field_values)
-
-
 def compute_fas_tau(fine_state, coarse_state, pair):
     """FAS correction: coarse operator at restricted values minus
-    restricted fine operator, one vector per node.
+    restricted fine operator at every node.
 
     With the collocation operator C(u) = u - dt*Q*f(u) (any fine tau
     folded in), tau = C_coarse(R u) - R C_fine(u) reduces node-wise to
@@ -123,19 +114,10 @@ def compute_fas_tau(fine_state, coarse_state, pair):
 
     where the coarse caches hold f evaluated at the restricted values.
     The step-transfer coupling enters through received initial values,
-    not through tau.
+    not through tau.  Returns the (M, ...) stack of coarse tau values.
     """
-    m = pair.fine_table.m
     dt = fine_state.dt
-    qf = pair.fine_table.q
-    qc = pair.coarse_table.q
-    tau = []
-    for row in range(m):
-        fine_integral = dt * sum(
-            qf[row, j] * (fine_state.f_imp[j] + fine_state.f_exp[j]) for j in range(m)
-        )
-        coarse_integral = dt * sum(
-            qc[row, j] * (coarse_state.f_imp[j] + coarse_state.f_exp[j]) for j in range(m)
-        )
-        tau.append(pair.restrict(fine_integral + fine_state.tau[row]) - coarse_integral)
-    return tau
+    fine_integral = dt * node_integrals(pair.fine_table.q, fine_state.f_imp + fine_state.f_exp)
+    coarse_integral = dt * node_integrals(pair.coarse_table.q, coarse_state.f_imp + coarse_state.f_exp)
+    restricted = np.stack([pair.restrict(v) for v in fine_integral + fine_state.tau])
+    return restricted - coarse_integral

@@ -1,4 +1,6 @@
 import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -122,6 +124,86 @@ class TestAllenCahnOperators:
             problem = AllenCahnProblem(128, 1, 0.04)
         assert problem.interface_cells() == pytest.approx(7.0 * 0.04 * 128)
         assert any("interface width" in rec.message for rec in caplog.records)
+
+
+def complex_diffusion_reference(n, lpatches=1):
+    """Full-spectrum -k^2 on complex fft2 coefficients, as (eval, solve)."""
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=lpatches / n)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    minus_ksq = -(kx**2 + ky**2)
+
+    def laplacian(u):
+        return np.real(np.fft.ifft2(minus_ksq * np.fft.fft2(u)))
+
+    def solve(rhs, factor):
+        return np.real(np.fft.ifft2(np.fft.fft2(rhs) / (1.0 - factor * minus_ksq)))
+
+    return laplacian, solve
+
+
+def relative_error(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+class TestRealTransformKernels:
+    # n = 2 is all zero mode and Nyquist; every n exercises the Nyquist
+    # column that irfft2 reconstructs from the half spectrum
+    @pytest.mark.parametrize("n", [2, 4, 32, 128])
+    @pytest.mark.parametrize("lpatches", [1, 2])
+    def test_matches_complex_fft_reference(self, n, lpatches):
+        problem = AllenCahnProblem(n, lpatches)
+        laplacian, solve = complex_diffusion_reference(n, lpatches)
+        rng = np.random.default_rng(n + lpatches)
+        for _ in range(3):
+            u = rng.standard_normal((n, n))
+            assert relative_error(problem.eval_implicit(u), laplacian(u)) <= 1e-12
+            for factor in (0.0, 3.3e-5, 2.5e-4, 0.1):
+                assert relative_error(problem.implicit_solve(u, factor), solve(u, factor)) <= 1e-12
+
+    def test_node_stack_evaluates_per_node(self):
+        problem = AllenCahnProblem(32)
+        stack = np.random.default_rng(4).standard_normal((3, 32, 32))
+        together = problem.eval_implicit(stack)
+        assert together.shape == stack.shape
+        for node, values in zip(together, stack):
+            assert np.abs(node - problem.eval_implicit(values)).max() <= 1e-12
+
+    def test_solve_cache_stays_bounded_and_exact(self):
+        problem = AllenCahnProblem(16)
+        _, solve = complex_diffusion_reference(16)
+        rhs = np.random.default_rng(2).standard_normal((16, 16))
+        for factor in np.linspace(0.0, 1.0, 40):
+            assert relative_error(problem.implicit_solve(rhs, factor), solve(rhs, factor)) <= 1e-12
+        assert problem._solve_multiplier.cache_info().currsize <= 8
+
+    def test_threads_sharing_one_problem_solve_exactly(self):
+        # more threads than cores and factors than cache slots, so entries
+        # are added and evicted while other threads read them
+        problem = AllenCahnProblem(16)
+        rhs = np.random.default_rng(8).standard_normal((16, 16))
+        factors = np.linspace(1e-4, 1e-1, 12)
+        expected = [AllenCahnProblem(16).implicit_solve(rhs, f) for f in factors]
+        failures = []
+
+        def worker(offset):
+            for round_ in range(30):
+                i = (offset + round_) % len(factors)
+                if not np.array_equal(problem.implicit_solve(rhs, factors[i]), expected[i]):
+                    failures.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert problem._solve_multiplier.cache_info().currsize <= 8
 
 
 class TestDahlquist:

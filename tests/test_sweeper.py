@@ -1,9 +1,13 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from pitlab.collocation import make_radau_table
-from pitlab.problems import DahlquistProblem
-from pitlab.sweeper import LevelState, collocation_solve_direct, imex_sweep, residual
+from pitlab.controller import DivergedError, run_sdc_serial
+from pitlab.problems import AllenCahnProblem, DahlquistProblem, ac_initial_condition
+from pitlab.sweeper import LevelState, collocation_solve_direct, imex_sweep, node_integrals, residual
 
 
 def dense_sweep_oracle(u_old, u0, tau, dt, tab, lam_i, lam_e):
@@ -21,6 +25,25 @@ def dense_sweep_oracle(u_old, u0, tau, dt, tab, lam_i, lam_e):
 
 def spread(problem, u0, m, dt):
     return LevelState.spread(np.atleast_1d(u0), m, dt, problem)
+
+
+class TestNodeIntegrals:
+    @pytest.mark.parametrize("shape", [(1,), (16, 16)])
+    def test_matches_per_row_loop(self, shape):
+        rng = np.random.default_rng(6)
+        q = rng.standard_normal((3, 3))
+        values = rng.standard_normal((3, *shape))
+        loop = [sum(q[i, j] * values[j] for j in range(3)) for i in range(3)]
+        got = node_integrals(q, values)
+        assert got.shape == values.shape
+        # summation order differs: bound by m * eps * max_i sum_j |q_ij| |values_j|
+        bound = 3 * np.finfo(float).eps * np.abs(q).sum(axis=1).max() * np.abs(values).max()
+        assert np.abs(got - np.array(loop)).max() <= bound
+
+    def test_list_assignment_stacks_nodes(self):
+        state = spread(DahlquistProblem(), 1.0, 3, 0.1)
+        state.tau = [np.array([0.1 * (m + 1)]) for m in range(3)]
+        assert isinstance(state.tau, np.ndarray) and state.tau.shape == (3, 1)
 
 
 class TestImexSweep:
@@ -72,6 +95,18 @@ class TestResidual:
         problem = DahlquistProblem(0.0, 0.0)
         state = spread(problem, 1.0, 3, 0.1)
         assert residual(state, tab) == 0.0
+
+    def test_nan_node_is_not_hidden(self):
+        # a NaN at any node must surface, or a diverged run reads as converged
+        tab = make_radau_table(3)
+        problem = DahlquistProblem(-1.0, 0.0)
+        for bad in ([1], [0, 1, 2]):
+            state = spread(problem, 1.0, 3, 0.1)
+            state.u[bad] = np.nan
+            state.refresh_rhs(problem)
+            assert np.isnan(residual(state, tab))
+        with pytest.raises(DivergedError):
+            run_sdc_serial(problem, tab, np.array([np.nan]), 0.1, 1)
 
     def test_hand_value_for_two_nodes(self):
         # u == u0 == 1, f == -u, dt = 0.1: defect is dt * |row sum of Q|,
@@ -162,3 +197,70 @@ class TestSweepProperties:
             errors.append(abs(u[0] - np.exp(-1.0)))
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert abs(orders.mean() - expected_order) <= 0.4
+
+
+class CountingProblem:
+    """Forwards to a problem and counts each kind of evaluation."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def eval_implicit(self, u):
+        self.calls["eval_implicit"] += 1
+        return self.inner.eval_implicit(u)
+
+    def eval_explicit(self, u):
+        self.calls["eval_explicit"] += 1
+        return self.inner.eval_explicit(u)
+
+    def implicit_solve(self, rhs, factor):
+        self.calls["implicit_solve"] += 1
+        return self.inner.implicit_solve(rhs, factor)
+
+
+def allen_cahn_state(n=64, m=3, dt=1e-3):
+    problem = AllenCahnProblem(n, 1, 0.04)
+    u0 = ac_initial_condition(1, 0.04, n, 1, radius=0.25).values
+    return problem, LevelState.spread(u0, m, dt, problem)
+
+
+def dahlquist_state(m=3, dt=0.1):
+    problem = DahlquistProblem(-2.0, 0.5)
+    return problem, spread(problem, 1.0, m, dt)
+
+
+class TestSolveIdentity:
+    @pytest.mark.parametrize("make", [allen_cahn_state, dahlquist_state])
+    def test_cached_implicit_part_matches_evaluation(self, make):
+        problem, state = make()
+        tab = make_radau_table(3)
+        for _ in range(3):
+            imex_sweep(state, tab, problem)
+            for u, f_imp in zip(state.u, state.f_imp):
+                expected = problem.eval_implicit(u)
+                assert np.abs(f_imp - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_zero_diagonal_table_still_evaluates(self):
+        # explicit-Euler table in the implicit slot, as in the
+        # preconditioner-independence criterion: no solve to read fI from
+        tab = make_radau_table(3)
+        ee_table = dataclasses.replace(tab, qd_imp=tab.qd_exp)
+        problem, state = dahlquist_state()
+        counting = CountingProblem(problem)
+        imex_sweep(state, ee_table, counting)
+        assert counting.calls["eval_implicit"] == ee_table.m
+        for u, f_imp in zip(state.u, state.f_imp):
+            assert f_imp == pytest.approx(problem.eval_implicit(u), abs=1e-15)
+
+
+class TestFftBudget:
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("make", [allen_cahn_state, dahlquist_state])
+    def test_lu_sweep_solves_and_evaluates_once_per_node(self, m, make):
+        # the implicit part comes from the solve: a sweep that evaluates
+        # it again pays a second forward/inverse transform per node
+        problem, state = make(m=m)
+        counting = CountingProblem(problem)
+        imex_sweep(state, make_radau_table(m), counting)
+        assert counting.calls == Counter(implicit_solve=m, eval_explicit=m)
