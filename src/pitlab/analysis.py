@@ -8,11 +8,19 @@ preserved while transfer cost and sender blocking are removed.  The
 wait-state search flags Late Receiver patterns (a posted send blocked
 because the matching receive came later) and, as the mirror case, Late
 Sender patterns.
+
+Every step reads one index of the trace, one indexed pass per rank: the
+FIFO message matching and, per rank, the events in time order, the match
+of each post, the blocked spans and the region-stack changes.  The replay
+sweeps each rank forward once, so the analysis is linear in the number of
+events.
 """
 
+import bisect
 import csv
 import statistics
 from dataclasses import dataclass
+from functools import cached_property
 
 from .trace import Trace, TraceEvent, comm_intervals, merged_length
 
@@ -40,7 +48,6 @@ POP_METRIC_ORDER = (
     "transfer_efficiency",
     "parallel_efficiency",
 )
-
 
 class EmptyPhaseError(RuntimeError):
     pass
@@ -87,59 +94,135 @@ class _Match:
     send_complete: float | None
     recv_post: float | None
     recv_complete: float | None
+    send_at: int  # positions of the two post events in trace.events
+    recv_at: int | None = None
 
 
 def match_messages(trace):
     """Pair sends with receives by (source, dest, tag), FIFO within a key.
 
     Returns (matches, unmatched_sends, unmatched_recvs); matches may have
-    a missing completion if the trace was cut short.
+    a missing completion if the trace was cut short.  Each match records
+    where its two post events sit in trace.events.
     """
-    sends = {}
+    sends = {}  # (source, dest, name) -> [posts in order, how many of them have completed]
     recvs = {}
-    for ev in trace.events:
+    for pos, ev in enumerate(trace.events):
         if ev.kind == "send-post":
-            sends.setdefault((ev.rank, ev.peer, ev.name), []).append(
-                _Match(ev.rank, ev.peer, ev.name, ev.t, None, None, None)
-            )
+            key = (ev.rank, ev.peer, ev.name)
+            fifo = sends.get(key) or sends.setdefault(key, [[], 0])
+            fifo[0].append(_Match(ev.rank, ev.peer, ev.name, ev.t, None, None, None, pos))
         elif ev.kind == "send-complete":
-            for m in sends.get((ev.rank, ev.peer, ev.name), []):
-                if m.send_complete is None:
-                    m.send_complete = ev.t
-                    break
+            fifo = sends.get((ev.rank, ev.peer, ev.name))
+            if fifo and fifo[1] < len(fifo[0]):
+                fifo[0][fifo[1]].send_complete = ev.t
+                fifo[1] += 1
         elif ev.kind == "recv-post":
-            recvs.setdefault((ev.peer, ev.rank, ev.name), []).append([ev.t, None])
+            key = (ev.peer, ev.rank, ev.name)
+            fifo = recvs.get(key) or recvs.setdefault(key, [[], 0])
+            fifo[0].append([ev.t, None, pos])
         elif ev.kind == "recv-complete":
-            for pair in recvs.get((ev.peer, ev.rank, ev.name), []):
-                if pair[1] is None:
-                    pair[1] = ev.t
-                    break
-    matches = []
-    unmatched_sends = []
-    unmatched_recvs = []
-    for key, send_list in sends.items():
-        recv_list = recvs.pop(key, [])
+            fifo = recvs.get((ev.peer, ev.rank, ev.name))
+            if fifo and fifo[1] < len(fifo[0]):
+                fifo[0][fifo[1]][1] = ev.t
+                fifo[1] += 1
+    matches, unmatched_sends, unmatched_recvs = [], [], []
+    for key, (send_list, _) in sends.items():
+        recv_list = recvs.pop(key, [[]])[0]
         for i, m in enumerate(send_list):
             if i < len(recv_list):
-                m.recv_post, m.recv_complete = recv_list[i]
+                m.recv_post, m.recv_complete, m.recv_at = recv_list[i]
                 matches.append(m)
             else:
                 unmatched_sends.append(m)
         unmatched_recvs.extend(recv_list[len(send_list):])
-    for leftover in recvs.values():
+    for leftover, _ in recvs.values():
         unmatched_recvs.extend(leftover)
     return matches, unmatched_sends, unmatched_recvs
 
 
+class _RankView:
+    """One rank's events in time order with what the analysis looks up."""
+
+    def __init__(self, events, match_ids):
+        self.events = events
+        self.times = [ev.t for ev in events]
+        self.match_ids = match_ids  # match of each post event, else None
+        self.spans = sorted(comm_intervals(events))  # blocked spans, by start
+        self.region_times, self.region_tops = [], []  # when the region stack changes, and its new top
+        self.predict_end = None  # last predictor exit
+        stack = []
+        for ev in events:
+            if ev.kind == "region-enter":
+                stack.append(ev.name)
+            elif ev.kind == "region-exit":
+                if stack:
+                    stack.pop()
+                if " -- PREDICT -- " in ev.name:
+                    self.predict_end = ev.t
+            else:
+                continue
+            self.region_times.append(ev.t)
+            self.region_tops.append(stack[-1] if stack else "<untracked>")
+
+    def window(self, lo, hi):
+        """Index range [a, b) of the events with lo <= t <= hi."""
+        return bisect.bisect_left(self.times, lo), bisect.bisect_right(self.times, hi)
+
+    def region_at(self, t):
+        """Innermost region open at t; events at exactly t count as done."""
+        i = bisect.bisect_right(self.region_times, t)
+        return self.region_tops[i - 1] if i else "<untracked>"
+
+
+class _TraceIndex:
+    """The single pass over a trace that every analysis step reads."""
+
+    def __init__(self, trace):
+        self.trace = trace
+        self.matches, self.unmatched_sends, self.unmatched_recvs = match_messages(trace)
+        self.violations = sum(
+            1 for m in self.matches if m.recv_complete is not None and m.recv_complete < m.send_post
+        )
+
+    @cached_property
+    def ranks(self):
+        match_at = {pos: idx for idx, m in enumerate(self.matches) for pos in (m.send_at, m.recv_at)}
+        events = self.trace.events
+        times = [ev.t for ev in events]
+        positions = {r: [] for r in range(self.trace.num_ranks)}
+        for pos, ev in enumerate(events):
+            positions.setdefault(ev.rank, []).append(pos)
+        views = {}
+        for rank, order in positions.items():
+            order.sort(key=times.__getitem__)
+            views[rank] = _RankView([events[pos] for pos in order], [match_at.get(pos) for pos in order])
+        return views
+
+    def phase_window(self, full_run):
+        views = [view for view in self.ranks.values() if view.events]
+        if not views:
+            raise EmptyPhaseError("trace holds no events")
+        t_min, t_max = min(view.times[0] for view in views), max(view.times[-1] for view in views)
+        if full_run:
+            return t_min, t_max
+        start = max((view.predict_end for view in views if view.predict_end is not None), default=t_min)
+        if start >= t_max:
+            raise EmptyPhaseError("selected phase is empty; nothing after the predictor")
+        return start, t_max
+
+
 def audit_messages(trace):
     """Counts of message events; flags unmatched sends or receives."""
-    matches, unmatched_sends, unmatched_recvs = match_messages(trace)
+    index = _TraceIndex(trace)
+    matched, sends, recvs = len(index.matches), len(index.unmatched_sends), len(index.unmatched_recvs)
     return {
-        "matched": len(matches),
-        "unmatched_sends": len(unmatched_sends),
-        "unmatched_recvs": len(unmatched_recvs),
-        "send_posts": sum(1 for ev in trace.events if ev.kind == "send-post"),
-        "recv_posts": sum(1 for ev in trace.events if ev.kind == "recv-post"),
+        "matched": matched,
+        "unmatched_sends": sends,
+        "unmatched_recvs": recvs,
+        # every post ends up in a match or in its side's unmatched list
+        "send_posts": matched + sends,
+        "recv_posts": matched + recvs,
     }
 
 
@@ -149,31 +232,13 @@ def causality_violations(trace):
     Backends here share one clock, so any violation means a corrupt
     trace; no skew correction is attempted.
     """
-    return sum(
-        1
-        for m in match_messages(trace)[0]
-        if m.recv_complete is not None and m.recv_complete < m.send_post
-    )
+    return _TraceIndex(trace).violations
 
 
 def phase_window(trace, full_run=False):
     """Analysis window: the full run, or everything after the last
     predictor exit (initialization excluded, the default)."""
-    if not trace.events:
-        raise EmptyPhaseError("trace holds no events")
-    t_min = min(ev.t for ev in trace.events)
-    t_max = max(ev.t for ev in trace.events)
-    if full_run:
-        return t_min, t_max
-    predict_exits = [
-        ev.t
-        for ev in trace.events
-        if ev.kind == "region-exit" and " -- PREDICT -- " in ev.name
-    ]
-    start = max(predict_exits) if predict_exits else t_min
-    if start >= t_max:
-        raise EmptyPhaseError("selected phase is empty; nothing after the predictor")
-    return start, t_max
+    return _TraceIndex(trace).phase_window(full_run)
 
 
 def _clip_spans(spans, lo, hi):
@@ -189,33 +254,27 @@ def pop_metrics(trace, full_run=False):
     splits communication efficiency into serialisation max(c)/T_ideal
     and transfer T_ideal/T.
     """
-    violations = causality_violations(trace)
+    index = _TraceIndex(trace)
+    violations = index.violations
     if violations:
         raise CausalityError(f"{violations} matched messages complete before their send posts")
-    lo, hi = phase_window(trace, full_run)
-    comp = {}
-    for rank, events in trace.by_rank().items():
-        in_phase = [ev for ev in events if lo <= ev.t <= hi]
-        if not in_phase:
+    lo, hi = index.phase_window(full_run)
+    comp, starts, ends = {}, [], []
+    for rank, view in index.ranks.items():
+        a, b = view.window(lo, hi)
+        if a == b:
             continue
-        start = min(ev.t for ev in in_phase)
-        end = max(ev.t for ev in in_phase)
-        comm = merged_length(_clip_spans(comm_intervals(sorted(events, key=lambda e: e.t)), lo, hi))
-        comp[rank] = (end - start) - comm
+        starts.append(view.times[a])
+        ends.append(view.times[b - 1])
+        comp[rank] = (ends[-1] - starts[-1]) - merged_length(_clip_spans(view.spans, lo, hi))
     if not comp:
         raise EmptyPhaseError("no rank has events in the selected phase")
     c_max = max(comp.values())
     c_mean = statistics.fmean(comp.values())
     if c_max <= 0:
         raise EmptyPhaseError("no computation time in the selected phase")
-    starts = []
-    ends = []
-    for rank, events in trace.by_rank().items():
-        in_phase = [ev.t for ev in events if lo <= ev.t <= hi]
-        if in_phase:
-            starts.append(min(in_phase))
-            ends.append(max(in_phase))
     total = max(ends) - min(starts)
+    del index  # the replay indexes the trace itself; do not hold two indexes at its peak
     ideal = ideal_replay(trace, window=(lo, hi))
     return PopReport(
         load_balance=c_mean / c_max,
@@ -229,95 +288,66 @@ def pop_metrics(trace, full_run=False):
     )
 
 
-def _region_at(events, rank, t):
-    stack = []
-    for ev in events:
-        if ev.rank != rank or ev.t > t:
-            if ev.t > t:
-                break
+def _wait_states(trace, min_wait, pattern):
+    """Matches whose waiter posted at `early`, the partner only at `late`,
+    and the waiter completed at `done`; the wait is min(late, done) - early
+    and is located in the waiter's innermost region at `early`."""
+    index = _TraceIndex(trace)
+    states = []
+    for m in index.matches:
+        if pattern == "late-receiver":
+            waiter, early, late, done = m.source, m.send_post, m.recv_post, m.send_complete
+        else:
+            waiter, early, late, done = m.dest, m.recv_post, m.send_post, m.recv_complete
+        if late is None or done is None or late <= early:
             continue
-        if ev.kind == "region-enter":
-            stack.append(ev.name)
-        elif ev.kind == "region-exit" and stack:
-            stack.pop()
-    return stack[-1] if stack else "<untracked>"
+        wait = min(late, done) - early
+        if wait >= max(min_wait, 0.0) and wait > 0:
+            region = index.ranks[waiter].region_at(early)
+            states.append(WaitState(pattern, m.source, m.dest, wait, f"{region} @ {m.name}"))
+    states.sort(key=lambda w: -w.wait_s)
+    return states
 
 
 def detect_late_receiver(trace, min_wait=0.0):
     """Late Receiver wait states: send posted before the matching receive
     and blocked until it; waiting time is the receive-post lag clamped to
     the blocked interval."""
-    ordered = sorted(trace.events, key=lambda ev: ev.t)
-    states = []
-    for m in match_messages(trace)[0]:
-        if m.send_complete is None or m.recv_post is None:
-            continue
-        blocked = m.send_complete - m.send_post
-        if blocked <= 0 or m.recv_post <= m.send_post:
-            continue
-        wait = min(m.recv_post, m.send_complete) - m.send_post
-        if wait >= max(min_wait, 0.0) and wait > 0:
-            region = _region_at(ordered, m.source, m.send_post)
-            states.append(WaitState("late-receiver", m.source, m.dest, wait, f"{region} @ {m.name}"))
-    states.sort(key=lambda w: -w.wait_s)
-    return states
+    return _wait_states(trace, min_wait, "late-receiver")
 
 
 def detect_late_sender(trace, min_wait=0.0):
     """Mirror pattern: receive posted before the send, receiver blocked."""
-    ordered = sorted(trace.events, key=lambda ev: ev.t)
-    states = []
-    for m in match_messages(trace)[0]:
-        if m.recv_post is None or m.recv_complete is None:
-            continue
-        if m.send_post <= m.recv_post:
-            continue
-        wait = min(m.send_post, m.recv_complete) - m.recv_post
-        if wait >= max(min_wait, 0.0) and wait > 0:
-            region = _region_at(ordered, m.dest, m.recv_post)
-            states.append(WaitState("late-sender", m.source, m.dest, wait, f"{region} @ {m.name}"))
-    states.sort(key=lambda w: -w.wait_s)
-    return states
+    return _wait_states(trace, min_wait, "late-sender")
 
 
-def _replay_ops(trace, window):
-    """Per-rank op lists with pure compute deltas between events."""
-    matches = match_messages(trace)[0]
-    send_key = {}
-    recv_key = {}
-    for idx, m in enumerate(matches):
-        send_key[(m.source, m.dest, m.name, m.send_post)] = idx
-        if m.recv_post is not None:
-            recv_key[(m.source, m.dest, m.name, m.recv_post)] = idx
-    lo, hi = window if window else (None, None)
-    clipped = {}
-    replayed_sends = set()
-    for rank, events in trace.by_rank().items():
-        events = sorted(events, key=lambda ev: ev.t)
-        blocked = comm_intervals(events)
-        in_window = events if lo is None else [ev for ev in events if lo <= ev.t <= hi]
-        clipped[rank] = (in_window, blocked)
-        for ev in in_window:
-            if ev.kind == "send-post":
-                idx = send_key.get((ev.rank, ev.peer, ev.name, ev.t))
-                if idx is not None:
-                    replayed_sends.add(idx)
+def _replay_ops(index, window):
+    """Per-rank op lists with pure compute deltas between events, in one
+    forward sweep per rank: a blocked span joins the active list at the
+    first event after its start and leaves once an event at or after its
+    end has passed; only active spans are clipped to each event's gap."""
+    windows = {}
+    for rank, view in index.ranks.items():
+        a, b = view.window(*window) if window else (0, len(view.events))
+        windows[rank] = (view.spans, view.events[a:b], view.match_ids[a:b])
+    replayed_sends = {
+        idx for _, events, match_ids in windows.values() for ev, idx in zip(events, match_ids) if ev.kind == "send-post"
+    }
     ranks = {}
-    for rank, (events, blocked) in clipped.items():
-        ops = []
+    for rank, (spans, events, match_ids) in windows.items():
+        ops, active, next_span = [], [], 0
         prev_t = events[0].t if events else 0.0
-        for ev in events:
-            gap = ev.t - prev_t
-            overlap = merged_length(_clip_spans(blocked, prev_t, ev.t))
-            delta = max(gap - overlap, 0.0)
-            match_idx = None
-            if ev.kind == "send-post":
-                match_idx = send_key.get((ev.rank, ev.peer, ev.name, ev.t))
-            elif ev.kind == "recv-post":
-                match_idx = recv_key.get((ev.peer, ev.rank, ev.name, ev.t))
-                if match_idx is not None and match_idx not in replayed_sends:
-                    # matching send predates the window; dependency already met
-                    match_idx = None
+        for ev, match_idx in zip(events, match_ids):
+            while next_span < len(spans) and spans[next_span][0] < ev.t:
+                active.append(spans[next_span])
+                next_span += 1
+            if active:
+                active = [span for span in active if span[1] > prev_t]
+            overlap = merged_length(_clip_spans(active, prev_t, ev.t)) if active else 0.0
+            delta = max(ev.t - prev_t - overlap, 0.0)
+            if ev.kind == "recv-post" and match_idx not in replayed_sends:
+                # matching send predates the window; dependency already met
+                match_idx = None
             ops.append((delta, ev, match_idx))
             prev_t = ev.t
         ranks[rank] = ops
@@ -331,7 +361,7 @@ def replay_trace(trace, window=None):
     never block, and each receive completes as soon as both it and the
     matching send are posted.  Ranks start at time zero.
     """
-    ranks = _replay_ops(trace, window)
+    ranks = _replay_ops(_TraceIndex(trace), window)
     send_post_times = {}
     pointers = {rank: 0 for rank in ranks}
     clocks = {rank: 0.0 for rank in ranks}
@@ -362,8 +392,8 @@ def replay_trace(trace, window=None):
                 new_events.append(TraceEvent(rank, ev.kind, ev.name, t, ev.bytes, ev.peer))
                 pointers[rank] += 1
                 progress = True
-    if any(pointers[rank] < len(ops) for rank, ops in ranks.items()):
-        stuck = {rank: len(ops) - pointers[rank] for rank, ops in ranks.items() if pointers[rank] < len(ops)}
+    stuck = {rank: len(ops) - pointers[rank] for rank, ops in ranks.items() if pointers[rank] < len(ops)}
+    if stuck:
         raise ReplayError(f"cyclic message dependency; undelivered ops per rank: {stuck}")
     new_events.sort(key=lambda ev: (ev.t, ev.rank))
     return Trace(events=new_events, num_ranks=trace.num_ranks)
@@ -371,14 +401,7 @@ def replay_trace(trace, window=None):
 
 def ideal_replay(trace, window=None):
     """Makespan of the trace replayed on the ideal network."""
-    replayed = replay_trace(trace, window)
-    if not replayed.events:
-        return 0.0
-    return max(ev.t for ev in replayed.events)
-
-
-def _fmt(value):
-    return f"{value:.3f}"
+    return max((ev.t for ev in replay_trace(trace, window).events), default=0.0)
 
 
 def emit_report(report, path, fmt="csv"):
@@ -391,11 +414,11 @@ def emit_report(report, path, fmt="csv"):
                 writer = csv.writer(fh)
                 writer.writerow(["metric", "value"])
                 for name, value in report.as_rows():
-                    writer.writerow([name, _fmt(value)])
+                    writer.writerow([name, f"{value:.3f}"])
             else:
                 fh.write("metric,value,percent\n")
                 for name, value in report.as_rows():
-                    fh.write(f"{name},{_fmt(value)},{100.0 * value:.1f} %\n")
+                    fh.write(f"{name},{value:.3f},{100.0 * value:.1f} %\n")
         else:
             writer = csv.writer(fh)
             writer.writerow(["pattern", "sender", "receiver", "wait_s", "location"])

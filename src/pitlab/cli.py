@@ -242,12 +242,16 @@ def _cmd_analyze(args):
         trace = read_trace(args.trace)
         out_dir = Path(args.out_dir) if args.out_dir else Path(args.trace).parent
         out_dir.mkdir(parents=True, exist_ok=True)
-        build_profile(trace)  # validates nesting and pairing structure
+        profile = build_profile(trace)  # also validates nesting and pairing structure
         audit = analysis.audit_messages(trace)
         print(
             "messages: {send_posts} sent, {recv_posts} received, "
             "{matched} matched, {unmatched_sends}/{unmatched_recvs} unmatched".format(**audit)
         )
+        print("profile, summed over ranks:")
+        print(f"  {'phase':<10} {'count':>7} {'inclusive_s':>12} {'exclusive_s':>12}")
+        for phase, total in profile.phase_totals().items():
+            print(f"  {phase:<10} {total.count:>7} {total.inclusive:>12.6f} {total.exclusive:>12.6f}")
         if do_pop:
             report = analysis.pop_metrics(trace, full_run=args.full_run)
             path = analysis.emit_report(report, out_dir / f"pop.{suffix}", fmt=args.format)

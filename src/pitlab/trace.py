@@ -9,6 +9,7 @@ communication time from a trace.
 """
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 
 from .comm import monotonic_seconds
@@ -237,6 +238,19 @@ class Profile:
     regions: dict = field(default_factory=dict)  # (rank, name) -> RegionStats
     ranks: dict = field(default_factory=dict)  # rank -> RankStats
 
+    def phase_totals(self):
+        """RegionStats summed over ranks per phase, in PHASES order; a
+        region outside the naming grammar counts under its own name."""
+        totals = {}
+        for (_, name), reg in self.regions.items():
+            parsed = parse_region_name(name)
+            total = totals.setdefault(parsed[0] if parsed else name, RegionStats())
+            total.count += reg.count
+            total.inclusive += reg.inclusive
+            total.exclusive += reg.exclusive
+        order = {phase: i for i, phase in enumerate(PHASES)}
+        return dict(sorted(totals.items(), key=lambda item: (order.get(item[0], len(PHASES)), item[0])))
+
 
 def comm_intervals(events):
     """Matched (post, complete) spans per rank, FIFO within (name, peer)."""
@@ -244,11 +258,11 @@ def comm_intervals(events):
     open_ops = {}
     for ev in events:
         if ev.kind in ("send-post", "recv-post"):
-            open_ops.setdefault((ev.kind[:4], ev.name, ev.peer), []).append(ev.t)
+            open_ops.setdefault((ev.kind[:4], ev.name, ev.peer), deque()).append(ev.t)
         elif ev.kind in ("send-complete", "recv-complete"):
             queue = open_ops.get((ev.kind[:4], ev.name, ev.peer))
             if queue:
-                spans.append((queue.pop(0), ev.t))
+                spans.append((queue.popleft(), ev.t))
     return spans
 
 

@@ -47,3 +47,48 @@ def fig5_trace():
         ev(1, "recv-complete", "fine/value/1", 5.0, 4096, 0),
     ]
     return make_trace(events, 2)
+
+
+def synthetic_trace(num_ranks, iterations, messages):
+    """PFASST-shaped trace of about num_ranks * iterations * (6 + 4 * messages) events.
+
+    After a predictor, every iteration gives each rank a fine sweep of a
+    rank- and iteration-dependent length.  At its end the rank posts
+    `messages` non-blocking sends to the next rank and as many receives
+    from the previous one, checks while they are in flight, completes
+    them at staggered times, and ends with a coarse sweep.  The spans of
+    one iteration overlap one another, send 0 completes at once (a
+    zero-length span), and a sweep's exit, the posts and the check's
+    entry share one timestamp.  Sweep lengths differ between
+    neighbours, so the trace holds Late Receivers and Late Senders.
+    Times are multiples of 1/8, and every receive completes after its
+    send was posted.
+    """
+    def sweep_end(rank, base, k):
+        return base + 1.0 + 0.5 * ((3 * rank + k) % 4)
+
+    events = []
+    for r in range(num_ranks):
+        predict = f"REGION -- PREDICT -- {r}"
+        events += [ev(r, "region-enter", predict, 0.25 * r), ev(r, "region-exit", predict, 2.0 + 0.25 * r)]
+        for k in range(iterations):
+            base = 2.0 + 0.25 * num_ranks + 8.0 * k
+            t = sweep_end(r, base, k)
+            fine, check, coarse = (f"REGION -- {p} -- {r}" for p in ("IT_FINE", "IT_CHECK", "IT_COARSE"))
+            events += [ev(r, "region-enter", fine, base), ev(r, "region-exit", fine, t)]
+            peers = []
+            if r + 1 < num_ranks:
+                peers.append(("send", r + 1, max(t, sweep_end(r + 1, base, k))))
+            if r > 0:
+                peers.append(("recv", r - 1, max(t, sweep_end(r - 1, base, k)) + 0.125))
+            for side, peer, ready in peers:
+                for j in range(messages):
+                    nbytes = 8 if side == "send" else 0
+                    events.append(ev(r, f"{side}-post", f"fine/value/{j}", t, nbytes, peer))
+            events += [ev(r, "region-enter", check, t), ev(r, "region-exit", check, t + 1.0)]
+            for side, peer, ready in peers:
+                for j in range(messages):
+                    done = t if (side, j) == ("send", 0) else ready + 0.25 * j
+                    events.append(ev(r, f"{side}-complete", f"fine/value/{j}", done, 8, peer))
+            events += [ev(r, "region-enter", coarse, base + 5.0), ev(r, "region-exit", coarse, base + 6.0)]
+    return make_trace(events, num_ranks)

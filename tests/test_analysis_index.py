@@ -1,0 +1,326 @@
+"""The indexed trace analysis against the rescanning algorithm it replaced.
+
+The reference below is the earlier analysis: a replay that clips every
+span of a rank at every event and keys messages by timestamp, and a
+region lookup that rescans the trace for each wait state.  The indexed
+analysis must give equal reports, wait states and replayed events, do
+work linear in the trace, and fix the replay's timestamp collisions.
+"""
+
+import statistics
+from collections import Counter
+
+import pytest
+
+from conftest import ev, fig5_trace, make_trace, pop_hand_trace, synthetic_trace
+from pitlab import analysis
+from pitlab.analysis import (
+    CausalityError,
+    EmptyPhaseError,
+    PopReport,
+    WaitState,
+    audit_messages,
+    causality_violations,
+    detect_late_receiver,
+    detect_late_sender,
+    ideal_replay,
+    phase_window,
+    pop_metrics,
+    replay_trace,
+)
+from pitlab.controller import dahlquist_config, run
+from pitlab.trace import comm_intervals, merged_length
+
+
+def ref_phase_window(trace, full_run=False):
+    if not trace.events:
+        raise EmptyPhaseError("trace holds no events")
+    t_min = min(ev.t for ev in trace.events)
+    t_max = max(ev.t for ev in trace.events)
+    if full_run:
+        return t_min, t_max
+    predict_exits = [
+        ev.t for ev in trace.events if ev.kind == "region-exit" and " -- PREDICT -- " in ev.name
+    ]
+    start = max(predict_exits) if predict_exits else t_min
+    if start >= t_max:
+        raise EmptyPhaseError("selected phase is empty; nothing after the predictor")
+    return start, t_max
+
+
+def ref_replay_ops(index, window):
+    """Every span of the rank clipped at every event: O(events x spans)."""
+    trace = index.trace
+    matches = analysis.match_messages(trace)[0]
+    send_key = {}
+    recv_key = {}
+    for idx, m in enumerate(matches):
+        send_key[(m.source, m.dest, m.name, m.send_post)] = idx
+        if m.recv_post is not None:
+            recv_key[(m.source, m.dest, m.name, m.recv_post)] = idx
+    lo, hi = window if window else (None, None)
+    clipped = {}
+    replayed_sends = set()
+    for rank, events in trace.by_rank().items():
+        events = sorted(events, key=lambda ev: ev.t)
+        blocked = comm_intervals(events)
+        in_window = events if lo is None else [ev for ev in events if lo <= ev.t <= hi]
+        clipped[rank] = (in_window, blocked)
+        for ev in in_window:
+            if ev.kind == "send-post":
+                idx = send_key.get((ev.rank, ev.peer, ev.name, ev.t))
+                if idx is not None:
+                    replayed_sends.add(idx)
+    ranks = {}
+    for rank, (events, blocked) in clipped.items():
+        ops = []
+        prev_t = events[0].t if events else 0.0
+        for ev in events:
+            gap = ev.t - prev_t
+            overlap = merged_length(analysis._clip_spans(blocked, prev_t, ev.t))
+            delta = max(gap - overlap, 0.0)
+            match_idx = None
+            if ev.kind == "send-post":
+                match_idx = send_key.get((ev.rank, ev.peer, ev.name, ev.t))
+            elif ev.kind == "recv-post":
+                match_idx = recv_key.get((ev.peer, ev.rank, ev.name, ev.t))
+                if match_idx is not None and match_idx not in replayed_sends:
+                    match_idx = None
+            ops.append((delta, ev, match_idx))
+            prev_t = ev.t
+        ranks[rank] = ops
+    return ranks
+
+
+def ref_region_at(events, rank, t):
+    """Rescans the time-ordered trace up to t for every lookup."""
+    stack = []
+    for ev in events:
+        if ev.rank != rank or ev.t > t:
+            if ev.t > t:
+                break
+            continue
+        if ev.kind == "region-enter":
+            stack.append(ev.name)
+        elif ev.kind == "region-exit" and stack:
+            stack.pop()
+    return stack[-1] if stack else "<untracked>"
+
+
+def ref_pop_metrics(trace, full_run=False):
+    if causality_violations(trace):
+        raise CausalityError("matched messages complete before their send posts")
+    lo, hi = ref_phase_window(trace, full_run)
+    comp = {}
+    for rank, events in trace.by_rank().items():
+        in_phase = [ev for ev in events if lo <= ev.t <= hi]
+        if not in_phase:
+            continue
+        start = min(ev.t for ev in in_phase)
+        end = max(ev.t for ev in in_phase)
+        comm = merged_length(
+            analysis._clip_spans(comm_intervals(sorted(events, key=lambda e: e.t)), lo, hi)
+        )
+        comp[rank] = (end - start) - comm
+    if not comp:
+        raise EmptyPhaseError("no rank has events in the selected phase")
+    c_max = max(comp.values())
+    c_mean = statistics.fmean(comp.values())
+    if c_max <= 0:
+        raise EmptyPhaseError("no computation time in the selected phase")
+    starts = []
+    ends = []
+    for rank, events in trace.by_rank().items():
+        in_phase = [ev.t for ev in events if lo <= ev.t <= hi]
+        if in_phase:
+            starts.append(min(in_phase))
+            ends.append(max(in_phase))
+    total = max(ends) - min(starts)
+    ideal = ideal_replay(trace, window=(lo, hi))
+    return PopReport(
+        c_mean / c_max, c_max / total, c_max / ideal, ideal / total, c_mean / total, comp, total, ideal
+    )
+
+
+def ref_wait_states(trace):
+    ordered = sorted(trace.events, key=lambda ev: ev.t)
+    receivers = []
+    senders = []
+    for m in analysis.match_messages(trace)[0]:
+        if m.send_complete is not None and m.recv_post is not None:
+            if m.send_complete - m.send_post > 0 and m.recv_post > m.send_post:
+                wait = min(m.recv_post, m.send_complete) - m.send_post
+                if wait > 0:
+                    region = ref_region_at(ordered, m.source, m.send_post)
+                    state = WaitState("late-receiver", m.source, m.dest, wait, f"{region} @ {m.name}")
+                    receivers.append(state)
+        if m.recv_post is not None and m.recv_complete is not None and m.send_post > m.recv_post:
+            wait = min(m.send_post, m.recv_complete) - m.recv_post
+            if wait > 0:
+                region = ref_region_at(ordered, m.dest, m.recv_post)
+                senders.append(WaitState("late-sender", m.source, m.dest, wait, f"{region} @ {m.name}"))
+    receivers.sort(key=lambda w: -w.wait_s)
+    senders.sort(key=lambda w: -w.wait_s)
+    return receivers, senders
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (CausalityError, EmptyPhaseError) as exc:
+        return type(exc).__name__
+
+
+def _reports(trace, pop, window, wait_states):
+    index = analysis._TraceIndex(trace)
+    outputs = {
+        "wait_states": wait_states(trace),
+        "ops": analysis._replay_ops(index, None),
+        "replay": replay_trace(trace).events,
+    }
+    for full_run in (False, True):
+        outputs[("pop", full_run)] = _outcome(pop, trace, full_run=full_run)
+        lo_hi = _outcome(window, trace, full_run)
+        outputs[("window", full_run)] = lo_hi
+        if isinstance(lo_hi, tuple):
+            outputs[("ops", full_run)] = analysis._replay_ops(index, lo_hi)
+            outputs[("replay", full_run)] = replay_trace(trace, window=lo_hi).events
+    return outputs
+
+
+def assert_matches_reference(trace, monkeypatch):
+    new = _reports(
+        trace, pop_metrics, phase_window, lambda t: (detect_late_receiver(t), detect_late_sender(t))
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_replay_ops", ref_replay_ops)
+        old = _reports(trace, ref_pop_metrics, ref_phase_window, ref_wait_states)
+    assert new.keys() == old.keys()
+    for key in old:
+        assert new[key] == old[key], key
+
+
+def _dahlquist_trace(mode, workers, **kwargs):
+    return run(dahlquist_config(workers, 0.1, workers=workers, **kwargs), mode=mode).trace
+
+
+class TestMatchesTheRescanningAnalysis:
+    @pytest.mark.parametrize("build", [pop_hand_trace, fig5_trace], ids=["hand", "fig5"])
+    def test_fixtures(self, build, monkeypatch):
+        assert_matches_reference(build(), monkeypatch)
+
+    @pytest.mark.parametrize("shape", [(2, 1, 1), (3, 2, 2), (4, 6, 3), (6, 5, 4)])
+    def test_synthetic_traces(self, shape, monkeypatch):
+        trace = synthetic_trace(*shape)
+        receivers, senders = ref_wait_states(trace)
+        if shape[0] > 2:
+            assert receivers and senders  # both searches have work to do
+        assert_matches_reference(trace, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "mode, kwargs",
+        [("serial", {}), ("parallel", {}), ("parallel", {"rendezvous_bytes": 0})],
+        ids=["serial", "threads", "threads-rendezvous"],
+    )
+    def test_dahlquist_runs(self, mode, kwargs, monkeypatch):
+        assert_matches_reference(_dahlquist_trace(mode, 8, **kwargs), monkeypatch)
+
+    def test_region_lookup_tie_rule(self):
+        # an event at exactly the lookup time has already happened
+        trace = make_trace(
+            [
+                ev(0, "region-enter", "REGION -- IT_FINE -- 0", 0.0),
+                ev(0, "region-exit", "REGION -- IT_FINE -- 0", 2.0),
+                ev(0, "region-enter", "REGION -- IT_CHECK -- 0", 2.0),
+                ev(0, "region-exit", "REGION -- IT_CHECK -- 0", 3.0),
+            ],
+            1,
+        )
+        view = analysis._TraceIndex(trace).ranks[0]
+        ordered = trace.events
+        for t in (-1.0, 0.0, 1.0, 2.0, 2.5, 3.0, 4.0):
+            assert view.region_at(t) == ref_region_at(ordered, 0, t)
+        assert view.region_at(2.0) == "REGION -- IT_CHECK -- 0"
+
+
+def _collision_trace(second_send):
+    """Two sends of one key from rank 0, the second at `second_send`."""
+    return make_trace(
+        [
+            ev(0, "region-enter", "REGION -- IT_FINE -- 0", 0.0),
+            ev(0, "region-exit", "REGION -- IT_FINE -- 0", 3.0),
+            ev(0, "send-post", "x", 3.0, 8, 1),
+            ev(0, "send-complete", "x", 3.0, 8, 1),
+            ev(0, "send-post", "x", second_send, 8, 1),
+            ev(0, "send-complete", "x", second_send, 8, 1),
+            ev(1, "recv-post", "x", 0.0, 0, 0),
+            ev(1, "recv-complete", "x", 3.0, 8, 0),
+            ev(1, "region-enter", "REGION -- IT_FINE -- 1", 3.0),
+            ev(1, "region-exit", "REGION -- IT_FINE -- 1", 3.5),
+            ev(1, "recv-post", "x", 3.5, 0, 0),
+            ev(1, "recv-complete", "x", 3.5, 8, 0),
+        ],
+        2,
+    )
+
+
+class TestReplayMatchesByEventIdentity:
+    def test_sends_sharing_key_and_timestamp(self):
+        # keyed by (source, dest, name, t), the second send hid the first
+        # and the first receive replayed as complete at 0.0 (T_ideal 3.0)
+        assert ideal_replay(_collision_trace(3.0)) == 3.5
+        assert ideal_replay(_collision_trace(3.0 + 1e-9)) == pytest.approx(3.5)
+
+    def test_no_replayed_receive_completes_before_its_send(self):
+        replayed = replay_trace(_collision_trace(3.0))
+        assert audit_messages(replayed)["matched"] == 2
+        assert causality_violations(replayed) == 0
+        first_complete = next(e for e in replayed.events if e.kind == "recv-complete")
+        first_send = next(e for e in replayed.events if e.kind == "send-post")
+        assert first_complete.t >= first_send.t == 3.0
+
+
+class TestLinearWork:
+    @staticmethod
+    def work(trace, monkeypatch):
+        counts = Counter()
+        clip, region_at = analysis._clip_spans, analysis._RankView.region_at
+
+        def counting_merged_length(spans):
+            counts["merged"] += len(spans)
+            return merged_length(spans)
+
+        def counting_clip(spans, lo, hi):
+            counts["clipped"] += len(spans)
+            return clip(spans, lo, hi)
+
+        def counting_region_at(view, t):
+            counts["regions"] += 1
+            return region_at(view, t)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "merged_length", counting_merged_length)
+            patch.setattr(analysis, "_clip_spans", counting_clip)
+            patch.setattr(analysis._RankView, "region_at", counting_region_at)
+            pop_metrics(trace)
+            waits = detect_late_receiver(trace) + detect_late_sender(trace)
+        assert counts["regions"] == len(waits)
+        return counts
+
+    def test_span_and_region_work_is_linear(self, monkeypatch):
+        per_unit = []
+        for iterations in (40, 320):
+            trace = synthetic_trace(16, iterations, 4)
+            events = len(trace.events)
+            spans = sum(
+                len(comm_intervals(sorted(evs, key=lambda e: e.t))) for evs in trace.by_rank().values()
+            )
+            counts = self.work(trace, monkeypatch)
+            # an event clips only the spans open across the gap before it
+            assert counts["clipped"] <= 2 * (events + spans)
+            assert counts["merged"] <= counts["clipped"]
+            assert counts["regions"] <= audit_messages(trace)["matched"]
+            per_unit.append(counts["clipped"] / (events + spans))
+        assert events >= 100_000
+        # eight times the trace, no more work per event or span
+        assert per_unit[1] <= 1.01 * per_unit[0]

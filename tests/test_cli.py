@@ -106,6 +106,15 @@ class TestAnalyzeCommand:
         assert "parallel_efficiency,0.700" in content
         assert "messages:" in proc.stdout
 
+    def test_profile_summary_from_hand_trace(self, tmp_path):
+        path = tmp_path / "hand.trc.jsonl"
+        write_trace(pop_hand_trace(), path)
+        proc = pitlab("analyze", "--trace", str(path), "--pop", "--out-dir", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        # two fine sweeps, 8 s on rank 0 and 5 s on rank 1, nothing nested
+        assert re.search(r"^\s*IT_FINE\s+2\s+13\.000000\s+13\.000000$", proc.stdout, re.M)
+        assert proc.stdout.index("messages:") < proc.stdout.index("IT_FINE") < proc.stdout.index("POP report")
+
     def test_wait_states_from_fig5_trace(self, tmp_path):
         path = tmp_path / "fig5.trc.jsonl"
         write_trace(fig5_trace(), path)
