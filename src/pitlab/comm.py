@@ -13,9 +13,22 @@ to the sender's or receiver's tracer.  A non-eager send is stamped
 complete at the moment the receive was posted (the hand-shake time),
 no matter when the sender finally calls wait(), so overlapping local
 work between isend and wait is recorded faithfully.
+
+Arrays travel in the ``.npy`` v1.0 format, byte for byte what
+``np.save(..., allow_pickle=False)`` writes: a 10-byte prefix (magic,
+version, little-endian header length), a padded header naming the
+dtype, the shape and the memory order, then the raw data.  A run sends
+the same few layouts thousands of times, so the header for each
+(dtype, shape, order) is built once, and each distinct header is parsed
+once; both caches are small LRU caches.  Object dtypes are refused
+both ways, as ``allow_pickle=False`` refuses them; unpacking also
+refuses headers other than v1.0 and a payload whose length is not
+exactly its header plus the data it describes.
 """
 
+import functools
 import io
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -71,11 +84,18 @@ def tag_name(tag):
 
 
 class SendHandle:
-    def __init__(self, message):
+    def __init__(self, message, name, accepted):
         self.message = message
-        self.accepted = threading.Event()
+        self.name = name
+        self.accepted = accepted
         self.accepted_at = None
         self.waited = False
+
+
+# an eager send is accepted when it is posted, so its handles share one
+# event that is set here and never cleared
+_ACCEPTED_AT_POST = threading.Event()
+_ACCEPTED_AT_POST.set()
 
 
 class _Entry:
@@ -205,9 +225,9 @@ class Endpoint:
         self.tracer = tracer
         self.unwaited = 0
 
-    def _record(self, kind, tag, nbytes, peer, t=None):
+    def _record(self, kind, name, nbytes, peer, t=None):
         if self.tracer is not None:
-            self.tracer.record_comm(kind, tag_name(tag), nbytes, peer, t=t)
+            self.tracer.record_comm(kind, name, nbytes, peer, t=t)
 
     def isend(self, dest, tag, payload):
         """Post a send; returns a handle that must be waited exactly once.
@@ -216,16 +236,17 @@ class Endpoint:
         rendezvous threshold the transport accepts it on the spot.
         """
         msg = Message(self.rank, dest, tag, bytes(payload), post_time=monotonic_seconds())
-        handle = SendHandle(msg)
-        self._record("send-post", tag, len(msg.payload), dest, t=msg.post_time)
+        name = tag_name(tag)
+        self._record("send-post", name, len(msg.payload), dest, t=msg.post_time)
+        eager = len(msg.payload) <= self.network.rendezvous_bytes
+        handle = SendHandle(msg, name, _ACCEPTED_AT_POST if eager else threading.Event())
         entry = _Entry(msg, msg.post_time + self.network.latency, handle)
-        if len(msg.payload) <= self.network.rendezvous_bytes:
+        if eager:
             entry.accepted = True
             handle.accepted_at = msg.post_time
-            handle.accepted.set()
             self.network.channel(self.rank, dest).put(entry)
             msg.completion_time = msg.post_time
-            self._record("send-complete", tag, len(msg.payload), dest, t=msg.post_time)
+            self._record("send-complete", name, len(msg.payload), dest, t=msg.post_time)
         else:
             self.network.channel(self.rank, dest).put(entry)
         self.unwaited += 1
@@ -251,7 +272,7 @@ class Endpoint:
             handle.message.completion_time = handle.accepted_at
             self._record(
                 "send-complete",
-                handle.message.tag,
+                handle.name,
                 len(handle.message.payload),
                 handle.message.dest,
                 t=handle.accepted_at,
@@ -259,21 +280,56 @@ class Endpoint:
 
     def recv(self, source, tag, timeout=None):
         """Block until a message with exactly this tag arrives from source."""
-        self._record("recv-post", tag, 0, source)
+        name = tag_name(tag)
+        self._record("recv-post", name, 0, source)
         timeout = self.network.recv_timeout if timeout is None else timeout
         msg = self.network.channel(source, self.rank).take(tag, timeout)
-        self._record("recv-complete", tag, len(msg.payload), source)
+        self._record("recv-complete", name, len(msg.payload), source)
         return msg
 
 
-def pack_array(arr):
+@functools.lru_cache(maxsize=64)
+def _npy_header(dtype, shape, fortran_order):
+    """The v1.0 header np.save writes for an array of this layout."""
+    descr = np.lib.format.dtype_to_descr(dtype)
+    if dtype.hasobject or descr == "|O":
+        raise ValueError("arrays of Python objects cannot be packed")
     buf = io.BytesIO()
-    np.save(buf, np.asarray(arr), allow_pickle=False)
+    np.lib.format.write_array_header_1_0(buf, {"descr": descr, "fortran_order": fortran_order, "shape": shape})
     return buf.getvalue()
 
 
+@functools.lru_cache(maxsize=64)
+def _npy_layout(header):
+    """(dtype, shape, fortran_order, element count, payload length) of a header."""
+    fp = io.BytesIO(header)
+    version = np.lib.format.read_magic(fp)
+    if version != (1, 0):
+        raise ValueError(f"expected an .npy v1.0 header, got version {version}")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fp)
+    if dtype.hasobject:
+        raise ValueError("arrays of Python objects cannot be unpacked")
+    count = math.prod(shape)
+    return dtype, shape, fortran_order, count, len(header) + count * dtype.itemsize
+
+
+def pack_array(arr):
+    """The bytes np.save(..., allow_pickle=False) writes for arr."""
+    arr = np.asarray(arr)
+    # np.save writes Fortran order only for an array that is not also C-contiguous
+    fortran_order = arr.flags.f_contiguous and not arr.flags.c_contiguous
+    return _npy_header(arr.dtype, arr.shape, fortran_order) + arr.tobytes("F" if fortran_order else "C")
+
+
 def unpack_array(payload):
-    return np.load(io.BytesIO(payload), allow_pickle=False)
+    """A fresh, writable array from pack_array's bytes (any bytes-like payload)."""
+    # a v1.0 header starts with 6 magic bytes, 2 version bytes and its length
+    end = 10 + int.from_bytes(payload[8:10], "little")
+    dtype, shape, fortran_order, count, size = _npy_layout(bytes(payload[:end]))
+    if len(payload) != size:
+        raise ValueError(f"payload is {len(payload)} bytes, its header describes {size}")
+    flat = np.frombuffer(payload, dtype, count, end).copy()
+    return flat.reshape(shape[::-1]).T if fortran_order else flat.reshape(shape)
 
 
 def pack_status(stopped, final_value=None):
@@ -285,5 +341,5 @@ def pack_status(stopped, final_value=None):
 
 def unpack_status(payload):
     stopped = payload[:1] == b"\x01"
-    final = unpack_array(payload[1:]) if len(payload) > 1 else None
+    final = unpack_array(memoryview(payload)[1:]) if len(payload) > 1 else None
     return stopped, final

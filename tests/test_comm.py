@@ -1,10 +1,13 @@
+import io
 import itertools
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from pitlab import comm
 from pitlab.comm import (
     ChannelClosed,
     DeadlockError,
@@ -121,13 +124,17 @@ class TestNonblocking:
 
 class TestBackends:
     def test_injected_latency_delays_completion(self):
+        # a message becomes available at its send-post time plus the
+        # latency, so that is the bound; a pause between isend and recv
+        # shortens the receiver's own wait without breaking it
         net = Network(2, latency=0.003)
         a, b = net.endpoint(0, Tracer(0)), net.endpoint(1, Tracer(1))
         handle = a.isend(1, tag(), b"x")
         b.recv(0, tag())
         a.wait(handle)
-        events = {ev.kind: ev.t for ev in b.tracer.events}
-        assert events["recv-complete"] - events["recv-post"] >= 0.003
+        send_post = next(ev.t for ev in a.tracer.events if ev.kind == "send-post")
+        recv_complete = next(ev.t for ev in b.tracer.events if ev.kind == "recv-complete")
+        assert recv_complete - send_post >= 0.003
 
     def test_rendezvous_blocks_the_wait_until_recv_posts(self):
         net = Network(2, rendezvous_bytes=4)
@@ -169,3 +176,144 @@ class TestBackends:
         audit = net.audit()
         assert audit[(0, 1)] == {"sent": 1, "received": 1, "pending": 0}
         assert audit[(1, 2)] == {"sent": 0, "received": 0, "pending": 0}
+
+    def test_eager_sends_share_one_accepted_event(self):
+        net = Network(2, rendezvous_bytes=4)
+        a, b = net.endpoint(0), net.endpoint(1)
+        eager = [a.isend(1, tag(iteration=i), b"x") for i in (1, 2)]
+        large = a.isend(1, tag(iteration=3), b"beyond threshold")
+        assert eager[0].accepted is eager[1].accepted and eager[0].accepted.is_set()
+        assert large.accepted is not eager[0].accepted and not large.accepted.is_set()
+        for i in (1, 2, 3):
+            b.recv(0, tag(iteration=i))
+        for handle in eager + [large]:
+            a.wait(handle, timeout=1.0)
+        assert large.accepted.is_set() and a.unwaited == 0
+
+    def test_tag_named_once_per_message_side(self, monkeypatch):
+        calls = []
+        tag_name = comm.tag_name
+
+        def counting_tag_name(t):
+            calls.append(t)
+            return tag_name(t)
+
+        monkeypatch.setattr(comm, "tag_name", counting_tag_name)
+        net = Network(2, rendezvous_bytes=0)
+        a, b = net.endpoint(0, Tracer(0)), net.endpoint(1, Tracer(1))
+        handle = a.isend(1, tag(), b"x")
+        b.recv(0, tag())
+        a.wait(handle, timeout=1.0)
+        assert len(calls) == 2
+        names = [ev.name for tr in (a.tracer, b.tracer) for ev in tr.events]
+        assert names == ["fine/value/1"] * 4
+
+
+def npy_bytes(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr, allow_pickle=False)
+    return buf.getvalue()
+
+
+def sample(dtype, shape, seed=0):
+    rng = np.random.default_rng(seed)
+    if dtype == np.bool_:
+        return rng.standard_normal(shape) > 0
+    if dtype == np.int32:
+        return rng.integers(-(2**31), 2**31 - 1, size=shape, dtype=np.int32)
+    if dtype == np.complex128:
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return rng.standard_normal(shape).astype(dtype)
+
+
+def layouts(dtype, shape):
+    c_order = sample(dtype, shape)
+    strided = sample(dtype, tuple(2 * n for n in shape))[tuple(slice(None, None, 2) for _ in shape)]
+    return {"C": c_order, "F": np.asfortranarray(c_order), "view": strided}
+
+
+WIRE_DTYPES = [np.float64, np.float32, np.complex128, np.int32, np.bool_]
+WIRE_SHAPES = [(), (1,), (32, 32), (128, 128), (3, 4, 5)]
+
+
+class TestWireFormat:
+    @pytest.mark.parametrize("dtype", WIRE_DTYPES, ids=lambda d: np.dtype(d).name)
+    @pytest.mark.parametrize("shape", WIRE_SHAPES, ids=str)
+    def test_payload_is_np_save_bytes_and_round_trips(self, dtype, shape):
+        for layout, arr in layouts(dtype, shape).items():
+            payload = pack_array(arr)
+            assert payload == npy_bytes(arr), layout
+            back = unpack_array(payload)
+            reference = np.load(io.BytesIO(payload), allow_pickle=False)
+            assert back.dtype == arr.dtype and back.shape == arr.shape
+            assert np.array_equal(back, arr)
+            assert back.flags.writeable
+            assert back.flags.c_contiguous == reference.flags.c_contiguous
+            assert back.flags.f_contiguous == reference.flags.f_contiguous
+            back[...] = 0
+            assert unpack_array(payload).tobytes() == np.ascontiguousarray(arr).tobytes()
+
+    def test_status_and_memoryview_payloads_round_trip(self):
+        final = sample(np.float64, (4, 4))
+        stopped, back = unpack_status(pack_status(True, np.asfortranarray(final)))
+        assert stopped and np.array_equal(back, final) and back.flags.f_contiguous
+        assert np.array_equal(unpack_array(memoryview(pack_array(final))), final)
+
+    def test_object_dtype_is_refused(self):
+        with pytest.raises(ValueError):
+            pack_array(np.array([{"a": 1}, None], dtype=object))
+        buf = io.BytesIO()
+        np.lib.format.write_array_header_1_0(buf, {"descr": "|O", "fortran_order": False, "shape": (2,)})
+        with pytest.raises(ValueError):
+            unpack_array(buf.getvalue() + bytes(16))
+
+    @pytest.mark.parametrize("cut", [1, 8, 200])
+    def test_truncated_payload_is_refused(self, cut):
+        payload = pack_array(sample(np.float64, (5, 5)))
+        with pytest.raises(ValueError):
+            unpack_array(payload[:-cut])
+
+    def test_trailing_bytes_are_refused(self):
+        payload = pack_array(sample(np.float64, (5, 5)))
+        with pytest.raises(ValueError):
+            unpack_array(payload + b"\x00")
+        with pytest.raises(ValueError):
+            unpack_status(pack_status(True, np.zeros(3)) + b"\x00")
+
+    def test_threads_packing_distinct_shapes_at_once(self):
+        shapes = [(n, n + 1) for n in range(1, 5)]
+        errors, done = [], []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def worker(shape):
+            try:
+                arr = sample(np.float64, shape, seed=shape[0])
+                for i in range(300):
+                    x = arr if i % 2 else np.asfortranarray(arr)
+                    payload = pack_array(x)
+                    assert payload == npy_bytes(x)
+                    assert np.array_equal(unpack_array(payload), arr)
+                done.append(shape)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in shapes]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert errors == [] and sorted(done) == shapes
+
+    def test_caches_are_bounded(self):
+        for cache in (comm._npy_header, comm._npy_layout):
+            assert cache.cache_info().maxsize is not None
+        for n in range(comm._npy_header.cache_info().maxsize + 10):
+            unpack_array(pack_array(np.zeros(n + 1)))
+        for cache in (comm._npy_header, comm._npy_layout):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
