@@ -9,20 +9,23 @@ sharp-interface law r(t)^2 = r(0)^2 - 2t.
 
 import numpy as np
 
-from pitlab.collocation import make_radau_table
 from pitlab.controller import allen_cahn_config, format_summary, run, run_sdc_serial
-from pitlab.problems import AllenCahnProblem, Field2D, ac_initial_condition, measure_radius
+from pitlab.problems import Field2D, measure_radius
 
 N, COARSE_N, EPS, DT, STEPS, R0 = 128, 32, 0.04, 1e-3, 4, 0.25
 
 
 def main():
-    problem = AllenCahnProblem(N, 1, EPS)
-    u0 = ac_initial_condition(1, EPS, N, seed=1, radius=R0).values
+    config = allen_cahn_config(
+        STEPS, DT, n=N, coarse_n=COARSE_N, eps=EPS, seed=1, radius=R0,
+        fine_sweeps=3, coarse_sweeps=1, tolerance=1e-8,
+    )
+    pair, u0 = config.pair, config.u0
     print(f"grid {N}^2, coarse {COARSE_N}^2, eps={EPS}, initial radius {R0}")
-    print(f"interface spans {problem.interface_cells():.1f} cells of width 7*eps\n")
+    print(f"interface spans {pair.fine_problem.interface_cells():.1f} cells of width 7*eps\n")
 
-    baseline = run_sdc_serial(problem, make_radau_table(3), u0, DT, STEPS, tolerance=1e-8)
+    # the time-serial baseline runs the fine level of the same config
+    baseline = run_sdc_serial(pair.fine_problem, pair.fine_table, u0, DT, STEPS, tolerance=config.tolerance)
     print("time-serial SDC sweeps per step:", baseline.iterations)
     radii = [measure_radius(Field2D(u0, 1))] + [
         measure_radius(Field2D(u, 1)) for u in baseline.final_values
@@ -31,12 +34,8 @@ def main():
     slope = np.polyfit(times, np.array(radii) ** 2, 1)[0]
     print(f"fitted d(r^2)/dt = {slope:.3f}  (sharp-interface law: -2)\n")
 
-    config = lambda: allen_cahn_config(
-        STEPS, DT, n=N, coarse_n=COARSE_N, eps=EPS, seed=1, radius=R0,
-        fine_sweeps=3, coarse_sweeps=1, tolerance=1e-8,
-    )
-    parallel = run(config(), mode="parallel")
-    serial = run(config(), mode="serial")
+    parallel = run(config, mode="parallel")
+    serial = run(config, mode="serial")
     print("PFASST iterations per step (parallel):", parallel.iterations)
     print("PFASST iterations per step (serial):  ", serial.iterations)
     cross = max(np.abs(a - b).max() for a, b in zip(parallel.final_values, serial.final_values))

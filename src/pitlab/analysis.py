@@ -94,8 +94,9 @@ class _Match:
     send_complete: float | None
     recv_post: float | None
     recv_complete: float | None
-    send_at: int  # positions of the two post events in trace.events
+    send_at: int  # positions in trace.events of the two posts and the receive's completion
     recv_at: int | None = None
+    recv_done_at: int | None = None
 
 
 def match_messages(trace):
@@ -103,7 +104,8 @@ def match_messages(trace):
 
     Returns (matches, unmatched_sends, unmatched_recvs); matches may have
     a missing completion if the trace was cut short.  Each match records
-    where its two post events sit in trace.events.
+    where its two post events and its receive completion sit in
+    trace.events.
     """
     sends = {}  # (source, dest, name) -> [posts in order, how many of them have completed]
     recvs = {}
@@ -120,18 +122,19 @@ def match_messages(trace):
         elif ev.kind == "recv-post":
             key = (ev.peer, ev.rank, ev.name)
             fifo = recvs.get(key) or recvs.setdefault(key, [[], 0])
-            fifo[0].append([ev.t, None, pos])
+            fifo[0].append([ev.t, None, pos, None])
         elif ev.kind == "recv-complete":
             fifo = recvs.get((ev.peer, ev.rank, ev.name))
             if fifo and fifo[1] < len(fifo[0]):
-                fifo[0][fifo[1]][1] = ev.t
+                entry = fifo[0][fifo[1]]
+                entry[1], entry[3] = ev.t, pos
                 fifo[1] += 1
     matches, unmatched_sends, unmatched_recvs = [], [], []
     for key, (send_list, _) in sends.items():
         recv_list = recvs.pop(key, [[]])[0]
         for i, m in enumerate(send_list):
             if i < len(recv_list):
-                m.recv_post, m.recv_complete, m.recv_at = recv_list[i]
+                m.recv_post, m.recv_complete, m.recv_at, m.recv_done_at = recv_list[i]
                 matches.append(m)
             else:
                 unmatched_sends.append(m)
@@ -147,7 +150,7 @@ class _RankView:
     def __init__(self, events, match_ids):
         self.events = events
         self.times = [ev.t for ev in events]
-        self.match_ids = match_ids  # match of each post event, else None
+        self.match_ids = match_ids  # match of each post and recv-complete event, else None
         self.spans = sorted(comm_intervals(events))  # blocked spans, by start
         self.region_times, self.region_tops = [], []  # when the region stack changes, and its new top
         self.predict_end = None  # last predictor exit
@@ -187,7 +190,9 @@ class _TraceIndex:
 
     @cached_property
     def ranks(self):
-        match_at = {pos: idx for idx, m in enumerate(self.matches) for pos in (m.send_at, m.recv_at)}
+        match_at = {
+            pos: idx for idx, m in enumerate(self.matches) for pos in (m.send_at, m.recv_at, m.recv_done_at)
+        }
         events = self.trace.events
         times = [ev.t for ev in events]
         positions = {r: [] for r in range(self.trace.num_ranks)}
@@ -345,7 +350,7 @@ def _replay_ops(index, window):
                 active = [span for span in active if span[1] > prev_t]
             overlap = merged_length(_clip_spans(active, prev_t, ev.t)) if active else 0.0
             delta = max(ev.t - prev_t - overlap, 0.0)
-            if ev.kind == "recv-post" and match_idx not in replayed_sends:
+            if ev.kind in ("recv-post", "recv-complete") and match_idx not in replayed_sends:
                 # matching send predates the window; dependency already met
                 match_idx = None
             ops.append((delta, ev, match_idx))
@@ -358,15 +363,14 @@ def replay_trace(trace, window=None):
     """Re-time the trace on an ideal network.
 
     Compute intervals keep their length, transfers are free, senders
-    never block, and each receive completes as soon as both it and the
-    matching send are posted.  Ranks start at time zero.
+    never block, and each receive completes as soon as both it and its
+    own matching send are posted.  Ranks start at time zero.
     """
     ranks = _replay_ops(_TraceIndex(trace), window)
     send_post_times = {}
     pointers = {rank: 0 for rank in ranks}
     clocks = {rank: 0.0 for rank in ranks}
     new_events = []
-    pending_recv = {}  # rank -> match idx blocking it
     progress = True
     while progress:
         progress = False
@@ -374,11 +378,9 @@ def replay_trace(trace, window=None):
             while pointers[rank] < len(ops):
                 delta, ev, match_idx = ops[pointers[rank]]
                 if ev.kind == "recv-complete":
-                    idx = pending_recv.pop(rank, None)
-                    if idx is not None and idx not in send_post_times:
-                        pending_recv[rank] = idx
+                    if match_idx is not None and match_idx not in send_post_times:
                         break  # matched send not replayed yet
-                    t = clocks[rank] if idx is None else max(clocks[rank], send_post_times[idx])
+                    t = clocks[rank] if match_idx is None else max(clocks[rank], send_post_times[match_idx])
                     clocks[rank] = t
                 elif ev.kind == "send-complete":
                     t = clocks[rank]  # no sender blocking
@@ -387,8 +389,6 @@ def replay_trace(trace, window=None):
                     t = clocks[rank]
                     if ev.kind == "send-post" and match_idx is not None:
                         send_post_times[match_idx] = t
-                    elif ev.kind == "recv-post":
-                        pending_recv[rank] = match_idx
                 new_events.append(TraceEvent(rank, ev.kind, ev.name, t, ev.bytes, ev.peer))
                 pointers[rank] += 1
                 progress = True

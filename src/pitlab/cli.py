@@ -6,9 +6,11 @@ efficiency and wait-state reports; `sweep` drives a benchmark config
 through the workflow harness; `report` re-renders result tables.
 
 Exit codes: 0 success, 2 usage error, 3 divergence or non-convergence,
-4 structural analysis error.  Every run flag has a config-file
-equivalent (`key = value` lines, keys named like the long flags with
-underscores); explicit flags win over the file.
+4 structural analysis error.  Each run option is declared once, as its
+flag.  A config file (`--config`) holds `key = value` lines whose keys
+are the long flag names, with `-` or `_`; each line is read as the flag
+`--key=value` ahead of the command line, so keys are checked like flags,
+explicit flags win, and unknown keys or rejected values exit 2.
 """
 
 import argparse
@@ -34,72 +36,44 @@ EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 EXIT_ANALYSIS = 4
 
-RUN_DEFAULTS = {
-    "problem": "dahlquist",
-    "steps": 4,
-    "workers": None,
-    "dt": 0.1,
-    "mode": "parallel",
-    "scheme": "pfasst",
-    "num_nodes": 3,
-    "fine_sweeps": 3,
-    "coarse_sweeps": 1,
-    "tol": 1e-8,
-    "max_iters": 50,
-    "lambda_implicit": -1.0,
-    "lambda_explicit": 0.0,
-    "implicit": "lu",
-    "grid": 128,
-    "coarse_grid": 32,
-    "eps": 0.04,
-    "lpatches": 1,
-    "radius": None,
-    "seed": 1,
-    "backend": None,
-    "rendezvous_bytes": DEFAULT_RENDEZVOUS_BYTES,
-    "latency": 0.0,
-    "trace_out": None,
-}
-
-_RUN_TYPES = {
-    "steps": int, "workers": int, "dt": float, "num_nodes": int,
-    "fine_sweeps": int, "coarse_sweeps": int, "tol": float, "max_iters": int,
-    "lambda_implicit": float, "lambda_explicit": float, "grid": int,
-    "coarse_grid": int, "eps": float, "lpatches": int, "radius": float,
-    "seed": int, "rendezvous_bytes": int, "latency": float,
-}
+# rendezvous thresholds the named transport backends stand for
+BACKEND_RENDEZVOUS_BYTES = {"eager": 1 << 62, "rendezvous": 0}
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="pitlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="integrate a test problem and write a trace")
-    p_run.add_argument("--config", help="config file with flag defaults")
-    p_run.add_argument("--problem", choices=["dahlquist", "allen-cahn"])
-    p_run.add_argument("--steps", type=int)
-    p_run.add_argument("--workers", type=int)
-    p_run.add_argument("--dt", type=float)
-    p_run.add_argument("--mode", choices=["serial", "parallel"])
-    p_run.add_argument("--scheme", choices=["pfasst", "sdc"])
-    p_run.add_argument("--num-nodes", type=int, dest="num_nodes", help="collocation nodes per step")
-    p_run.add_argument("--fine-sweeps", type=int, dest="fine_sweeps")
-    p_run.add_argument("--coarse-sweeps", type=int, dest="coarse_sweeps")
-    p_run.add_argument("--tol", type=float)
-    p_run.add_argument("--max-iters", type=int, dest="max_iters")
-    p_run.add_argument("--lambda-implicit", type=float, dest="lambda_implicit")
-    p_run.add_argument("--lambda-explicit", type=float, dest="lambda_explicit")
-    p_run.add_argument("--implicit", choices=["lu", "be"], help="implicit preconditioner")
-    p_run.add_argument("--grid", type=int, help="fine grid points per dimension")
-    p_run.add_argument("--coarse-grid", type=int, dest="coarse_grid")
-    p_run.add_argument("--eps", type=float)
-    p_run.add_argument("--lpatches", type=int)
-    p_run.add_argument("--radius", type=float, help="fixed initial circle radius")
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--backend", choices=["eager", "rendezvous"])
-    p_run.add_argument("--rendezvous-bytes", type=int, dest="rendezvous_bytes")
-    p_run.add_argument("--latency", type=float)
-    p_run.add_argument("--trace-out", dest="trace_out", help="trace path (else $PITLAB_TRACE_DIR)")
+    p_run = sub.add_parser(
+        "run", help="integrate a test problem and write a trace",
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+    )
+    opt = p_run.add_argument
+    opt("--config", help="file of `key = value` lines, read as --key=value flags before the command line")
+    opt("--problem", choices=["dahlquist", "allen-cahn"], default="dahlquist", help="test problem")
+    opt("--steps", type=int, default=4, help="time steps")
+    opt("--workers", type=int, help="concurrent workers; one per step if unset")
+    opt("--dt", type=float, default=0.1, help="step size")
+    opt("--mode", choices=["serial", "parallel"], default="parallel", help="PFASST execution model")
+    opt("--scheme", choices=["pfasst", "sdc"], default="pfasst", help="sdc: the time-serial baseline")
+    opt("--num-nodes", type=int, default=3, help="collocation nodes per step")
+    opt("--fine-sweeps", type=int, default=3, help="fine sweeps per iteration")
+    opt("--coarse-sweeps", type=int, default=1, help="coarse sweeps per iteration")
+    opt("--tol", type=float, default=1e-8, help="residual tolerance")
+    opt("--max-iters", type=int, default=50, help="iterations (sdc: sweeps per step) before giving up")
+    opt("--lambda-implicit", type=float, default=-1.0, help="Dahlquist implicit rate")
+    opt("--lambda-explicit", type=float, default=0.0, help="Dahlquist explicit rate")
+    opt("--implicit", choices=["lu", "be"], default="lu", help="implicit preconditioner")
+    opt("--grid", type=int, default=128, help="fine grid points per dimension")
+    opt("--coarse-grid", type=int, default=32, help="coarse grid points per dimension (pfasst only)")
+    opt("--eps", type=float, default=0.04, help="Allen-Cahn interface width")
+    opt("--lpatches", type=int, default=1, help="unit patches per side of the domain")
+    opt("--radius", type=float, help="fixed initial circle radius; drawn from --seed if unset")
+    opt("--seed", type=int, default=1, help="initial-condition seed")
+    opt("--backend", choices=sorted(BACKEND_RENDEZVOUS_BYTES), help="transport; overrides --rendezvous-bytes")
+    opt("--rendezvous-bytes", type=int, default=DEFAULT_RENDEZVOUS_BYTES, help="largest eager message")
+    opt("--latency", type=float, default=0.0, help="message delivery delay in seconds")
+    opt("--trace-out", help="trace path; else a name in $PITLAB_TRACE_DIR or the current directory")
 
     p_an = sub.add_parser("analyze", help="POP metrics and wait states from a trace")
     p_an.add_argument("--trace", required=True)
@@ -114,7 +88,7 @@ def build_parser():
     p_sw.add_argument("--config", required=True)
     p_sw.add_argument("--workdir")
     p_sw.add_argument("--jobs", type=int, default=1)
-    p_sw.add_argument("--done-timeout", type=float, default=120.0, dest="done_timeout")
+    p_sw.add_argument("--done-timeout", type=float, default=harness.DONE_TIMEOUT_S, dest="done_timeout")
 
     p_rep = sub.add_parser("report", help="re-render a result table")
     p_rep.add_argument("--input", required=True)
@@ -124,114 +98,82 @@ def build_parser():
     return parser
 
 
-def _read_flag_file(path):
-    values = {}
-    for raw in Path(path).read_text().splitlines():
+def _config_flags(path):
+    """The `key = value` lines of a run config file as `--key=value` flags."""
+    flags = []
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ValueError(f"bad config line {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = value
-    return values
-
-def _resolve_run_options(args):
-    from_file = _read_flag_file(args.config) if args.config else {}
-    options = {}
-    for key, default in RUN_DEFAULTS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            options[key] = flag
-        elif key in from_file:
-            caster = _RUN_TYPES.get(key, str)
-            options[key] = caster(from_file[key])
-        else:
-            options[key] = default
-    return options
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"{path}, line {lineno}: expected `key = value`, got {line!r}")
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
-def _trace_path(options):
-    if options["trace_out"]:
-        return Path(options["trace_out"])
-    directory = Path(os.environ.get("PITLAB_TRACE_DIR", "."))
-    name = f"{options['problem']}-{options['scheme']}-{options['mode']}-p{options['workers']}.trc.jsonl"
-    return directory / name
+def _usage_error(message):
+    print(f"usage error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _run_config(args):
+    """The RunConfig both schemes integrate; raises ValueError on rejected
+    values, as do the factories and RunConfig.validate()."""
+    if args.scheme == "sdc" and args.workers not in (None, 1):
+        raise ValueError("the sdc scheme is the time-serial baseline; it uses one worker")
+    if args.problem == "dahlquist":
+        factory = dahlquist_config
+        problem = dict(lambda_implicit=args.lambda_implicit, lambda_explicit=args.lambda_explicit)
+    else:
+        factory = allen_cahn_config
+        problem = dict(
+            n=args.grid,
+            # the time-serial baseline never uses the coarse level
+            coarse_n=args.grid if args.scheme == "sdc" else args.coarse_grid,
+            eps=args.eps, lpatches=args.lpatches, seed=args.seed, radius=args.radius,
+        )
+    config = factory(
+        args.steps, args.dt, workers=None if args.scheme == "sdc" else args.workers,
+        m=args.num_nodes, implicit=args.implicit,
+        fine_sweeps=args.fine_sweeps, coarse_sweeps=args.coarse_sweeps,
+        tolerance=args.tol, max_iterations=args.max_iters,
+        rendezvous_bytes=BACKEND_RENDEZVOUS_BYTES.get(args.backend, args.rendezvous_bytes),
+        latency=args.latency, **problem,
+    )
+    config.validate()
+    return config
 
 
 def _cmd_run(args):
-    options = _resolve_run_options(args)
-    if options["backend"] == "eager":
-        options["rendezvous_bytes"] = 1 << 62
-    elif options["backend"] == "rendezvous":
-        options["rendezvous_bytes"] = 0
-
-    common = dict(
-        fine_sweeps=options["fine_sweeps"],
-        coarse_sweeps=options["coarse_sweeps"],
-        tolerance=options["tol"],
-        max_iterations=options["max_iters"],
-        rendezvous_bytes=options["rendezvous_bytes"],
-        latency=options["latency"],
-    )
     try:
-        if options["scheme"] == "sdc":
-            if options["workers"] not in (None, 1):
-                print("sdc scheme is the time-serial baseline; it uses one worker", file=sys.stderr)
-                return EXIT_USAGE
-            options["workers"] = 1
-            result = _run_sdc(options)
+        cfg = _run_config(args)
+    except ValueError as exc:
+        return _usage_error(exc)
+    try:
+        if args.scheme == "sdc":
+            result = run_sdc_serial(
+                cfg.pair.fine_problem, cfg.pair.fine_table, cfg.u0, cfg.dt, cfg.num_steps,
+                tolerance=cfg.tolerance, max_sweeps=cfg.max_iterations,
+            )
         else:
-            options["workers"] = options["workers"] or options["steps"]
-            if options["problem"] == "dahlquist":
-                config = dahlquist_config(
-                    options["steps"], options["dt"], workers=options["workers"],
-                    m=options["num_nodes"], lambda_implicit=options["lambda_implicit"],
-                    lambda_explicit=options["lambda_explicit"], implicit=options["implicit"],
-                    **common,
-                )
-            else:
-                config = allen_cahn_config(
-                    options["steps"], options["dt"], n=options["grid"],
-                    coarse_n=options["coarse_grid"], eps=options["eps"],
-                    lpatches=options["lpatches"], seed=options["seed"],
-                    radius=options["radius"], workers=options["workers"],
-                    m=options["num_nodes"], implicit=options["implicit"],
-                    **common,
-                )
-            result = run(config, mode=options["mode"])
+            result = run(cfg, mode=args.mode)
     except (DivergedError, NotConvergedError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 
-    path = _trace_path(options)
+    if args.trace_out:
+        path = Path(args.trace_out)
+    else:
+        workers = 1 if args.scheme == "sdc" else cfg.workers
+        name = f"{args.problem}-{args.scheme}-{args.mode}-p{workers}.trc.jsonl"
+        path = Path(os.environ.get("PITLAB_TRACE_DIR", ".")) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     write_trace(result.trace, path)
     for line in format_summary(result):
         print(line)
     print(f"Trace written to {path}")
     return EXIT_OK
-
-
-def _run_sdc(options):
-    from .collocation import make_radau_table
-    from .problems import AllenCahnProblem, DahlquistProblem, ac_initial_condition
-    import numpy as np
-
-    table = make_radau_table(options["num_nodes"], implicit=options["implicit"])
-    if options["problem"] == "dahlquist":
-        problem = DahlquistProblem(options["lambda_implicit"], options["lambda_explicit"])
-        u0 = np.array([1.0])
-    else:
-        problem = AllenCahnProblem(options["grid"], options["lpatches"], options["eps"])
-        u0 = ac_initial_condition(
-            options["lpatches"], options["eps"], options["grid"], options["seed"],
-            radius=options["radius"],
-        ).values
-    return run_sdc_serial(
-        problem, table, u0, options["dt"], options["steps"],
-        tolerance=options["tol"], max_sweeps=options["max_iters"],
-    )
 
 
 def _cmd_analyze(args):
@@ -314,7 +256,16 @@ def _cmd_report(args):
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    if args.command == "run" and args.config:
+        try:
+            file_flags = _config_flags(args.config)
+        except (OSError, ValueError) as exc:
+            return _usage_error(exc)
+        # the file's flags first, so the command line's own flags win
+        at = argv.index("run") + 1
+        args = parser.parse_args([*argv[:at], *file_flags, *argv[at:]])
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "analyze":

@@ -80,7 +80,6 @@ class RunConfig:
     max_iterations: int = 50
     rendezvous_bytes: int = DEFAULT_RENDEZVOUS_BYTES
     latency: float = 0.0
-    deadlock_timeout: float = 60.0
     compute_delay: dict = field(default_factory=dict)  # rank -> seconds per fine sweep
     trace_suppress: tuple = ()
 
@@ -140,10 +139,10 @@ class _Worker:
     def _send(self, tag, payload):
         if self.rank + 1 < self.cfg.workers:
             handle = self.ep.isend(self.rank + 1, tag, payload)
-            self.ep.wait(handle, timeout=self.cfg.deadlock_timeout)
+            self.ep.wait(handle)
 
     def _recv(self, tag):
-        return self.ep.recv(self.rank - 1, tag, timeout=self.cfg.deadlock_timeout)
+        return self.ep.recv(self.rank - 1, tag)
 
     def predictor(self):
         """Coarse staircase burn-in: rank p sweeps p+1 times, forwarding
@@ -252,7 +251,6 @@ def run(config, mode="parallel"):
         # rendezvous blocking only makes sense with concurrent workers
         rendezvous_bytes=float("inf") if serial else config.rendezvous_bytes,
         latency=0.0 if serial else config.latency,
-        recv_timeout=config.deadlock_timeout,
     )
     tracers = [tracing.Tracer(r, suppress=config.trace_suppress) for r in range(p)]
     workers = [_Worker(r, config, network, tracers[r]) for r in range(p)]
@@ -334,7 +332,6 @@ def run_sdc_serial(
     tolerance=1e-8,
     max_sweeps=100,
     fixed_sweeps=None,
-    tracer=None,
 ):
     """Plain single-level SDC time stepping, the time-serial baseline.
 
@@ -343,8 +340,7 @@ def run_sdc_serial(
     value as the next initial value.
     """
     u = np.asarray(u0)
-    if tracer is None:
-        tracer = tracing.Tracer(0)
+    tracer = tracing.Tracer(0)
     values, counts, histories = [], [], []
     start = time.perf_counter()
     for _ in range(num_steps):

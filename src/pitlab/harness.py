@@ -82,6 +82,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# seconds a run's done-file may take to appear after its steps finish
+DONE_TIMEOUT_S = 60.0
+
 FLOAT_RE = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eEdD][-+]?\d+)?"
 PLACEHOLDER_RE = re.compile(r"#([A-Za-z_][A-Za-z0-9_]*)#")
 
@@ -232,7 +235,7 @@ def _run_one(spec, workdir, files, substitutions, config_dir, done_timeout, env)
 
 
 def execute(specs, steps, workdir, files=(), substitutions=(), config_dir=".",
-            done_file=None, jobs=1, done_timeout=10.0):
+            done_file=None, jobs=1, done_timeout=DONE_TIMEOUT_S):
     """Run every spec in its own sandbox directory under workdir.
 
     Steps (after placeholder substitution) run sequentially through the
@@ -415,7 +418,7 @@ def parse_config(path):
     return cfg
 
 
-def run_benchmark(cfg, base_dir=None, jobs=1, done_timeout=60.0):
+def run_benchmark(cfg, base_dir=None, jobs=1, done_timeout=DONE_TIMEOUT_S):
     """Expand, execute and analyze one benchmark config.
 
     Returns (states, rows, csv_text, pretty_text) and writes result.csv

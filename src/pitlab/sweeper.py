@@ -8,7 +8,7 @@ level's node data are (M, ...) arrays, and every quadrature over the
 nodes goes through node_integrals.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class LevelState:
     f_exp: np.ndarray
     tau: np.ndarray
     dt: float
-    residual_norm: float = field(default=np.inf)
 
     def __setattr__(self, name, value):
         if name in _NODE_ARRAYS:
@@ -139,8 +138,7 @@ def residual(state, tab):
     defect += state.u0
     defect += state.tau
     defect -= state.u
-    state.residual_norm = float(np.max(np.abs(defect)))
-    return state.residual_norm
+    return float(np.max(np.abs(defect)))
 
 
 def collocation_solve_direct(u0, tab, problem, dt):

@@ -5,6 +5,8 @@ span of a rank at every event and keys messages by timestamp, and a
 region lookup that rescans the trace for each wait state.  The indexed
 analysis must give equal reports, wait states and replayed events, do
 work linear in the trace, and fix the replay's timestamp collisions.
+The reference pairs each receive completion with its own match, as the
+indexed replay does.
 """
 
 import statistics
@@ -54,10 +56,13 @@ def ref_replay_ops(index, window):
     matches = analysis.match_messages(trace)[0]
     send_key = {}
     recv_key = {}
+    done_key = {}
     for idx, m in enumerate(matches):
         send_key[(m.source, m.dest, m.name, m.send_post)] = idx
         if m.recv_post is not None:
             recv_key[(m.source, m.dest, m.name, m.recv_post)] = idx
+        if m.recv_complete is not None:
+            done_key[(m.source, m.dest, m.name, m.recv_complete)] = idx
     lo, hi = window if window else (None, None)
     clipped = {}
     replayed_sends = set()
@@ -82,8 +87,10 @@ def ref_replay_ops(index, window):
             match_idx = None
             if ev.kind == "send-post":
                 match_idx = send_key.get((ev.rank, ev.peer, ev.name, ev.t))
-            elif ev.kind == "recv-post":
-                match_idx = recv_key.get((ev.peer, ev.rank, ev.name, ev.t))
+            elif ev.kind in ("recv-post", "recv-complete"):
+                # each receive completion is paired with its own match
+                keys = recv_key if ev.kind == "recv-post" else done_key
+                match_idx = keys.get((ev.peer, ev.rank, ev.name, ev.t))
                 if match_idx is not None and match_idx not in replayed_sends:
                     match_idx = None
             ops.append((delta, ev, match_idx))
@@ -278,6 +285,40 @@ class TestReplayMatchesByEventIdentity:
         first_complete = next(e for e in replayed.events if e.kind == "recv-complete")
         first_send = next(e for e in replayed.events if e.kind == "send-post")
         assert first_complete.t >= first_send.t == 3.0
+
+
+def _two_open_receives_trace():
+    """Rank 1 posts receives a and b at 0; rank 0 sends a at 1 and b at 5."""
+    return make_trace(
+        [
+            ev(0, "send-post", "a", 1.0, 8, 1),
+            ev(0, "send-complete", "a", 1.0, 8, 1),
+            ev(0, "send-post", "b", 5.0, 8, 1),
+            ev(0, "send-complete", "b", 5.0, 8, 1),
+            ev(1, "recv-post", "a", 0.0, 0, 0),
+            ev(1, "recv-post", "b", 0.0, 0, 0),
+            ev(1, "recv-complete", "a", 1.0, 8, 0),
+            ev(1, "recv-complete", "b", 5.0, 8, 0),
+        ],
+        2,
+    )
+
+
+class TestReplayPairsEachReceiveWithItsMatch:
+    def test_two_open_receives(self):
+        # waiting on the rank's latest receive post completed a at 4.0
+        replayed = replay_trace(_two_open_receives_trace())
+        done = {e.name: e.t for e in replayed.events if e.kind == "recv-complete"}
+        sent = {e.name: e.t for e in replayed.events if e.kind == "send-post"}
+        assert done == sent == {"a": 0.0, "b": 4.0}
+        assert ideal_replay(_two_open_receives_trace()) == 4.0
+        assert causality_violations(replayed) == 0
+
+    def test_receive_posted_before_the_window_waits_for_its_send(self):
+        # both posts lie before the window; each completion still waits for its send
+        replayed = replay_trace(_two_open_receives_trace(), window=(0.5, 5.0))
+        done = {e.name: e.t for e in replayed.events if e.kind == "recv-complete"}
+        assert done == {"a": 0.0, "b": 4.0}
 
 
 class TestLinearWork:

@@ -3,7 +3,11 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 from conftest import fig5_trace, pop_hand_trace
+from pitlab.comm import DEFAULT_RENDEZVOUS_BYTES
+from pitlab.controller import allen_cahn_config, dahlquist_config, format_summary, run_sdc_serial
 from pitlab.trace import read_trace, write_trace
 
 TIME_LINE = re.compile(r"^Time to solution: ([-+0-9.eE]+) sec\.$", re.M)
@@ -80,13 +84,24 @@ class TestRunCommand:
 
     def test_config_file_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("steps = 2\nworkers = 2\ndt = 0.1\nmode = serial\nproblem = dahlquist\n")
+        cfg.write_text(
+            "steps = 2\nworkers = 2\ndt = 0.1\nmode = serial\nproblem = dahlquist\n"
+            "lambda_implicit = -3\nfine-sweeps = 2\n"
+        )
         proc = pitlab(
             "run", "--config", str(cfg), "--trace-out", str(tmp_path / "a.jsonl")
         )
         assert proc.returncode == 0, proc.stderr
         trace = read_trace(tmp_path / "a.jsonl")
         assert trace.num_ranks == 2
+        # a negative value and a hyphenated key act as the flags they name
+        flags = pitlab(
+            "run", "--steps", "2", "--workers", "2", "--dt", "0.1", "--mode", "serial",
+            "--lambda-implicit", "-3", "--fine-sweeps", "2", "--trace-out", str(tmp_path / "c.jsonl"),
+        )
+        assert flags.returncode == 0, flags.stderr
+        assert ITER_LINE.search(proc.stdout).group(0) == ITER_LINE.search(flags.stdout).group(0)
+        assert len(trace.events) == len(read_trace(tmp_path / "c.jsonl").events)
         # explicit flag overrides the file
         proc = pitlab(
             "run", "--config", str(cfg), "--steps", "3", "--workers", "3",
@@ -94,6 +109,65 @@ class TestRunCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert read_trace(tmp_path / "b.jsonl").num_ranks == 3
+
+    @pytest.mark.parametrize(
+        "args, factory",
+        [
+            (["--steps", "4", "--dt", "0.1", "--lambda-implicit", "-3"],
+             lambda: dahlquist_config(4, 0.1, lambda_implicit=-3.0)),
+            # a fine grid below the unused default coarse grid
+            (["--problem", "allen-cahn", "--grid", "16", "--steps", "2", "--dt", "1e-3", "--radius", "0.2"],
+             lambda: allen_cahn_config(2, 1e-3, n=16, coarse_n=16, radius=0.2)),
+        ],
+        ids=["dahlquist", "allen-cahn"],
+    )
+    def test_sdc_scheme_matches_the_library_call(self, args, factory, tmp_path):
+        proc = pitlab("run", "--scheme", "sdc", *args, "--trace-out", str(tmp_path / "t.jsonl"))
+        assert proc.returncode == 0, proc.stderr
+        cfg = factory()
+        result = run_sdc_serial(
+            cfg.pair.fine_problem, cfg.pair.fine_table, cfg.u0, cfg.dt, cfg.num_steps,
+            tolerance=cfg.tolerance, max_sweeps=cfg.max_iterations,
+        )
+        assert ITER_LINE.search(proc.stdout).group(0) == format_summary(result)[1]
+
+    @pytest.mark.parametrize(
+        "config, args",
+        [
+            ("scheme = sdcc", []),
+            ("problem = alen-cahn", []),
+            ("backend = eagr", []),
+            ("tolerance = 1e-2", []),
+            ("mode = Serial", []),
+            ("steps 2", []),
+            (None, ["--config", "{tmp}/missing.cfg"]),
+            (None, ["--steps", "2", "--workers", "3"]),
+            (None, ["--tol", "-1"]),
+            (None, ["--fine-sweeps", "0"]),
+            (None, ["--problem", "allen-cahn", "--grid", "12"]),
+            (None, ["--scheme", "sdc", "--workers", "2"]),
+        ],
+    )
+    def test_bad_input_is_one_usage_error(self, config, args, tmp_path):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config + "\n")
+            args = ["--config", "{tmp}/run.cfg"]
+        args = [arg.format(tmp=tmp_path) for arg in args]
+        proc = pitlab("run", *args, "--trace-out", str(tmp_path / "t.jsonl"))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len([line for line in proc.stderr.splitlines() if "error" in line]) == 1, proc.stderr
+        assert not (tmp_path / "t.jsonl").exists()
+
+    def test_help_shows_each_default(self):
+        proc = pitlab("run", "--help")
+        assert proc.returncode == 0
+        text = " ".join(proc.stdout.split())
+        for flag, default in [
+            ("--steps", "4"), ("--dt", "0.1"), ("--tol", "1e-08"), ("--lambda-implicit", "-1.0"),
+            ("--grid", "128"), ("--rendezvous-bytes", str(DEFAULT_RENDEZVOUS_BYTES)),
+        ]:
+            assert re.search(rf"{flag} \S+ [^(]*\(default: {re.escape(default)}\)", text), flag
 
 
 class TestAnalyzeCommand:
