@@ -9,20 +9,19 @@ wait-state search flags Late Receiver patterns (a posted send blocked
 because the matching receive came later) and, as the mirror case, Late
 Sender patterns.
 
-Every step reads one index of the trace, one indexed pass per rank: the
-FIFO message matching and, per rank, the events in time order, the match
-of each post, the blocked spans and the region-stack changes.  The replay
-sweeps each rank forward once, so the analysis is linear in the number of
-events.
+Every step reads `trace.index`, built once per trace by `pitlab.trace`
+in one pass per rank: the FIFO message matching and, per rank, the
+events in time order, the match of each post, the blocked spans and the
+region-stack changes.  The replay sweeps each rank forward once, so the
+analysis is linear in the number of events.
 """
 
-import bisect
 import csv
 import statistics
 from dataclasses import dataclass
-from functools import cached_property
 
-from .trace import Trace, TraceEvent, comm_intervals, merged_length
+# the index's parts stay importable here for callers that inspect it
+from .trace import Trace, TraceEvent, _RankView, _TraceIndex, match_messages, merged_length  # noqa: F401
 
 __all__ = [
     "PopReport",
@@ -85,141 +84,9 @@ class WaitState:
     location: str
 
 
-@dataclass
-class _Match:
-    source: int
-    dest: int
-    name: str
-    send_post: float
-    send_complete: float | None
-    recv_post: float | None
-    recv_complete: float | None
-    send_at: int  # positions in trace.events of the two posts and the receive's completion
-    recv_at: int | None = None
-    recv_done_at: int | None = None
-
-
-def match_messages(trace):
-    """Pair sends with receives by (source, dest, tag), FIFO within a key.
-
-    Returns (matches, unmatched_sends, unmatched_recvs); matches may have
-    a missing completion if the trace was cut short.  Each match records
-    where its two post events and its receive completion sit in
-    trace.events.
-    """
-    sends = {}  # (source, dest, name) -> [posts in order, how many of them have completed]
-    recvs = {}
-    for pos, ev in enumerate(trace.events):
-        if ev.kind == "send-post":
-            key = (ev.rank, ev.peer, ev.name)
-            fifo = sends.get(key) or sends.setdefault(key, [[], 0])
-            fifo[0].append(_Match(ev.rank, ev.peer, ev.name, ev.t, None, None, None, pos))
-        elif ev.kind == "send-complete":
-            fifo = sends.get((ev.rank, ev.peer, ev.name))
-            if fifo and fifo[1] < len(fifo[0]):
-                fifo[0][fifo[1]].send_complete = ev.t
-                fifo[1] += 1
-        elif ev.kind == "recv-post":
-            key = (ev.peer, ev.rank, ev.name)
-            fifo = recvs.get(key) or recvs.setdefault(key, [[], 0])
-            fifo[0].append([ev.t, None, pos, None])
-        elif ev.kind == "recv-complete":
-            fifo = recvs.get((ev.peer, ev.rank, ev.name))
-            if fifo and fifo[1] < len(fifo[0]):
-                entry = fifo[0][fifo[1]]
-                entry[1], entry[3] = ev.t, pos
-                fifo[1] += 1
-    matches, unmatched_sends, unmatched_recvs = [], [], []
-    for key, (send_list, _) in sends.items():
-        recv_list = recvs.pop(key, [[]])[0]
-        for i, m in enumerate(send_list):
-            if i < len(recv_list):
-                m.recv_post, m.recv_complete, m.recv_at, m.recv_done_at = recv_list[i]
-                matches.append(m)
-            else:
-                unmatched_sends.append(m)
-        unmatched_recvs.extend(recv_list[len(send_list):])
-    for leftover, _ in recvs.values():
-        unmatched_recvs.extend(leftover)
-    return matches, unmatched_sends, unmatched_recvs
-
-
-class _RankView:
-    """One rank's events in time order with what the analysis looks up."""
-
-    def __init__(self, events, match_ids):
-        self.events = events
-        self.times = [ev.t for ev in events]
-        self.match_ids = match_ids  # match of each post and recv-complete event, else None
-        self.spans = sorted(comm_intervals(events))  # blocked spans, by start
-        self.region_times, self.region_tops = [], []  # when the region stack changes, and its new top
-        self.predict_end = None  # last predictor exit
-        stack = []
-        for ev in events:
-            if ev.kind == "region-enter":
-                stack.append(ev.name)
-            elif ev.kind == "region-exit":
-                if stack:
-                    stack.pop()
-                if " -- PREDICT -- " in ev.name:
-                    self.predict_end = ev.t
-            else:
-                continue
-            self.region_times.append(ev.t)
-            self.region_tops.append(stack[-1] if stack else "<untracked>")
-
-    def window(self, lo, hi):
-        """Index range [a, b) of the events with lo <= t <= hi."""
-        return bisect.bisect_left(self.times, lo), bisect.bisect_right(self.times, hi)
-
-    def region_at(self, t):
-        """Innermost region open at t; events at exactly t count as done."""
-        i = bisect.bisect_right(self.region_times, t)
-        return self.region_tops[i - 1] if i else "<untracked>"
-
-
-class _TraceIndex:
-    """The single pass over a trace that every analysis step reads."""
-
-    def __init__(self, trace):
-        self.trace = trace
-        self.matches, self.unmatched_sends, self.unmatched_recvs = match_messages(trace)
-        self.violations = sum(
-            1 for m in self.matches if m.recv_complete is not None and m.recv_complete < m.send_post
-        )
-
-    @cached_property
-    def ranks(self):
-        match_at = {
-            pos: idx for idx, m in enumerate(self.matches) for pos in (m.send_at, m.recv_at, m.recv_done_at)
-        }
-        events = self.trace.events
-        times = [ev.t for ev in events]
-        positions = {r: [] for r in range(self.trace.num_ranks)}
-        for pos, ev in enumerate(events):
-            positions.setdefault(ev.rank, []).append(pos)
-        views = {}
-        for rank, order in positions.items():
-            order.sort(key=times.__getitem__)
-            views[rank] = _RankView([events[pos] for pos in order], [match_at.get(pos) for pos in order])
-        return views
-
-    def phase_window(self, full_run):
-        views = [view for view in self.ranks.values() if view.events]
-        if not views:
-            raise EmptyPhaseError("trace holds no events")
-        t_min, t_max = min(view.times[0] for view in views), max(view.times[-1] for view in views)
-        if full_run:
-            return t_min, t_max
-        start = max((view.predict_end for view in views if view.predict_end is not None), default=t_min)
-        if start >= t_max:
-            raise EmptyPhaseError("selected phase is empty; nothing after the predictor")
-        return start, t_max
-
-
 def audit_messages(trace):
     """Counts of message events; flags unmatched sends or receives."""
-    index = _TraceIndex(trace)
+    index = trace.index
     matched, sends, recvs = len(index.matches), len(index.unmatched_sends), len(index.unmatched_recvs)
     return {
         "matched": matched,
@@ -237,13 +104,22 @@ def causality_violations(trace):
     Backends here share one clock, so any violation means a corrupt
     trace; no skew correction is attempted.
     """
-    return _TraceIndex(trace).violations
+    return sum(1 for m in trace.index.matches if m.recv_complete is not None and m.recv_complete < m.send_post)
 
 
 def phase_window(trace, full_run=False):
     """Analysis window: the full run, or everything after the last
     predictor exit (initialization excluded, the default)."""
-    return _TraceIndex(trace).phase_window(full_run)
+    views = [view for view in trace.index.ranks.values() if view.events]
+    if not views:
+        raise EmptyPhaseError("trace holds no events")
+    t_min, t_max = min(view.times[0] for view in views), max(view.times[-1] for view in views)
+    if full_run:
+        return t_min, t_max
+    start = max((view.predict_end for view in views if view.predict_end is not None), default=t_min)
+    if start >= t_max:
+        raise EmptyPhaseError("selected phase is empty; nothing after the predictor")
+    return start, t_max
 
 
 def _clip_spans(spans, lo, hi):
@@ -259,13 +135,12 @@ def pop_metrics(trace, full_run=False):
     splits communication efficiency into serialisation max(c)/T_ideal
     and transfer T_ideal/T.
     """
-    index = _TraceIndex(trace)
-    violations = index.violations
+    violations = causality_violations(trace)
     if violations:
         raise CausalityError(f"{violations} matched messages complete before their send posts")
-    lo, hi = index.phase_window(full_run)
+    lo, hi = phase_window(trace, full_run)
     comp, starts, ends = {}, [], []
-    for rank, view in index.ranks.items():
+    for rank, view in trace.index.ranks.items():
         a, b = view.window(lo, hi)
         if a == b:
             continue
@@ -279,7 +154,6 @@ def pop_metrics(trace, full_run=False):
     if c_max <= 0:
         raise EmptyPhaseError("no computation time in the selected phase")
     total = max(ends) - min(starts)
-    del index  # the replay indexes the trace itself; do not hold two indexes at its peak
     ideal = ideal_replay(trace, window=(lo, hi))
     return PopReport(
         load_balance=c_mean / c_max,
@@ -297,7 +171,7 @@ def _wait_states(trace, min_wait, pattern):
     """Matches whose waiter posted at `early`, the partner only at `late`,
     and the waiter completed at `done`; the wait is min(late, done) - early
     and is located in the waiter's innermost region at `early`."""
-    index = _TraceIndex(trace)
+    index = trace.index
     states = []
     for m in index.matches:
         if pattern == "late-receiver":
@@ -366,7 +240,7 @@ def replay_trace(trace, window=None):
     never block, and each receive completes as soon as both it and its
     own matching send are posted.  Ranks start at time zero.
     """
-    ranks = _replay_ops(_TraceIndex(trace), window)
+    ranks = _replay_ops(trace.index, window)
     send_post_times = {}
     pointers = {rank: 0 for rank in ranks}
     clocks = {rank: 0.0 for rank in ranks}

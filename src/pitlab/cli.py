@@ -52,7 +52,7 @@ def build_parser():
     opt("--config", help="file of `key = value` lines, read as --key=value flags before the command line")
     opt("--problem", choices=["dahlquist", "allen-cahn"], default="dahlquist", help="test problem")
     opt("--steps", type=int, default=4, help="time steps")
-    opt("--workers", type=int, help="concurrent workers; one per step if unset")
+    opt("--workers", type=int, help="concurrent workers; if set, must equal --steps (pfasst) or 1 (sdc)")
     opt("--dt", type=float, default=0.1, help="step size")
     opt("--mode", choices=["serial", "parallel"], default="parallel", help="PFASST execution model")
     opt("--scheme", choices=["pfasst", "sdc"], default="pfasst", help="sdc: the time-serial baseline")
@@ -120,8 +120,12 @@ def _usage_error(message):
 def _run_config(args):
     """The RunConfig both schemes integrate; raises ValueError on rejected
     values, as do the factories and RunConfig.validate()."""
-    if args.scheme == "sdc" and args.workers not in (None, 1):
-        raise ValueError("the sdc scheme is the time-serial baseline; it uses one worker")
+    # PFASST runs one step per worker; the sdc baseline is time-serial
+    workers = 1 if args.scheme == "sdc" else args.steps
+    if args.workers not in (None, workers):
+        raise ValueError(
+            f"--workers must be {workers} with --scheme {args.scheme} --steps {args.steps}, got {args.workers}"
+        )
     if args.problem == "dahlquist":
         factory = dahlquist_config
         problem = dict(lambda_implicit=args.lambda_implicit, lambda_explicit=args.lambda_explicit)
@@ -134,8 +138,7 @@ def _run_config(args):
             eps=args.eps, lpatches=args.lpatches, seed=args.seed, radius=args.radius,
         )
     config = factory(
-        args.steps, args.dt, workers=None if args.scheme == "sdc" else args.workers,
-        m=args.num_nodes, implicit=args.implicit,
+        args.steps, args.dt, m=args.num_nodes, implicit=args.implicit,
         fine_sweeps=args.fine_sweeps, coarse_sweeps=args.coarse_sweeps,
         tolerance=args.tol, max_iterations=args.max_iters,
         rendezvous_bytes=BACKEND_RENDEZVOUS_BYTES.get(args.backend, args.rendezvous_bytes),
@@ -165,7 +168,7 @@ def _cmd_run(args):
     if args.trace_out:
         path = Path(args.trace_out)
     else:
-        workers = 1 if args.scheme == "sdc" else cfg.workers
+        workers = 1 if args.scheme == "sdc" else cfg.num_steps
         name = f"{args.problem}-{args.scheme}-{args.mode}-p{workers}.trc.jsonl"
         path = Path(os.environ.get("PITLAB_TRACE_DIR", ".")) / name
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -39,7 +39,6 @@ __all__ = [
     "Message",
     "Network",
     "Endpoint",
-    "ChannelClosed",
     "DeadlockError",
     "RunAborted",
     "pack_array",
@@ -49,10 +48,6 @@ __all__ = [
 ]
 
 DEFAULT_RENDEZVOUS_BYTES = 1 << 20
-
-
-class ChannelClosed(RuntimeError):
-    pass
 
 
 class RunAborted(RuntimeError):
@@ -113,14 +108,11 @@ class _Channel:
         self.network = network
         self.cond = threading.Condition()
         self.entries = []
-        self.closed = False
         self.sent = 0
         self.received = 0
 
     def put(self, entry):
         with self.cond:
-            if self.closed:
-                raise ChannelClosed("send on closed channel")
             self.entries.append(entry)
             self.sent += 1
             self.cond.notify_all()
@@ -145,8 +137,6 @@ class _Channel:
                         self.received += 1
                         return entry.message
                     pause = entry.available_at - now
-                elif self.closed:
-                    raise ChannelClosed(f"no message with tag {tag} on closed channel")
                 else:
                     pause = None
                 if deadline is not None:
@@ -191,13 +181,6 @@ class Network:
         self.abort_reason = reason
         for ch in self._channels.values():
             with ch.cond:
-                ch.cond.notify_all()
-
-    def close(self):
-        """Close every channel; further sends and unmatched receives fail."""
-        for ch in self._channels.values():
-            with ch.cond:
-                ch.closed = True
                 ch.cond.notify_all()
 
     def last_events(self):

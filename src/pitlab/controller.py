@@ -73,7 +73,6 @@ class RunConfig:
     u0: np.ndarray
     num_steps: int
     dt: float
-    workers: int
     fine_sweeps: int = 3
     coarse_sweeps: int = 1
     tolerance: float = 1e-8
@@ -88,11 +87,10 @@ class RunConfig:
             raise ValueError("tolerance must be positive")
         if self.fine_sweeps < 1 or self.coarse_sweeps < 1:
             raise ValueError("sweep counts must be at least 1")
-        if not 1 <= self.workers <= self.num_steps:
-            raise ValueError(f"need 1 <= workers <= steps, got {self.workers}/{self.num_steps}")
-        if self.workers != self.num_steps:
-            # one step per worker; step blocking is out of scope
-            raise ValueError("PFASST runs assign one step per worker (workers == steps)")
+        if self.num_steps < 1:
+            raise ValueError(f"need at least one step, got {self.num_steps}")
+        if not 0 < self.dt < float("inf"):
+            raise ValueError(f"step size must be finite and positive, got {self.dt}")
 
 
 @dataclass
@@ -137,7 +135,7 @@ class _Worker:
         return self.tracer.region(tracing.region_name(phase, self.rank))
 
     def _send(self, tag, payload):
-        if self.rank + 1 < self.cfg.workers:
+        if self.rank + 1 < self.cfg.num_steps:
             handle = self.ep.isend(self.rank + 1, tag, payload)
             self.ep.wait(handle)
 
@@ -244,7 +242,7 @@ def run(config, mode="parallel"):
     config.validate()
     if mode not in ("serial", "parallel"):
         raise ValueError(f"mode must be 'serial' or 'parallel', got {mode!r}")
-    p = config.workers
+    p = config.num_steps
     serial = mode == "serial"
     network = Network(
         p,
@@ -384,7 +382,6 @@ def run_sdc_serial(
 def dahlquist_config(
     num_steps,
     dt,
-    workers=None,
     m=3,
     lambda_implicit=-1.0,
     lambda_explicit=0.0,
@@ -407,7 +404,6 @@ def dahlquist_config(
         u0=np.atleast_1d(np.asarray(u0, dtype=float)),
         num_steps=num_steps,
         dt=dt,
-        workers=num_steps if workers is None else workers,
         **kwargs,
     )
 
@@ -421,7 +417,6 @@ def allen_cahn_config(
     lpatches=1,
     seed=1,
     radius=None,
-    workers=None,
     m=3,
     implicit="lu",
     **kwargs,
@@ -442,6 +437,5 @@ def allen_cahn_config(
         u0=field0.values,
         num_steps=num_steps,
         dt=dt,
-        workers=num_steps if workers is None else workers,
         **kwargs,
     )

@@ -91,12 +91,9 @@ def spectral_transform(field, direction):
 class DahlquistProblem:
     """Scalar test equation u' = lambda_I u + lambda_E u, split IMEX."""
 
-    kind = "dahlquist"
-
     def __init__(self, lambda_implicit=-1.0, lambda_explicit=0.0):
         self.lambda_implicit = lambda_implicit
         self.lambda_explicit = lambda_explicit
-        self.n_dof = 1
 
     def eval_implicit(self, u):
         return self.lambda_implicit * u
@@ -132,8 +129,6 @@ class AllenCahnProblem:
     1/(1 - factor*symbol) of its last few factors in a per-problem LRU
     cache, which worker threads sharing one problem may use concurrently.
     """
-
-    kind = "allen_cahn"
 
     def __init__(self, n, lpatches=1, eps=0.04):
         _require_pow2(n)

@@ -146,7 +146,7 @@ def collocation_solve_direct(u0, tab, problem, dt):
 
     Solves (I - dt Q (x) A) u = (u0, ..., u0) for a linear problem whose
     full operator A = d(fI + fE)/du is available as a dense matrix.
-    Limited to small systems (n_dof * m <= 4096).
+    Limited to small systems (u0.size * m <= 4096).
     """
     u0 = np.atleast_1d(np.asarray(u0))
     a = np.atleast_2d(problem.dense_operator())

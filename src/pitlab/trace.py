@@ -1,16 +1,20 @@
-"""Event recording, the trace file format, and profile aggregation.
+"""Event recording, the trace file format, the trace index, profiles.
 
 Each worker rank owns one tracer and appends region and communication
 events with monotonic timestamps; buffers are merged only after the run.
 Traces are stored as line-oriented JSON (one event per line behind a
-single header line) so tests can diff them.  A profile aggregates call
-counts, inclusive/exclusive times and per-rank computation versus
-communication time from a trace.
+single header line) so tests can diff them.  A trace's index lives with
+the trace and is built once, on first use: the FIFO message matching
+and, per rank, one pass over its events in time order that the profile
+(call counts, inclusive/exclusive times, computation versus
+communication) and every analysis step read.
 """
 
+import bisect
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .comm import monotonic_seconds
 
@@ -77,8 +81,18 @@ class TraceEvent:
 
 @dataclass
 class Trace:
+    """A run's events, merged across ranks, and the number of ranks.
+
+    No code mutates a trace after it is built, so its index is computed
+    on first use of `index` and kept for the trace's lifetime.
+    """
+
     events: list
     num_ranks: int
+
+    @cached_property
+    def index(self):
+        return _TraceIndex(self)
 
     def by_rank(self):
         buckets = {r: [] for r in range(self.num_ranks)}
@@ -279,41 +293,151 @@ def merged_length(spans):
     return total
 
 
-def build_profile(trace):
-    """Aggregate a structurally valid trace into a Profile."""
-    profile = Profile()
-    for rank, events in trace.by_rank().items():
-        stats = RankStats()
-        profile.ranks[rank] = stats
-        if not events:
-            continue
-        events = sorted(events, key=lambda ev: ev.t)
-        stats.runtime = events[-1].t - events[0].t
-        stack = []
+@dataclass
+class _Match:
+    source: int
+    dest: int
+    name: str
+    send_post: float
+    send_complete: float | None
+    recv_post: float | None
+    recv_complete: float | None
+    send_at: int  # positions in trace.events of the two posts and the receive's completion
+    recv_at: int | None = None
+    recv_done_at: int | None = None
+
+
+def match_messages(trace):
+    """Pair sends with receives by (source, dest, tag), FIFO within a key.
+
+    Returns (matches, unmatched_sends, unmatched_recvs); matches may have
+    a missing completion if the trace was cut short.  Each match records
+    where its two post events and its receive completion sit in
+    trace.events.
+    """
+    sends = {}  # (source, dest, name) -> [posts in order, how many of them have completed]
+    recvs = {}
+    for pos, ev in enumerate(trace.events):
+        if ev.kind == "send-post":
+            key = (ev.rank, ev.peer, ev.name)
+            fifo = sends.get(key) or sends.setdefault(key, [[], 0])
+            fifo[0].append(_Match(ev.rank, ev.peer, ev.name, ev.t, None, None, None, pos))
+        elif ev.kind == "send-complete":
+            fifo = sends.get((ev.rank, ev.peer, ev.name))
+            if fifo and fifo[1] < len(fifo[0]):
+                fifo[0][fifo[1]].send_complete = ev.t
+                fifo[1] += 1
+        elif ev.kind == "recv-post":
+            key = (ev.peer, ev.rank, ev.name)
+            fifo = recvs.get(key) or recvs.setdefault(key, [[], 0])
+            fifo[0].append([ev.t, None, pos, None])
+        elif ev.kind == "recv-complete":
+            fifo = recvs.get((ev.peer, ev.rank, ev.name))
+            if fifo and fifo[1] < len(fifo[0]):
+                entry = fifo[0][fifo[1]]
+                entry[1], entry[3] = ev.t, pos
+                fifo[1] += 1
+    matches, unmatched_sends, unmatched_recvs = [], [], []
+    for key, (send_list, _) in sends.items():
+        recv_list = recvs.pop(key, [[]])[0]
+        for i, m in enumerate(send_list):
+            if i < len(recv_list):
+                m.recv_post, m.recv_complete, m.recv_at, m.recv_done_at = recv_list[i]
+                matches.append(m)
+            else:
+                unmatched_sends.append(m)
+        unmatched_recvs.extend(recv_list[len(send_list):])
+    for leftover, _ in recvs.values():
+        unmatched_recvs.extend(leftover)
+    return matches, unmatched_sends, unmatched_recvs
+
+
+class _RankView:
+    """One rank's events in time order with what the profile and the
+    analysis look up, from one walk of its region stack."""
+
+    def __init__(self, events, match_ids):
+        self.events = events
+        self.times = [ev.t for ev in events]
+        self.match_ids = match_ids  # match of each post and recv-complete event, else None
+        self.spans = sorted(comm_intervals(events))  # blocked spans, by start
+        self.region_times, self.region_tops = [], []  # when the region stack changes, and its new top
+        self.regions = {}  # name -> RegionStats, in first-exit order
+        self.predict_end = None  # last predictor exit
+        self.error = None  # first structural error
+        stack = []  # [name, enter time, time spent in child regions]
         for ev in events:
             if ev.kind == "region-enter":
                 stack.append([ev.name, ev.t, 0.0])
             elif ev.kind == "region-exit":
-                if not stack or stack[-1][0] != ev.name:
-                    raise StructuralError(f"rank {rank}: unbalanced exit of {ev.name!r} at t={ev.t}")
-                name, t_enter, child_time = stack.pop()
-                inclusive = ev.t - t_enter
-                reg = profile.regions.setdefault((rank, name), RegionStats())
-                reg.count += 1
-                reg.inclusive += inclusive
-                reg.exclusive += inclusive - child_time
-                if stack:
-                    stack[-1][2] += inclusive
-            elif ev.kind == "send-post":
-                stats.bytes_sent += ev.bytes or 0
-            elif ev.kind == "recv-complete":
-                stats.bytes_received += ev.bytes or 0
-        if stack:
-            raise StructuralError(
-                f"rank {rank}: regions never exited: " + ", ".join(frame[0] for frame in stack)
-            )
-        stats.communication = merged_length(comm_intervals(events))
+                if stack and stack[-1][0] == ev.name:
+                    name, t_enter, child_time = stack.pop()
+                    inclusive = ev.t - t_enter
+                    reg = self.regions.get(name) or self.regions.setdefault(name, RegionStats())
+                    reg.count += 1
+                    reg.inclusive += inclusive
+                    reg.exclusive += inclusive - child_time
+                    if stack:
+                        stack[-1][2] += inclusive
+                else:
+                    self.error = self.error or f"unbalanced exit of {ev.name!r} at t={ev.t}"
+                    if stack:
+                        stack.pop()
+                if " -- PREDICT -- " in ev.name:
+                    self.predict_end = ev.t
+            else:
+                continue
+            self.region_times.append(ev.t)
+            self.region_tops.append(stack[-1][0] if stack else "<untracked>")
+        if stack and not self.error:
+            self.error = "regions never exited: " + ", ".join(frame[0] for frame in stack)
+
+    def window(self, lo, hi):
+        """Index range [a, b) of the events with lo <= t <= hi."""
+        return bisect.bisect_left(self.times, lo), bisect.bisect_right(self.times, hi)
+
+    def region_at(self, t):
+        """Innermost region open at t; events at exactly t count as done."""
+        i = bisect.bisect_right(self.region_times, t)
+        return self.region_tops[i - 1] if i else "<untracked>"
+
+
+class _TraceIndex:
+    """The single pass over a trace that the profile and every analysis
+    step read: the message matching and one view per rank."""
+
+    def __init__(self, trace):
+        self.trace = trace
+        self.matches, self.unmatched_sends, self.unmatched_recvs = match_messages(trace)
+        match_at = {
+            pos: idx for idx, m in enumerate(self.matches) for pos in (m.send_at, m.recv_at, m.recv_done_at)
+        }
+        events = trace.events
+        times = [ev.t for ev in events]
+        positions = {r: [] for r in range(trace.num_ranks)}
+        for pos, ev in enumerate(events):
+            positions.setdefault(ev.rank, []).append(pos)
+        self.ranks = {}
+        for rank, order in positions.items():
+            order.sort(key=times.__getitem__)
+            self.ranks[rank] = _RankView([events[pos] for pos in order], [match_at.get(pos) for pos in order])
+
+
+def build_profile(trace):
+    """Aggregate a structurally valid trace into a Profile, from its index."""
+    profile = Profile()
+    for rank, view in trace.index.ranks.items():
+        if view.error:
+            raise StructuralError(f"rank {rank}: {view.error}")
+        stats = profile.ranks[rank] = RankStats()
+        if not view.events:
+            continue
+        stats.runtime = view.times[-1] - view.times[0]
+        for name, reg in view.regions.items():
+            profile.regions[(rank, name)] = replace(reg)  # a copy; the index stays as built
+        stats.bytes_sent = sum(ev.bytes or 0 for ev in view.events if ev.kind == "send-post")
+        stats.bytes_received = sum(ev.bytes or 0 for ev in view.events if ev.kind == "recv-complete")
+        stats.communication = merged_length(view.spans)
         stats.computation = stats.runtime - stats.communication
-        exclusive_total = sum(reg.exclusive for (r, _), reg in profile.regions.items() if r == rank)
-        stats.untracked = stats.runtime - exclusive_total
+        stats.untracked = stats.runtime - sum(reg.exclusive for reg in view.regions.values())
     return profile

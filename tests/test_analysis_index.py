@@ -208,7 +208,7 @@ def assert_matches_reference(trace, monkeypatch):
 
 
 def _dahlquist_trace(mode, workers, **kwargs):
-    return run(dahlquist_config(workers, 0.1, workers=workers, **kwargs), mode=mode).trace
+    return run(dahlquist_config(workers, 0.1, **kwargs), mode=mode).trace
 
 
 class TestMatchesTheRescanningAnalysis:

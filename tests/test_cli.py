@@ -146,6 +146,12 @@ class TestRunCommand:
             (None, ["--fine-sweeps", "0"]),
             (None, ["--problem", "allen-cahn", "--grid", "12"]),
             (None, ["--scheme", "sdc", "--workers", "2"]),
+            (None, ["--problem", "allen-cahn", "--steps", "2", "--dt", "-0.001", "--grid", "32", "--coarse-grid", "8"]),
+            (None, ["--dt", "0"]),
+            (None, ["--dt", "-0.1"]),
+            (None, ["--dt", "nan"]),
+            (None, ["--dt", "inf"]),
+            (None, ["--scheme", "sdc", "--dt", "0"]),
         ],
     )
     def test_bad_input_is_one_usage_error(self, config, args, tmp_path):

@@ -9,7 +9,6 @@ import pytest
 
 from pitlab import comm
 from pitlab.comm import (
-    ChannelClosed,
     DeadlockError,
     Network,
     monotonic_seconds,
@@ -70,15 +69,6 @@ class TestSendRecv:
         with pytest.raises(DeadlockError):
             b.recv(0, tag())
         assert monotonic_seconds() - start < 2.0
-
-    def test_closed_channel(self):
-        net = Network(2)
-        a, b = net.endpoint(0), net.endpoint(1)
-        net.close()
-        with pytest.raises(ChannelClosed):
-            a.isend(1, tag(), b"x")
-        with pytest.raises(ChannelClosed):
-            b.recv(0, tag())
 
 
 class TestNonblocking:

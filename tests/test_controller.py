@@ -202,8 +202,9 @@ class TestFailureModes:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="tolerance"):
             run(dahlquist_config(2, 0.1, tolerance=-1.0))
-        with pytest.raises(ValueError, match="workers == steps"):
-            run(dahlquist_config(4, 0.1, workers=2))
+        for dt in (0.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="step size must be finite and positive"):
+                run(dahlquist_config(2, dt))
         with pytest.raises(ValueError, match="mode"):
             run(dahlquist_config(2, 0.1), mode="magic")
         with pytest.raises(ValueError, match="sweep counts"):

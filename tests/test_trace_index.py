@@ -1,0 +1,168 @@
+"""The trace index that the profile and every analysis step read.
+
+`ref_build_profile` is the profile's earlier walk: its own per-rank
+bucketing, time sort, region-stack walk and blocked-span pass.  The
+profile read from the index must equal it, dict order and phase totals
+included, and raise the same structural errors.  One `pitlab analyze`
+must build the index once: one message matching and one view per rank.
+"""
+
+import pytest
+
+from conftest import ev, fig5_trace, make_trace, pop_hand_trace, synthetic_trace
+from pitlab import cli, trace as tracing
+from pitlab.controller import dahlquist_config, run
+from pitlab.trace import (
+    Profile,
+    RankStats,
+    RegionStats,
+    StructuralError,
+    build_profile,
+    comm_intervals,
+    merged_length,
+    write_trace,
+)
+
+
+def ref_build_profile(trace):
+    profile = Profile()
+    for rank, events in trace.by_rank().items():
+        stats = RankStats()
+        profile.ranks[rank] = stats
+        if not events:
+            continue
+        events = sorted(events, key=lambda ev: ev.t)
+        stats.runtime = events[-1].t - events[0].t
+        stack = []
+        for ev in events:
+            if ev.kind == "region-enter":
+                stack.append([ev.name, ev.t, 0.0])
+            elif ev.kind == "region-exit":
+                if not stack or stack[-1][0] != ev.name:
+                    raise StructuralError(f"rank {rank}: unbalanced exit of {ev.name!r} at t={ev.t}")
+                name, t_enter, child_time = stack.pop()
+                inclusive = ev.t - t_enter
+                reg = profile.regions.setdefault((rank, name), RegionStats())
+                reg.count += 1
+                reg.inclusive += inclusive
+                reg.exclusive += inclusive - child_time
+                if stack:
+                    stack[-1][2] += inclusive
+            elif ev.kind == "send-post":
+                stats.bytes_sent += ev.bytes or 0
+            elif ev.kind == "recv-complete":
+                stats.bytes_received += ev.bytes or 0
+        if stack:
+            raise StructuralError(
+                f"rank {rank}: regions never exited: " + ", ".join(frame[0] for frame in stack)
+            )
+        stats.communication = merged_length(comm_intervals(events))
+        stats.computation = stats.runtime - stats.communication
+        exclusive_total = sum(reg.exclusive for (r, _), reg in profile.regions.items() if r == rank)
+        stats.untracked = stats.runtime - exclusive_total
+    return profile
+
+
+def as_lists(profile):
+    """Everything a profile holds, in its dict order."""
+    return list(profile.regions.items()), list(profile.ranks.items()), list(profile.phase_totals().items())
+
+
+def outcome(build, trace):
+    try:
+        return as_lists(build(trace))
+    except StructuralError as exc:
+        return str(exc)
+
+
+FINE = "REGION -- IT_FINE -- %d"
+CHECK = "REGION -- IT_CHECK -- %d"
+
+MALFORMED = {
+    "unbalanced-exit": [
+        ev(0, "region-enter", FINE % 0, 0.0),
+        ev(0, "region-exit", FINE % 0, 1.0),
+        ev(1, "region-enter", FINE % 1, 0.0),
+        ev(1, "region-exit", CHECK % 1, 1.0),
+        ev(1, "region-enter", FINE % 1, 2.0),
+    ],
+    "never-exited": [ev(0, "region-enter", FINE % 0, 0.0), ev(0, "region-enter", CHECK % 0, 0.5)],
+    "first-rank-wins": [ev(0, "region-enter", FINE % 0, 0.0), ev(1, "region-exit", FINE % 1, 1.0)],
+}
+
+
+def _dahlquist_trace(mode, **kwargs):
+    return run(dahlquist_config(8, 0.1, **kwargs), mode=mode).trace
+
+
+class TestProfileFromTheIndex:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pop_hand_trace,
+            fig5_trace,
+            lambda: synthetic_trace(2, 1, 1),
+            lambda: synthetic_trace(3, 2, 2),
+            lambda: synthetic_trace(4, 6, 3),
+            lambda: synthetic_trace(6, 5, 4),
+            lambda: _dahlquist_trace("serial"),
+            lambda: _dahlquist_trace("parallel"),
+            lambda: _dahlquist_trace("parallel", rendezvous_bytes=0),
+        ],
+        ids=["hand", "fig5", "shape0", "shape1", "shape2", "shape3", "serial", "threads", "threads-rendezvous"],
+    )
+    def test_equals_the_walk(self, build):
+        trace = build()
+        assert as_lists(build_profile(trace)) == as_lists(ref_build_profile(trace))
+
+    def test_rank_outside_the_header_and_an_empty_rank(self):
+        trace = make_trace(
+            [
+                ev(0, "region-enter", FINE % 0, 0.0),
+                ev(0, "region-exit", FINE % 0, 1.0),
+                ev(3, "region-enter", FINE % 3, 0.5),
+                ev(3, "send-post", "m", 0.6, 8, 0),
+                ev(3, "send-complete", "m", 0.7, 8, 0),
+                ev(3, "region-exit", FINE % 3, 2.0),
+                ev(0, "recv-post", "m", 1.0, 0, 3),
+                ev(0, "recv-complete", "m", 1.5, 8, 3),
+            ],
+            3,
+        )
+        assert list(build_profile(trace).ranks) == [0, 1, 2, 3]
+        assert as_lists(build_profile(trace)) == as_lists(ref_build_profile(trace))
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_same_structural_error(self, name):
+        trace = make_trace(MALFORMED[name], 2)
+        message = outcome(ref_build_profile, trace)
+        assert isinstance(message, str)
+        assert outcome(build_profile, trace) == message
+
+    def test_profile_does_not_share_the_index(self):
+        trace = pop_hand_trace()
+        build_profile(trace).regions[(0, FINE % 0)].count += 5
+        assert build_profile(trace).regions[(0, FINE % 0)].count == 1
+        assert trace.index is trace.index
+
+
+class TestOneIndexPerAnalyze:
+    def test_analyze_builds_the_index_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "p8.trc.jsonl"
+        write_trace(_dahlquist_trace("serial"), path)
+        calls = {"match": 0, "views": 0}
+        match, view_init = tracing.match_messages, tracing._RankView.__init__
+
+        def counting_match(trace):
+            calls["match"] += 1
+            return match(trace)
+
+        def counting_view_init(view, *args):
+            calls["views"] += 1
+            view_init(view, *args)
+
+        monkeypatch.setattr(tracing, "match_messages", counting_match)
+        monkeypatch.setattr(tracing._RankView, "__init__", counting_view_init)
+        assert cli.main(["analyze", "--trace", str(path), "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "pop.csv").exists() and (tmp_path / "waitstates.csv").exists()
+        assert calls == {"match": 1, "views": 8}
