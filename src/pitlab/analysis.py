@@ -20,8 +20,7 @@ import csv
 import statistics
 from dataclasses import dataclass
 
-# the index's parts stay importable here for callers that inspect it
-from .trace import Trace, TraceEvent, _RankView, _TraceIndex, match_messages, merged_length  # noqa: F401
+from .trace import Trace, TraceEvent, merged_length
 
 __all__ = [
     "PopReport",
@@ -200,13 +199,13 @@ def detect_late_sender(trace, min_wait=0.0):
     return _wait_states(trace, min_wait, "late-sender")
 
 
-def _replay_ops(index, window):
+def _replay_ops(trace, window):
     """Per-rank op lists with pure compute deltas between events, in one
     forward sweep per rank: a blocked span joins the active list at the
     first event after its start and leaves once an event at or after its
     end has passed; only active spans are clipped to each event's gap."""
     windows = {}
-    for rank, view in index.ranks.items():
+    for rank, view in trace.index.ranks.items():
         a, b = view.window(*window) if window else (0, len(view.events))
         windows[rank] = (view.spans, view.events[a:b], view.match_ids[a:b])
     replayed_sends = {
@@ -240,7 +239,7 @@ def replay_trace(trace, window=None):
     never block, and each receive completes as soon as both it and its
     own matching send are posted.  Ranks start at time zero.
     """
-    ranks = _replay_ops(trace.index, window)
+    ranks = _replay_ops(trace, window)
     send_post_times = {}
     pointers = {rank: 0 for rank in ranks}
     clocks = {rank: 0.0 for rank in ranks}

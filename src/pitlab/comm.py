@@ -8,11 +8,14 @@ posted, which deliberately reproduces the Late Receiver behaviour of an
 MPI library without asynchronous progress.  An optional fixed latency
 delays delivery for analyzer experiments.
 
-Every send-post/send-complete and recv-post/recv-complete is reported
-to the sender's or receiver's tracer.  A non-eager send is stamped
-complete at the moment the receive was posted (the hand-shake time),
-no matter when the sender finally calls wait(), so overlapping local
-work between isend and wait is recorded faithfully.
+Each message is one record: isend returns the Message as the send's
+handle and recv delivers the same object.  Every send-post/send-complete
+and recv-post/recv-complete is reported to the sender's or receiver's
+tracer.  A non-eager send is stamped complete when the matching receive
+takes it (the hand-shake time) no matter when the sender finally calls
+wait(), so overlapping local work between isend and wait is recorded
+faithfully.  The receive stamps it under the channel lock and notifies
+the channel's condition, on which a blocked wait() sleeps; nothing polls.
 
 Arrays travel in the ``.npy`` v1.0 format, byte for byte what
 ``np.save(..., allow_pickle=False)`` writes: a 10-byte prefix (magic,
@@ -31,7 +34,6 @@ import io
 import math
 import threading
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,90 +66,78 @@ def monotonic_seconds():
     return time.perf_counter_ns() / 1e9
 
 
-@dataclass
 class Message:
-    source: int
-    dest: int
-    tag: tuple
-    payload: bytes
-    post_time: float = 0.0
-    completion_time: float = 0.0
+    """One message from post to delivery.  accepted_at is the post time of
+    an eager send; a rendezvous send keeps None until its receive takes it."""
+
+    __slots__ = ("source", "dest", "tag", "payload", "name", "available_at", "accepted_at", "waited")
+
+    def __init__(self, source, dest, tag, payload, name, available_at, accepted_at):
+        self.source = source
+        self.dest = dest
+        self.tag = tag
+        self.payload = payload
+        self.name = name
+        self.available_at = available_at
+        self.accepted_at = accepted_at
+        self.waited = False
 
 
 def tag_name(tag):
     return "/".join(str(part) for part in tag)
 
 
-class SendHandle:
-    def __init__(self, message, name, accepted):
-        self.message = message
-        self.name = name
-        self.accepted = accepted
-        self.accepted_at = None
-        self.waited = False
-
-
-# an eager send is accepted when it is posted, so its handles share one
-# event that is set here and never cleared
-_ACCEPTED_AT_POST = threading.Event()
-_ACCEPTED_AT_POST.set()
-
-
-class _Entry:
-    __slots__ = ("message", "available_at", "handle", "accepted")
-
-    def __init__(self, message, available_at, handle):
-        self.message = message
-        self.available_at = available_at
-        self.handle = handle
-        self.accepted = False
-
-
 class _Channel:
     def __init__(self, network):
         self.network = network
         self.cond = threading.Condition()
-        self.entries = []
+        self.messages = []
         self.sent = 0
         self.received = 0
 
-    def put(self, entry):
+    def put(self, msg):
         with self.cond:
-            self.entries.append(entry)
+            self.messages.append(msg)
             self.sent += 1
             self.cond.notify_all()
 
+    def _pause(self, deadline, what, pause=None):
+        """Wait, lock held, for a notify, `pause` seconds or the deadline,
+        whichever comes first; the caller then checks its state again."""
+        remaining = deadline - monotonic_seconds()
+        if remaining <= 0:
+            raise DeadlockError(what, self.network.last_events())
+        self.cond.wait(remaining if pause is None else min(pause, remaining))
+
     def take(self, tag, timeout):
-        deadline = None if timeout is None else monotonic_seconds() + timeout
+        deadline = monotonic_seconds() + timeout
         with self.cond:
             while True:
                 if self.network.abort_reason is not None:
                     raise RunAborted(self.network.abort_reason)
-                entry = next((e for e in self.entries if e.message.tag == tag), None)
-                if entry is not None:
-                    if not entry.accepted:
+                msg = next((m for m in self.messages if m.tag == tag), None)
+                pause = None
+                if msg is not None:
+                    now = monotonic_seconds()
+                    if msg.accepted_at is None:
                         # rendezvous hand-shake: the posted receive releases
                         # the sender; completion is stamped with this moment
-                        entry.accepted = True
-                        entry.handle.accepted_at = monotonic_seconds()
-                        entry.handle.accepted.set()
-                    now = monotonic_seconds()
-                    if now >= entry.available_at:
-                        self.entries.remove(entry)
+                        msg.accepted_at = now
+                        self.cond.notify_all()
+                    if now >= msg.available_at:
+                        self.messages.remove(msg)
                         self.received += 1
-                        return entry.message
-                    pause = entry.available_at - now
-                else:
-                    pause = None
-                if deadline is not None:
-                    remaining = deadline - monotonic_seconds()
-                    if remaining <= 0:
-                        raise DeadlockError(
-                            f"receive of tag {tag} made no progress for {timeout:.1f} s",
-                            self.network.last_events(),
-                        )
-                    pause = remaining if pause is None else min(pause, remaining)
-                self.cond.wait(pause if pause is not None else 1.0)
+                        return msg
+                    pause = msg.available_at - now
+                self._pause(deadline, f"receive of tag {tag} made no progress for {timeout:.1f} s", pause)
+
+    def await_acceptance(self, msg, timeout):
+        deadline = monotonic_seconds() + timeout
+        with self.cond:
+            while msg.accepted_at is None:
+                if self.network.abort_reason is not None:
+                    raise RunAborted(self.network.abort_reason)
+                self._pause(deadline, f"send of tag {msg.tag} not accepted after {timeout:.1f} s")
 
 
 class Network:
@@ -194,7 +184,7 @@ class Network:
                 report[(src, dst)] = {
                     "sent": ch.sent,
                     "received": ch.received,
-                    "pending": len(ch.entries),
+                    "pending": len(ch.messages),
                 }
         return report
 
@@ -213,53 +203,35 @@ class Endpoint:
             self.tracer.record_comm(kind, name, nbytes, peer, t=t)
 
     def isend(self, dest, tag, payload):
-        """Post a send; returns a handle that must be waited exactly once.
+        """Post a send; returns its Message, which must be waited exactly once.
 
         Never blocks: the message is enqueued immediately.  Below the
         rendezvous threshold the transport accepts it on the spot.
         """
-        msg = Message(self.rank, dest, tag, bytes(payload), post_time=monotonic_seconds())
-        name = tag_name(tag)
-        self._record("send-post", name, len(msg.payload), dest, t=msg.post_time)
-        eager = len(msg.payload) <= self.network.rendezvous_bytes
-        handle = SendHandle(msg, name, _ACCEPTED_AT_POST if eager else threading.Event())
-        entry = _Entry(msg, msg.post_time + self.network.latency, handle)
+        payload, name, now = bytes(payload), tag_name(tag), monotonic_seconds()
+        self._record("send-post", name, len(payload), dest, t=now)
+        eager = len(payload) <= self.network.rendezvous_bytes
+        msg = Message(self.rank, dest, tag, payload, name, now + self.network.latency, now if eager else None)
+        self.network.channel(self.rank, dest).put(msg)
         if eager:
-            entry.accepted = True
-            handle.accepted_at = msg.post_time
-            self.network.channel(self.rank, dest).put(entry)
-            msg.completion_time = msg.post_time
-            self._record("send-complete", name, len(msg.payload), dest, t=msg.post_time)
-        else:
-            self.network.channel(self.rank, dest).put(entry)
+            self._record("send-complete", name, len(payload), dest, t=now)
         self.unwaited += 1
-        return handle
+        return msg
 
-    def wait(self, handle, timeout=None):
-        """Block until the transport has accepted the payload; idempotent."""
-        if handle.waited:
+    def wait(self, msg, timeout=None):
+        """Block until the transport has accepted the payload; idempotent.
+
+        A rendezvous send completes at the hand-shake its receive stamped,
+        however late this wait comes.
+        """
+        if msg.waited:
             return
-        timeout = self.network.recv_timeout if timeout is None else timeout
-        deadline = monotonic_seconds() + timeout
-        while not handle.accepted.wait(0.005):
-            if self.network.abort_reason is not None:
-                raise RunAborted(self.network.abort_reason)
-            if monotonic_seconds() > deadline:
-                raise DeadlockError(
-                    f"send of tag {handle.message.tag} not accepted after {timeout:.1f} s",
-                    self.network.last_events(),
-                )
-        handle.waited = True
+        if len(msg.payload) > self.network.rendezvous_bytes:
+            timeout = self.network.recv_timeout if timeout is None else timeout
+            self.network.channel(self.rank, msg.dest).await_acceptance(msg, timeout)
+            self._record("send-complete", msg.name, len(msg.payload), msg.dest, t=msg.accepted_at)
+        msg.waited = True
         self.unwaited -= 1
-        if handle.message.completion_time == 0.0:
-            handle.message.completion_time = handle.accepted_at
-            self._record(
-                "send-complete",
-                handle.name,
-                len(handle.message.payload),
-                handle.message.dest,
-                t=handle.accepted_at,
-            )
 
     def recv(self, source, tag, timeout=None):
         """Block until a message with exactly this tag arrives from source."""

@@ -9,11 +9,14 @@ once its own residual is below tolerance and its predecessor has
 stopped; the stop status travels forward on a dedicated tag together
 with the final fine value.
 
-The parallel model runs one thread per worker over in-process channels.
-The serial model executes the identical schedule round-robin in a single
-thread: within each iteration every dependency points backwards in rank,
-so stepping workers in rank order finds every message already delivered.
-Both models therefore produce bit-identical iterates.
+Both execution models drive one generator per worker, which runs the
+predictor and then one iteration per resumption.  The parallel model
+exhausts each generator on its own thread over in-process channels.
+The serial model resumes every live generator once per round, in rank
+order, in a single thread: within each iteration every dependency
+points backwards in rank, so stepping workers in rank order finds every
+message already delivered.  Both models therefore produce bit-identical
+iterates and stop, or fail, at the same point.
 """
 
 import threading
@@ -80,7 +83,6 @@ class RunConfig:
     rendezvous_bytes: int = DEFAULT_RENDEZVOUS_BYTES
     latency: float = 0.0
     compute_delay: dict = field(default_factory=dict)  # rank -> seconds per fine sweep
-    trace_suppress: tuple = ()
 
     def validate(self):
         if self.tolerance <= 0:
@@ -220,24 +222,29 @@ class _Worker:
             if stop:
                 self.stopped = True
 
-    def run_all(self):
+    def schedule(self):
+        """The worker's life as a generator: the predictor on the first
+        resumption, then one iteration per resumption until it stops."""
         self.predictor()
-        k = 1
+        k = 0
         while not self.stopped:
-            if k > self.cfg.max_iterations:
-                raise NotConvergedError(
-                    f"worker {self.rank} hit max iterations ({self.cfg.max_iterations})",
-                    {self.rank: self.residual_history[-1] if self.residual_history else np.inf},
-                )
-            self.iteration(k)
+            yield
             k += 1
+            if k > self.cfg.max_iterations:
+                raise NotConvergedError(f"worker {self.rank} hit max iterations ({self.cfg.max_iterations})")
+            self.iteration(k)
+
+    def run_all(self):
+        for _ in self.schedule():
+            pass
 
 
 def run(config, mode="parallel"):
     """Integrate all steps with PFASST; returns a RunResult.
 
     In parallel mode each worker is a thread; in serial mode the same
-    schedule is emulated round-robin.  The iterates are identical.
+    schedule is emulated round-robin.  The iterates are identical.  A
+    NotConvergedError carries every worker's last residual.
     """
     config.validate()
     if mode not in ("serial", "parallel"):
@@ -250,14 +257,18 @@ def run(config, mode="parallel"):
         rendezvous_bytes=float("inf") if serial else config.rendezvous_bytes,
         latency=0.0 if serial else config.latency,
     )
-    tracers = [tracing.Tracer(r, suppress=config.trace_suppress) for r in range(p)]
+    tracers = [tracing.Tracer(r) for r in range(p)]
     workers = [_Worker(r, config, network, tracers[r]) for r in range(p)]
 
     start = time.perf_counter()
-    if serial:
-        _run_serial(workers, config)
-    else:
-        _run_parallel(workers, config, network)
+    try:
+        if serial:
+            _run_serial(workers)
+        else:
+            _run_parallel(workers, network)
+    except NotConvergedError as exc:
+        exc.residuals = {w.rank: w.residual_history[-1] for w in workers if w.residual_history}
+        raise
     wall = time.perf_counter() - start
 
     merged = tracing.merge_tracers(tracers)
@@ -277,23 +288,14 @@ def run(config, mode="parallel"):
     )
 
 
-def _run_serial(workers, config):
-    for w in workers:
-        w.predictor()
-    k = 1
-    while any(not w.stopped for w in workers):
-        if k > config.max_iterations:
-            raise NotConvergedError(
-                f"not converged after {config.max_iterations} iterations",
-                {w.rank: w.residual_history[-1] for w in workers if w.residual_history},
-            )
-        for w in workers:
-            if not w.stopped:
-                w.iteration(k)
-        k += 1
+def _run_serial(workers):
+    """Resume every live schedule once per round, in rank order."""
+    schedules = [w.schedule() for w in workers]
+    while schedules:
+        schedules = [s for s in schedules if next(s, StopIteration) is not StopIteration]
 
 
-def _run_parallel(workers, config, network):
+def _run_parallel(workers, network):
     errors = {}
 
     def runner(worker):
@@ -311,14 +313,7 @@ def _run_parallel(workers, config, network):
     for t in threads:
         t.join()
     if errors:
-        rank = min(errors)
-        exc = errors[rank]
-        if isinstance(exc, NotConvergedError):
-            raise NotConvergedError(
-                str(exc),
-                {w.rank: w.residual_history[-1] for w in workers if w.residual_history},
-            ) from exc
-        raise exc
+        raise errors[min(errors)]
 
 
 def run_sdc_serial(

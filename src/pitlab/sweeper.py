@@ -14,10 +14,6 @@ import numpy as np
 
 __all__ = ["LevelState", "SolveFailure", "imex_sweep", "residual", "node_integrals", "collocation_solve_direct"]
 
-# per-node data of a level, each one (M, ...) array
-_NODE_ARRAYS = frozenset(("u", "f_imp", "f_exp", "tau"))
-
-
 class SolveFailure(RuntimeError):
     """Implicit solve or direct factorization failed; carries the node index."""
 
@@ -43,8 +39,7 @@ class LevelState:
     node m, f_imp/f_exp the cached right-hand-side evaluations (kept
     consistent with u after every update), tau the FAS correction per
     node (zero on the finest level), dt the step size.  u, f_imp, f_exp
-    and tau are each one (M, ...) array with the node index first;
-    assigning a list of per-node values stacks it.
+    and tau are each one (M, ...) array with the node index first.
     """
 
     u0: np.ndarray
@@ -53,11 +48,6 @@ class LevelState:
     f_exp: np.ndarray
     tau: np.ndarray
     dt: float
-
-    def __setattr__(self, name, value):
-        if name in _NODE_ARRAYS:
-            value = np.asarray(value)
-        super().__setattr__(name, value)
 
     @classmethod
     def spread(cls, u0, num_nodes, dt, problem):

@@ -94,39 +94,19 @@ class Trace:
     def index(self):
         return _TraceIndex(self)
 
-    def by_rank(self):
-        buckets = {r: [] for r in range(self.num_ranks)}
-        for ev in self.events:
-            buckets.setdefault(ev.rank, []).append(ev)
-        return buckets
-
-    def count_regions(self, phase=None):
-        """Per-rank count of region entries, optionally for one phase."""
-        counts = {r: 0 for r in range(self.num_ranks)}
-        for ev in self.events:
-            if ev.kind != "region-enter":
-                continue
-            parsed = parse_region_name(ev.name)
-            if phase is None or (parsed and parsed[0] == phase):
-                counts[ev.rank] = counts.get(ev.rank, 0) + 1
-        return counts
-
 
 class Tracer:
     """Event buffer of a single rank; no locking, exclusively owned."""
 
-    def __init__(self, rank, clock=monotonic_seconds, suppress=()):
+    def __init__(self, rank, clock=monotonic_seconds):
         self.rank = rank
         self.clock = clock
-        self.suppress = set(suppress)
         self.events = []
         self.errors = []
         self._stack = []
 
     def record_region(self, name, action):
         """Append a region-enter or region-exit event; nesting is tracked."""
-        if name in self.suppress:
-            return
         if action == "enter":
             self._stack.append(name)
             self.events.append(TraceEvent(self.rank, "region-enter", name, self.clock()))
@@ -407,7 +387,6 @@ class _TraceIndex:
     step read: the message matching and one view per rank."""
 
     def __init__(self, trace):
-        self.trace = trace
         self.matches, self.unmatched_sends, self.unmatched_recvs = match_messages(trace)
         match_at = {
             pos: idx for idx, m in enumerate(self.matches) for pos in (m.send_at, m.recv_at, m.recv_done_at)

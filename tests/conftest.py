@@ -1,6 +1,6 @@
 """Shared builders for synthetic traces used across test modules."""
 
-from pitlab.trace import Trace, TraceEvent
+from pitlab.trace import Trace, TraceEvent, build_profile, parse_region_name
 
 
 def ev(rank, kind, name, t, nbytes=None, peer=None):
@@ -9,6 +9,23 @@ def ev(rank, kind, name, t, nbytes=None, peer=None):
 
 def make_trace(events, num_ranks):
     return Trace(events=sorted(events, key=lambda e: (e.t, e.rank)), num_ranks=num_ranks)
+
+
+def events_by_rank(trace):
+    """Each rank's events in trace order, bucketed apart from the index."""
+    buckets = {r: [] for r in range(trace.num_ranks)}
+    for event in trace.events:
+        buckets.setdefault(event.rank, []).append(event)
+    return buckets
+
+
+def region_counts(trace, phase):
+    """Per-rank count of the phase's regions, from the trace's profile."""
+    counts = {r: 0 for r in range(trace.num_ranks)}
+    for (rank, name), stats in build_profile(trace).regions.items():
+        if parse_region_name(name)[0] == phase:
+            counts[rank] += stats.count
+    return counts
 
 
 def pop_hand_trace():

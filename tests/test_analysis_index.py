@@ -14,8 +14,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import ev, fig5_trace, make_trace, pop_hand_trace, synthetic_trace
-from pitlab import analysis
+from conftest import ev, events_by_rank, fig5_trace, make_trace, pop_hand_trace, synthetic_trace
+from pitlab import analysis, trace as tracing
 from pitlab.analysis import (
     CausalityError,
     EmptyPhaseError,
@@ -50,10 +50,9 @@ def ref_phase_window(trace, full_run=False):
     return start, t_max
 
 
-def ref_replay_ops(index, window):
+def ref_replay_ops(trace, window):
     """Every span of the rank clipped at every event: O(events x spans)."""
-    trace = index.trace
-    matches = analysis.match_messages(trace)[0]
+    matches = tracing.match_messages(trace)[0]
     send_key = {}
     recv_key = {}
     done_key = {}
@@ -66,7 +65,7 @@ def ref_replay_ops(index, window):
     lo, hi = window if window else (None, None)
     clipped = {}
     replayed_sends = set()
-    for rank, events in trace.by_rank().items():
+    for rank, events in events_by_rank(trace).items():
         events = sorted(events, key=lambda ev: ev.t)
         blocked = comm_intervals(events)
         in_window = events if lo is None else [ev for ev in events if lo <= ev.t <= hi]
@@ -119,7 +118,7 @@ def ref_pop_metrics(trace, full_run=False):
         raise CausalityError("matched messages complete before their send posts")
     lo, hi = ref_phase_window(trace, full_run)
     comp = {}
-    for rank, events in trace.by_rank().items():
+    for rank, events in events_by_rank(trace).items():
         in_phase = [ev for ev in events if lo <= ev.t <= hi]
         if not in_phase:
             continue
@@ -137,7 +136,7 @@ def ref_pop_metrics(trace, full_run=False):
         raise EmptyPhaseError("no computation time in the selected phase")
     starts = []
     ends = []
-    for rank, events in trace.by_rank().items():
+    for rank, events in events_by_rank(trace).items():
         in_phase = [ev.t for ev in events if lo <= ev.t <= hi]
         if in_phase:
             starts.append(min(in_phase))
@@ -153,7 +152,7 @@ def ref_wait_states(trace):
     ordered = sorted(trace.events, key=lambda ev: ev.t)
     receivers = []
     senders = []
-    for m in analysis.match_messages(trace)[0]:
+    for m in tracing.match_messages(trace)[0]:
         if m.send_complete is not None and m.recv_post is not None:
             if m.send_complete - m.send_post > 0 and m.recv_post > m.send_post:
                 wait = min(m.recv_post, m.send_complete) - m.send_post
@@ -179,10 +178,9 @@ def _outcome(fn, *args, **kwargs):
 
 
 def _reports(trace, pop, window, wait_states):
-    index = analysis._TraceIndex(trace)
     outputs = {
         "wait_states": wait_states(trace),
-        "ops": analysis._replay_ops(index, None),
+        "ops": analysis._replay_ops(trace, None),
         "replay": replay_trace(trace).events,
     }
     for full_run in (False, True):
@@ -190,7 +188,7 @@ def _reports(trace, pop, window, wait_states):
         lo_hi = _outcome(window, trace, full_run)
         outputs[("window", full_run)] = lo_hi
         if isinstance(lo_hi, tuple):
-            outputs[("ops", full_run)] = analysis._replay_ops(index, lo_hi)
+            outputs[("ops", full_run)] = analysis._replay_ops(trace, lo_hi)
             outputs[("replay", full_run)] = replay_trace(trace, window=lo_hi).events
     return outputs
 
@@ -243,7 +241,7 @@ class TestMatchesTheRescanningAnalysis:
             ],
             1,
         )
-        view = analysis._TraceIndex(trace).ranks[0]
+        view = tracing._TraceIndex(trace).ranks[0]
         ordered = trace.events
         for t in (-1.0, 0.0, 1.0, 2.0, 2.5, 3.0, 4.0):
             assert view.region_at(t) == ref_region_at(ordered, 0, t)
@@ -325,7 +323,7 @@ class TestLinearWork:
     @staticmethod
     def work(trace, monkeypatch):
         counts = Counter()
-        clip, region_at = analysis._clip_spans, analysis._RankView.region_at
+        clip, region_at = analysis._clip_spans, tracing._RankView.region_at
 
         def counting_merged_length(spans):
             counts["merged"] += len(spans)
@@ -342,7 +340,7 @@ class TestLinearWork:
         with monkeypatch.context() as patch:
             patch.setattr(analysis, "merged_length", counting_merged_length)
             patch.setattr(analysis, "_clip_spans", counting_clip)
-            patch.setattr(analysis._RankView, "region_at", counting_region_at)
+            patch.setattr(tracing._RankView, "region_at", counting_region_at)
             pop_metrics(trace)
             waits = detect_late_receiver(trace) + detect_late_sender(trace)
         assert counts["regions"] == len(waits)
@@ -354,7 +352,7 @@ class TestLinearWork:
             trace = synthetic_trace(16, iterations, 4)
             events = len(trace.events)
             spans = sum(
-                len(comm_intervals(sorted(evs, key=lambda e: e.t))) for evs in trace.by_rank().values()
+                len(comm_intervals(sorted(evs, key=lambda e: e.t))) for evs in events_by_rank(trace).values()
             )
             counts = self.work(trace, monkeypatch)
             # an event clips only the spans open across the gap before it

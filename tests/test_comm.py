@@ -11,6 +11,7 @@ from pitlab import comm
 from pitlab.comm import (
     DeadlockError,
     Network,
+    RunAborted,
     monotonic_seconds,
     pack_array,
     pack_status,
@@ -167,18 +168,32 @@ class TestBackends:
         assert audit[(0, 1)] == {"sent": 1, "received": 1, "pending": 0}
         assert audit[(1, 2)] == {"sent": 0, "received": 0, "pending": 0}
 
-    def test_eager_sends_share_one_accepted_event(self):
+    def test_the_send_handle_is_the_received_message(self):
         net = Network(2, rendezvous_bytes=4)
         a, b = net.endpoint(0), net.endpoint(1)
-        eager = [a.isend(1, tag(iteration=i), b"x") for i in (1, 2)]
-        large = a.isend(1, tag(iteration=3), b"beyond threshold")
-        assert eager[0].accepted is eager[1].accepted and eager[0].accepted.is_set()
-        assert large.accepted is not eager[0].accepted and not large.accepted.is_set()
-        for i in (1, 2, 3):
-            b.recv(0, tag(iteration=i))
-        for handle in eager + [large]:
+        for i, payload in enumerate((b"x", b"beyond threshold"), start=1):
+            handle = a.isend(1, tag(iteration=i), payload)
+            assert b.recv(0, tag(iteration=i)) is handle
             a.wait(handle, timeout=1.0)
-        assert large.accepted.is_set() and a.unwaited == 0
+        assert a.unwaited == 0
+
+    def test_sends_create_no_event(self, monkeypatch):
+        created = []
+
+        class CountingEvent(threading.Event):
+            def __init__(self):
+                super().__init__()
+                created.append(self)
+
+        monkeypatch.setattr(threading, "Event", CountingEvent)
+        net = Network(2, rendezvous_bytes=4)
+        a, b = net.endpoint(0), net.endpoint(1)
+        handles = [a.isend(1, tag(iteration=1), b"x"), a.isend(1, tag(iteration=2), b"beyond threshold")]
+        for i in (1, 2):
+            b.recv(0, tag(iteration=i))
+        for handle in handles:
+            a.wait(handle, timeout=1.0)
+        assert created == []
 
     def test_tag_named_once_per_message_side(self, monkeypatch):
         calls = []
@@ -197,6 +212,55 @@ class TestBackends:
         assert len(calls) == 2
         names = [ev.name for tr in (a.tracer, b.tracer) for ev in tr.events]
         assert names == ["fine/value/1"] * 4
+
+
+class TestBlockedWait:
+    """A sender blocked in wait() on a rendezvous send sleeps on its
+    channel until the receive, an abort or its deadline wakes it, so it
+    reads the clock a few times however long it waits; polling would
+    read it on every poll."""
+
+    BLOCK_S = 0.3
+
+    @classmethod
+    def wait_blocked(cls, monkeypatch, release):
+        net = Network(2, rendezvous_bytes=4)
+        a = net.endpoint(0)
+        reads, outcome = [], {}
+        clock = comm.monotonic_seconds
+
+        def counting_clock():
+            if threading.current_thread().name == "sender":
+                reads.append(1)
+            return clock()
+
+        def sender():
+            handle = a.isend(1, tag(), b"beyond threshold")
+            reads.clear()
+            try:
+                a.wait(handle, timeout=cls.BLOCK_S if release is None else 30.0)
+            except Exception as exc:  # checked by the test
+                outcome["error"] = exc
+
+        monkeypatch.setattr(comm, "monotonic_seconds", counting_clock)
+        thread = threading.Thread(target=sender, name="sender")
+        thread.start()
+        if release is not None:
+            time.sleep(cls.BLOCK_S)
+            release(net)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert len(reads) <= 5
+        return outcome.get("error")
+
+    def test_abort_releases_a_blocked_wait(self, monkeypatch):
+        error = self.wait_blocked(monkeypatch, lambda net: net.abort("worker 1 failed"))
+        assert isinstance(error, RunAborted) and "worker 1 failed" in str(error)
+
+    def test_deadline_releases_a_blocked_wait(self, monkeypatch):
+        error = self.wait_blocked(monkeypatch, None)
+        assert isinstance(error, DeadlockError)
+        assert str(error) == f"send of tag {tag()} not accepted after {self.BLOCK_S:.1f} s"
 
 
 def npy_bytes(arr):

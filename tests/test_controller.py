@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import region_counts
 from pitlab.analysis import audit_messages
 from pitlab.collocation import make_radau_table
 from pitlab.controller import (
@@ -83,7 +84,7 @@ class TestPredictorStaircase:
 
     def test_one_predict_region_per_worker(self):
         result = run(dahlquist_config(4, 0.1), mode="serial")
-        assert result.trace.count_regions("PREDICT") == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert region_counts(result.trace, "PREDICT") == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 class TestIterationSchedule:
@@ -138,7 +139,7 @@ class TestConvergenceProtocol:
         ]
         assert dips[2] < result.iterations[1]  # dips early, predecessor still running
         assert result.iterations[2] > dips[2]  # and indeed kept going
-        fine_counts = result.trace.count_regions("IT_FINE")
+        fine_counts = region_counts(result.trace, "IT_FINE")
         assert fine_counts[2] == 3 * result.iterations[2]
 
     @pytest.mark.parametrize("mode", ["serial", "parallel"])
@@ -194,10 +195,13 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("mode", ["serial", "parallel"])
     def test_max_iterations_raises_not_converged(self, mode):
-        cfg = dahlquist_config(2, 0.1, tolerance=1e-30, max_iterations=3)
-        with pytest.raises(NotConvergedError) as info:
+        # under rendezvous sends rank 0 cannot run ahead of rank 1, so
+        # both workers have a residual when the threaded run stops
+        cfg = dahlquist_config(2, 0.1, tolerance=1e-30, max_iterations=3, rendezvous_bytes=0)
+        with pytest.raises(NotConvergedError, match=r"^worker [01] hit max iterations \(3\)$") as info:
             run(cfg, mode=mode)
-        assert info.value.residuals
+        assert set(info.value.residuals) == {0, 1}
+        assert all(np.isfinite(r) and r > 1e-30 for r in info.value.residuals.values())
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="tolerance"):
@@ -237,5 +241,5 @@ class TestSerialSdc:
     def test_trace_has_sweep_regions(self):
         problem = DahlquistProblem(-1.0, 0.0)
         result = run_sdc_serial(problem, make_radau_table(3), np.array([1.0]), 0.1, 2, fixed_sweeps=3)
-        assert result.trace.count_regions("IT_FINE") == {0: 6}
-        assert result.trace.count_regions("IT_CHECK") == {0: 6}
+        assert region_counts(result.trace, "IT_FINE") == {0: 6}
+        assert region_counts(result.trace, "IT_CHECK") == {0: 6}

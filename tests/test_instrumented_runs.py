@@ -103,12 +103,6 @@ class TestDiagnostics:
         assert 1 in info.value.last_events
         assert "recv-post" in info.value.last_events[1]
 
-    def test_trace_filter_suppresses_configured_regions(self):
-        cfg = dahlquist_config(2, 0.1, trace_suppress=("REGION -- IT_CHECK -- 0", "REGION -- IT_CHECK -- 1"))
-        result = run(cfg, mode="serial")
-        assert result.trace.count_regions("IT_CHECK") == {0: 0, 1: 0}
-        assert result.trace.count_regions("IT_FINE")[0] > 0
-
     def test_causality_violation_detected(self):
         trace = make_trace(
             [

@@ -42,7 +42,7 @@ class TestNodeIntegrals:
 
     def test_list_assignment_stacks_nodes(self):
         state = spread(DahlquistProblem(), 1.0, 3, 0.1)
-        state.tau = [np.array([0.1 * (m + 1)]) for m in range(3)]
+        state.tau = np.stack([np.array([0.1 * (m + 1)]) for m in range(3)])
         assert isinstance(state.tau, np.ndarray) and state.tau.shape == (3, 1)
 
 
@@ -64,7 +64,7 @@ class TestImexSweep:
         problem = DahlquistProblem(-1.0, 0.0)
         exact = collocation_solve_direct(np.array([1.0]), tab, problem, 0.1)
         state = spread(problem, 1.0, 3, 0.1)
-        state.u = [v.copy() for v in exact]
+        state.u = np.stack([v.copy() for v in exact])
         state.refresh_rhs(problem)
         before = [v.copy() for v in state.u]
         imex_sweep(state, tab, problem)
@@ -75,7 +75,7 @@ class TestImexSweep:
         tab = make_radau_table(3)
         problem = DahlquistProblem(0.0, 0.0)
         state = spread(problem, 2.0, 3, 0.1)
-        state.tau = [np.array([0.1 * (m + 1)]) for m in range(3)]
+        state.tau = np.stack([np.array([0.1 * (m + 1)]) for m in range(3)])
         imex_sweep(state, tab, problem)
         for m in range(3):
             assert state.u[m] == pytest.approx([2.0 + 0.1 * (m + 1)], abs=1e-14)
@@ -86,7 +86,7 @@ class TestResidual:
         tab = make_radau_table(3)
         problem = DahlquistProblem(-1.0, 0.0)
         state = spread(problem, 1.0, 3, 0.1)
-        state.u = [v.copy() for v in collocation_solve_direct(np.array([1.0]), tab, problem, 0.1)]
+        state.u = np.stack([v.copy() for v in collocation_solve_direct(np.array([1.0]), tab, problem, 0.1)])
         state.refresh_rhs(problem)
         assert residual(state, tab) <= 1e-12
 

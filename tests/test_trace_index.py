@@ -7,10 +7,14 @@ included, and raise the same structural errors.  One `pitlab analyze`
 must build the index once: one message matching and one view per rank.
 """
 
+import gc
+import weakref
+
 import pytest
 
-from conftest import ev, fig5_trace, make_trace, pop_hand_trace, synthetic_trace
+from conftest import ev, events_by_rank, fig5_trace, make_trace, pop_hand_trace, synthetic_trace
 from pitlab import cli, trace as tracing
+from pitlab.analysis import pop_metrics
 from pitlab.controller import dahlquist_config, run
 from pitlab.trace import (
     Profile,
@@ -26,7 +30,7 @@ from pitlab.trace import (
 
 def ref_build_profile(trace):
     profile = Profile()
-    for rank, events in trace.by_rank().items():
+    for rank, events in events_by_rank(trace).items():
         stats = RankStats()
         profile.ranks[rank] = stats
         if not events:
@@ -166,3 +170,16 @@ class TestOneIndexPerAnalyze:
         assert cli.main(["analyze", "--trace", str(path), "--out-dir", str(tmp_path)]) == 0
         assert (tmp_path / "pop.csv").exists() and (tmp_path / "waitstates.csv").exists()
         assert calls == {"match": 1, "views": 8}
+
+
+class TestTraceLifetime:
+    def test_a_dropped_trace_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            trace = synthetic_trace(3, 2, 2)
+            pop_metrics(trace)  # builds and keeps the index
+            alive = weakref.ref(trace)
+            del trace
+            assert alive() is None
+        finally:
+            gc.enable()

@@ -170,7 +170,7 @@ class TestFasTau:
         assert residual(fine, pair.fine_table) <= 1e-13
 
         coarse = LevelState.spread(pair.restrict(fine.u0), m, 1e-3, pair.coarse_problem)
-        coarse.u = [pair.restrict(v) for v in fine.u]
+        coarse.u = np.stack([pair.restrict(v) for v in fine.u])
         coarse.refresh_rhs(pair.coarse_problem)
         coarse.tau = compute_fas_tau(fine, coarse, pair)
         assert residual(coarse, pair.coarse_table) <= 1e-11
