@@ -244,7 +244,8 @@ def run(config, mode="parallel"):
 
     In parallel mode each worker is a thread; in serial mode the same
     schedule is emulated round-robin.  The iterates are identical.  A
-    NotConvergedError carries every worker's last residual.
+    NotConvergedError maps every rank to its worker's last residual, or
+    to None for a worker that has not finished an iteration.
     """
     config.validate()
     if mode not in ("serial", "parallel"):
@@ -267,7 +268,7 @@ def run(config, mode="parallel"):
         else:
             _run_parallel(workers, network)
     except NotConvergedError as exc:
-        exc.residuals = {w.rank: w.residual_history[-1] for w in workers if w.residual_history}
+        exc.residuals = {w.rank: w.residual_history[-1] if w.residual_history else None for w in workers}
         raise
     wall = time.perf_counter() - start
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import _forward, _inverse
 from .sweeper import node_integrals
 
 __all__ = ["LevelPair", "SpectralResampler", "IdentityResampler", "compute_fas_tau"]
@@ -27,6 +26,16 @@ class SpectralResampler:
     mode into the coarse Nyquist slot (which holds -N_c/2);
     prolongation zero-pads and puts half of the coarse Nyquist mode at
     each of the fine -N_c/2 and +N_c/2 slots.
+
+    On the fine grid only the lines that reach the result are
+    transformed.  numpy's fft2/ifft2 transform the last axis and then
+    axis 0, one line at a time; both directions make the same 1-D
+    passes in that order (in place, on the complex type fft2 would cast
+    to), the fine-grid ones on a subset of the lines.  Every kept line
+    gets the arithmetic of the full-grid transform, so the result is
+    bit-identical to it.  The normalisations (1/n^2 forward, n^2
+    inverse, and the coarse counterparts) are powers of two, so they
+    are exact and are applied as one multiply on the small block.
     """
 
     def __init__(self, fine_n, coarse_n):
@@ -36,36 +45,75 @@ class SpectralResampler:
             raise ValueError("grid sizes must be powers of two")
         self.fine_n = fine_n
         self.coarse_n = coarse_n
+        half = coarse_n // 2
+        # fine columns the coarse band reads, in coarse order, then the
+        # fine +N_c/2 column that folds into the coarse Nyquist slot
+        self._band = np.r_[0:half, fine_n - half:fine_n, half]
 
     def restrict(self, values):
-        if values.shape != (self.fine_n, self.fine_n):
-            raise ValueError(f"expected {self.fine_n}x{self.fine_n} field, got {values.shape}")
-        if self.fine_n == self.coarse_n:
+        """Coarse field with the fine field's coarse band.
+
+        The last-axis FFT runs on all n rows; the axis-0 FFT only on the
+        N_c + 1 columns of the band and its Nyquist fold.
+        """
+        n, nc = self.fine_n, self.coarse_n
+        if values.shape != (n, n):
+            raise ValueError(f"expected {n}x{n} field, got {values.shape}")
+        if n == nc:
             return values.copy()
-        half = self.coarse_n // 2
-        coeffs = _forward(values)
-        rows = np.concatenate((coeffs[:half], coeffs[-half:]))
-        rows[half] += coeffs[half]
-        out = np.concatenate((rows[:, :half], rows[:, -half:]), axis=1)
-        out[:, half] += rows[:, half]
-        return _inverse(out)
+        half = nc // 2
+        lines = _complex(values)
+        np.fft.fft(lines, axis=-1, out=lines)
+        cols = lines[:, self._band]
+        np.fft.fft(cols, axis=0, out=cols)
+        out = np.concatenate((cols[:half], cols[n - half:]))
+        out[half] += cols[half]
+        out[:, half] += out[:, nc]
+        out = out[:, :nc]
+        out *= (nc / n) ** 2
+        return np.real(_passes(np.fft.ifft, out))
 
     def prolong(self, values):
-        if values.shape != (self.coarse_n, self.coarse_n):
-            raise ValueError(f"expected {self.coarse_n}x{self.coarse_n} field, got {values.shape}")
-        if self.fine_n == self.coarse_n:
+        """Fine field with the coarse field's spectrum, zero-padded.
+
+        The last-axis inverse FFT runs only on the N_c + 1 rows that are
+        not zero; the axis-0 inverse FFT on all n columns.
+        """
+        n, nc = self.fine_n, self.coarse_n
+        if values.shape != (nc, nc):
+            raise ValueError(f"expected {nc}x{nc} field, got {values.shape}")
+        if n == nc:
             return values.copy()
-        n, half = self.fine_n, self.coarse_n // 2
-        coeffs = _forward(values)
-        rows = np.zeros((n, self.coarse_n), dtype=coeffs.dtype)
+        half = nc // 2
+        coeffs = _passes(np.fft.fft, _complex(values))
+        coeffs *= (n / nc) ** 2
+        # fine rows 0..N_c/2 then n-N_c/2..n-1; the coarse Nyquist row
+        # is split in half between fine rows N_c/2 and n-N_c/2
+        rows = np.empty((nc + 1, nc), dtype=coeffs.dtype)
         rows[:half] = coeffs[:half]
-        rows[n - half + 1:] = coeffs[half + 1:]
-        rows[half] = rows[n - half] = 0.5 * coeffs[half]
-        out = np.zeros((n, n), dtype=coeffs.dtype)
-        out[:, :half] = rows[:, :half]
-        out[:, n - half + 1:] = rows[:, half + 1:]
-        out[:, half] = out[:, n - half] = 0.5 * rows[:, half]
-        return _inverse(out)
+        rows[half] = rows[half + 1] = 0.5 * coeffs[half]
+        rows[half + 2:] = coeffs[half + 1:]
+        block = np.zeros((nc + 1, n), dtype=coeffs.dtype)
+        block[:, :half] = rows[:, :half]
+        block[:, n - half + 1:] = rows[:, half + 1:]
+        block[:, half] = block[:, n - half] = 0.5 * rows[:, half]
+        np.fft.ifft(block, axis=-1, out=block)
+        out = np.zeros((n, n), dtype=block.dtype)
+        out[:half + 1] = block[:half + 1]
+        out[n - half:] = block[half + 1:]
+        return np.real(np.fft.ifft(out, axis=0, out=out))
+
+
+def _complex(values):
+    # the complex type fft casts real input to; casting first lets every
+    # pass run in place instead of through a cast buffer
+    return values.astype(np.result_type(values.dtype, 1j))
+
+
+def _passes(transform, coeffs):
+    """fft2/ifft2 of a complex array, in place: the last axis, then axis 0."""
+    transform(coeffs, axis=-1, out=coeffs)
+    return transform(coeffs, axis=0, out=coeffs)
 
 
 class IdentityResampler:

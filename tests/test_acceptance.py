@@ -195,7 +195,7 @@ def test_trace_profile_conservation(pfasst_parallel_run):
         phase = parse_region_name(name)[0]
         agg[phase] = agg.get(phase, 0.0) + reg.exclusive
     fine = agg["IT_FINE"]
-    assert all(fine >= val for phase, val in agg.items() if phase.startswith("IT_"))
+    assert all(fine >= val for phase, val in agg.items() if phase.startswith("IT_")), agg
 
 
 @criterion(8, "wait-state search finds the constructed and emergent Late Receivers")

@@ -203,6 +203,17 @@ class TestFailureModes:
         assert set(info.value.residuals) == {0, 1}
         assert all(np.isfinite(r) and r > 1e-30 for r in info.value.residuals.values())
 
+    def test_not_converged_names_every_rank(self):
+        # eager sends let rank 0 run ahead, so the other workers may not
+        # have finished an iteration when it stops the run
+        cfg = dahlquist_config(4, 0.1, tolerance=1e-30, max_iterations=3)
+        with pytest.raises(NotConvergedError, match=r"^worker \d hit max iterations \(3\)$") as info:
+            run(cfg, mode="parallel")
+        residuals = info.value.residuals
+        assert set(residuals) == {0, 1, 2, 3}
+        assert residuals[int(str(info.value).split()[1])] is not None
+        assert all(r is None or (np.isfinite(r) and r > 1e-30) for r in residuals.values())
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="tolerance"):
             run(dahlquist_config(2, 0.1, tolerance=-1.0))

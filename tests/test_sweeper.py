@@ -40,10 +40,26 @@ class TestNodeIntegrals:
         bound = 3 * np.finfo(float).eps * np.abs(q).sum(axis=1).max() * np.abs(values).max()
         assert np.abs(got - np.array(loop)).max() <= bound
 
-    def test_list_assignment_stacks_nodes(self):
-        state = spread(DahlquistProblem(), 1.0, 3, 0.1)
-        state.tau = np.stack([np.array([0.1 * (m + 1)]) for m in range(3)])
-        assert isinstance(state.tau, np.ndarray) and state.tau.shape == (3, 1)
+    def test_spread_stacks_nodes_in_u0_dtype(self):
+        # a 2-D Allen-Cahn field and the Dahlquist scalar
+        cases = [
+            (AllenCahnProblem(16, 1, 0.04), ac_initial_condition(1, 0.04, 16, 1, radius=0.25).values),
+            (DahlquistProblem(-1.0, 0.5), np.array([1.0])),
+        ]
+        for problem, u0 in cases:
+            state = LevelState.spread(u0, 3, 0.1, problem)
+            assert state.u0 is not u0 and np.array_equal(state.u0, u0)
+            expected = {
+                "u": u0,
+                "f_imp": problem.eval_implicit(u0),
+                "f_exp": problem.eval_explicit(u0),
+                "tau": np.zeros_like(u0),
+            }
+            for name, node_value in expected.items():
+                stack = getattr(state, name)
+                assert isinstance(stack, np.ndarray), name
+                assert stack.shape == (3, *u0.shape) and stack.dtype == u0.dtype, name
+                assert all(np.array_equal(node, node_value) for node in stack), name
 
 
 class TestImexSweep:

@@ -191,10 +191,26 @@ class TestProfile:
         with pytest.raises(StructuralError):
             build_profile(trace)
 
-    def test_per_rank_timestamps_nondecreasing_in_real_runs(self):
+    def test_per_rank_timestamps_nondecreasing_in_real_runs(self, monkeypatch):
+        # the merge sorts by time, so only the buffers as recorded can
+        # show a rank's clock going backwards
+        from pitlab import trace as tracing
         from pitlab.controller import dahlquist_config, run
 
-        result = run(dahlquist_config(2, 0.1), mode="serial")
-        for rank in range(result.trace.num_ranks):
-            times = [e.t for e in result.trace.events if e.rank == rank]
-            assert times == sorted(times)
+        buffers = []
+
+        def capture(tracers):
+            buffers.extend(list(t.events) for t in tracers)
+            return merge_tracers(tracers)
+
+        monkeypatch.setattr(tracing, "merge_tracers", capture)
+        # a rendezvous send's completion is back-dated to its hand-shake
+        runs = [(dahlquist_config(2, 0.1), "serial"), (dahlquist_config(2, 0.1, rendezvous_bytes=0), "parallel")]
+        for cfg, mode in runs:
+            buffers.clear()
+            result = run(cfg, mode=mode)
+            assert [b[0].rank for b in buffers] == [0, 1]
+            for rank, buffer in enumerate(buffers):
+                times = [e.t for e in buffer]
+                assert times == sorted(times)
+                assert [e for e in result.trace.events if e.rank == rank] == buffer

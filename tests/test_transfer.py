@@ -12,6 +12,33 @@ def coords(n, length=1.0):
     return np.meshgrid(x, x, indexing="ij")
 
 
+def full_grid_restrict(values, coarse_n):
+    """Reference restriction: the whole fine spectrum, then the band."""
+    half = coarse_n // 2
+    coeffs = _forward(values)
+    rows = np.concatenate((coeffs[:half], coeffs[-half:]))
+    rows[half] += coeffs[half]
+    out = np.concatenate((rows[:, :half], rows[:, -half:]), axis=1)
+    out[:, half] += rows[:, half]
+    return _inverse(out)
+
+
+def full_grid_prolong(values, fine_n):
+    """Reference prolongation: the zero-padded spectrum on the whole fine grid."""
+    n, coarse_n = fine_n, values.shape[0]
+    half = coarse_n // 2
+    coeffs = _forward(values)
+    rows = np.zeros((n, coarse_n), dtype=coeffs.dtype)
+    rows[:half] = coeffs[:half]
+    rows[n - half + 1:] = coeffs[half + 1:]
+    rows[half] = rows[n - half] = 0.5 * coeffs[half]
+    out = np.zeros((n, n), dtype=coeffs.dtype)
+    out[:, :half] = rows[:, :half]
+    out[:, n - half + 1:] = rows[:, half + 1:]
+    out[:, half] = out[:, n - half] = 0.5 * rows[:, half]
+    return _inverse(out)
+
+
 def ac_pair(fine_n=32, coarse_n=8, eps=0.04, m=3):
     table = make_radau_table(m)
     return LevelPair(
@@ -80,6 +107,20 @@ class TestSpaceTransfer:
             dense_p = _inverse(p @ _forward(coarse) @ p.T)
             assert np.array_equal(rs.restrict(fine), dense_r)
             assert np.array_equal(rs.prolong(coarse), dense_p)
+
+    @pytest.mark.parametrize("fine_n, coarse_n", [(128, 32), (256, 64), (64, 16), (8, 2), (128, 64)])
+    def test_pruned_transforms_match_full_grid_transfer_bit_for_bit(self, fine_n, coarse_n):
+        rs = SpectralResampler(fine_n, coarse_n)
+        rng = np.random.default_rng(3 * fine_n + coarse_n)
+        fine_stack = rng.standard_normal((3, fine_n, fine_n))
+        coarse_stack = rng.standard_normal((3, coarse_n, coarse_n))
+        for fine, coarse in [
+            (fine_stack[0].copy(), coarse_stack[0].copy()),
+            (fine_stack[1], coarse_stack[1]),
+            (np.asfortranarray(fine_stack[2]), np.asfortranarray(coarse_stack[2])),
+        ]:
+            assert np.array_equal(rs.restrict(fine), full_grid_restrict(fine, coarse_n))
+            assert np.array_equal(rs.prolong(coarse), full_grid_prolong(coarse, fine_n))
 
     def test_size_mismatch_rejected(self):
         rs = SpectralResampler(64, 16)
