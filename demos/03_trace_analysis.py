@@ -10,16 +10,12 @@ and transfer factors.
 
 from pitlab.analysis import detect_late_receiver, pop_metrics
 from pitlab.controller import allen_cahn_config, run
-from pitlab.trace import build_profile, parse_region_name
+from pitlab.trace import build_profile
 
 
 def summarize(label, result):
     print(f"--- {label} ---")
-    profile = build_profile(result.trace)
-    shares = {}
-    for (_, name), reg in profile.regions.items():
-        phase = parse_region_name(name)[0]
-        shares[phase] = shares.get(phase, 0.0) + reg.exclusive
+    shares = {phase: t.exclusive for phase, t in build_profile(result.trace).phase_totals().items()}
     total = sum(shares.values())
     print("  exclusive time share per phase:")
     for phase, value in sorted(shares.items(), key=lambda kv: -kv[1]):

@@ -2,8 +2,7 @@
 
 Writes a benchmark config with an indexed parameter pair (stepped
 together rather than crossed), a jobscript template, and drives the
-expansion, sandboxed execution, done-file polling and result-table
-extraction end to end.
+expansion, sandboxed execution and result-table extraction end to end.
 """
 
 import sys

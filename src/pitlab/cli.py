@@ -6,14 +6,19 @@ efficiency and wait-state reports; `sweep` drives a benchmark config
 through the workflow harness; `report` re-renders result tables.
 
 Exit codes: 0 success, 2 usage error, 3 divergence or non-convergence,
-4 structural analysis error.  Each run option is declared once, as its
-flag.  A config file (`--config`) holds `key = value` lines whose keys
-are the long flag names, with `-` or `_`; each line is read as the flag
-`--key=value` ahead of the command line, so keys are checked like flags,
-explicit flags win, and unknown keys or rejected values exit 2.
+4 structural analysis error.  `sweep` exits 2 on a config error, which
+it reports before any run starts, and 1 when some run is not done;
+`report` exits 2 on a missing or empty input or an unknown sort column.
+
+Each run option is declared once, as its flag.  A config file
+(`--config`) holds `key = value` lines whose keys are the long flag
+names, with `-` or `_`; each line is read as the flag `--key=value`
+ahead of the command line, so keys are checked like flags, explicit
+flags win, and unknown keys or rejected values exit 2.
 """
 
 import argparse
+import csv
 import os
 import sys
 from pathlib import Path
@@ -88,7 +93,6 @@ def build_parser():
     p_sw.add_argument("--config", required=True)
     p_sw.add_argument("--workdir")
     p_sw.add_argument("--jobs", type=int, default=1)
-    p_sw.add_argument("--done-timeout", type=float, default=harness.DONE_TIMEOUT_S, dest="done_timeout")
 
     p_rep = sub.add_parser("report", help="re-render a result table")
     p_rep.add_argument("--input", required=True)
@@ -221,14 +225,14 @@ def _cmd_analyze(args):
 
 
 def _cmd_sweep(args):
+    if args.jobs < 1:
+        return _usage_error(f"--jobs must be at least 1, got {args.jobs}")
     try:
         cfg = harness.parse_config(args.config)
-    except harness.ConfigError as exc:
+        states, rows, csv_text, pretty = harness.run_benchmark(cfg, base_dir=args.workdir, jobs=args.jobs)
+    except (harness.ConfigError, harness.SubstitutionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    states, rows, csv_text, pretty = harness.run_benchmark(
-        cfg, base_dir=args.workdir, jobs=args.jobs, done_timeout=args.done_timeout
-    )
     print(pretty, end="")
     failed = [st for st in states if st.state != "done"]
     if failed:
@@ -239,15 +243,14 @@ def _cmd_sweep(args):
 
 
 def _cmd_report(args):
-    import csv as csv_module
-
-    with open(args.input, newline="") as fh:
-        reader = csv_module.reader(fh)
-        header = next(reader)
-        rows = [dict(zip(header, row)) for row in reader]
     try:
-        csv_text, pretty = harness.render_table(rows, header, sort=args.sort)
-    except harness.ConfigError as exc:
+        with open(args.input, newline="") as fh:
+            lines = list(csv.reader(fh))
+        if not lines:
+            raise harness.ConfigError(f"{args.input} is empty")
+        header, *data = lines
+        csv_text, pretty = harness.render_table([dict(zip(header, row)) for row in data], header, sort=args.sort)
+    except (OSError, harness.ConfigError) as exc:
         print(f"report error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = csv_text if args.format == "csv" else pretty

@@ -317,21 +317,11 @@ def _run_parallel(workers, network):
         raise errors[min(errors)]
 
 
-def run_sdc_serial(
-    problem,
-    table,
-    u0,
-    dt,
-    num_steps,
-    tolerance=1e-8,
-    max_sweeps=100,
-    fixed_sweeps=None,
-):
+def run_sdc_serial(problem, table, u0, dt, num_steps, tolerance=1e-8, max_sweeps=100):
     """Plain single-level SDC time stepping, the time-serial baseline.
 
-    Sweeps each step until the residual is below tolerance (or exactly
-    fixed_sweeps times when given), then moves on with the last-node
-    value as the next initial value.
+    Sweeps each step until the residual is below tolerance, then moves
+    on with the last-node value as the next initial value.
     """
     u = np.asarray(u0)
     tracer = tracing.Tracer(0)
@@ -350,12 +340,9 @@ def run_sdc_serial(
             history.append(res)
             if not np.isfinite(res) or res > DIVERGENCE_LIMIT:
                 raise DivergedError(f"serial SDC diverged: residual {res:.3e}")
-            if fixed_sweeps is not None:
-                if k >= fixed_sweeps:
-                    break
-            elif res <= tolerance:
+            if res <= tolerance:
                 break
-            elif k >= max_sweeps:
+            if k >= max_sweeps:
                 raise NotConvergedError(f"serial SDC: {max_sweeps} sweeps without convergence", {0: res})
         u = state.u[-1].copy()
         values.append(u)

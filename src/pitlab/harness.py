@@ -6,15 +6,23 @@ shell steps with a done-file marker, output patterns and the result
 table.  Expansion builds one sandboxed run per parameter combination;
 extraction scrapes floats from the run outputs into a sortable table.
 
+`run_benchmark` raises every error the config can cause, as
+`ConfigError` or `SubstitutionError`, before it creates the first
+sandbox.
+
 Steps run through the shell with the sandbox as working directory and
 inherit the caller's environment, except that every relative
 `PYTHONPATH` entry (the empty entry included, which Python reads as the
 current directory) is made absolute against the caller's working
 directory, so that a step's Python imports what the caller's does.
+A step ends when its output pipes close, so background work holding
+them is waited for; the done-file is checked once, after the last step
+(a detached job that redirects its own output is not waited for).
 
 A run ends `done`, `failed` (a step exited non-zero, or the done-file
-never appeared) or `incomplete` (its steps finished but a configured
-pattern matched nothing in its output; `stderr` names the patterns).
+did not exist after the last step) or `incomplete` (its steps finished
+but a configured pattern matched nothing in its output; `stderr` names
+the patterns).
 
 Config grammar (line based, `#` comments, `[section]` headers)::
 
@@ -53,12 +61,10 @@ Config grammar (line based, `#` comments, `[section]` headers)::
 import csv
 import io
 import itertools
-import logging
 import os
 import re
 import shutil
 import subprocess
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,11 +86,6 @@ __all__ = [
     "run_benchmark",
 ]
 
-log = logging.getLogger(__name__)
-
-# seconds a run's done-file may take to appear after its steps finish
-DONE_TIMEOUT_S = 60.0
-
 FLOAT_RE = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eEdD][-+]?\d+)?"
 PLACEHOLDER_RE = re.compile(r"#([A-Za-z_][A-Za-z0-9_]*)#")
 
@@ -101,8 +102,7 @@ class SubstitutionError(ValueError):
 class Param:
     name: str
     values: list
-    mode: str = "crossed"  # or "indexed"
-    index_name: str = ""
+    index_name: str = ""  # set: stepped with that parameter, not crossed
 
 
 @dataclass
@@ -116,14 +116,12 @@ class RunSpec:
     index: int
     values: dict
     sandbox: Path | None = None
-    steps: list = field(default_factory=list)
-    done_file: str | None = None
 
 
 @dataclass
 class RunState:
     spec: RunSpec
-    state: str = "pending"  # pending | running | done | failed | incomplete
+    state: str = "pending"  # until the run ends: done | failed | incomplete
     returncode: int = 0
     stderr: str = ""
 
@@ -132,13 +130,16 @@ def expand(space):
     """All concrete runs of a parameter space, in document order.
 
     Crossed parameters form the cartesian product with the first
-    parameter varying slowest; parameters in indexed mode follow the
-    position chosen for their index parameter instead of multiplying
+    parameter varying slowest; a parameter with an `index_name` follows
+    the position chosen for that index parameter instead of multiplying
     the space.
     """
-    crossed = [p for p in space.parameters if p.mode == "crossed"]
-    indexed = [p for p in space.parameters if p.mode == "indexed"]
+    crossed = [p for p in space.parameters if not p.index_name]
+    indexed = [p for p in space.parameters if p.index_name]
     by_name = {p.name: p for p in crossed}
+    for p in space.parameters:
+        if not p.values:
+            raise ConfigError(f"parameter {p.name!r} has no values")
     for p in indexed:
         ref = by_name.get(p.index_name)
         if ref is None:
@@ -198,19 +199,18 @@ def _step_environment():
     return env
 
 
-def _run_one(spec, workdir, files, substitutions, config_dir, done_timeout, env):
+def _run_one(spec, commands, workdir, files, substitutions, config_dir, done_file, env):
     state = RunState(spec)
     sandbox = Path(workdir) / f"{spec.index:06d}"
     sandbox.mkdir(parents=True, exist_ok=True)
     spec.sandbox = sandbox
-    state.state = "running"
     try:
         for name in files:
             shutil.copy(Path(config_dir) / name, sandbox / Path(name).name)
         for src, dst in substitutions:
             text = (sandbox / src).read_text()
             (sandbox / dst).write_text(substitute(text, spec))
-        for command in spec.steps:
+        for command in commands:
             proc = subprocess.run(
                 command, shell=True, cwd=sandbox, env=env, capture_output=True, text=True
             )
@@ -219,14 +219,10 @@ def _run_one(spec, workdir, files, substitutions, config_dir, done_timeout, env)
                 state.returncode = proc.returncode
                 state.stderr = proc.stderr
                 return state
-        if spec.done_file:
-            deadline = time.monotonic() + done_timeout
-            while not (sandbox / spec.done_file).exists():
-                if time.monotonic() > deadline:
-                    state.state = "failed"
-                    state.stderr = f"done file {spec.done_file!r} never appeared"
-                    return state
-                time.sleep(0.02)
+        if done_file and not (sandbox / done_file).exists():
+            state.state = "failed"
+            state.stderr = f"done file {done_file!r} missing after the last step"
+            return state
         state.state = "done"
     except (OSError, SubstitutionError) as exc:
         state.state = "failed"
@@ -234,39 +230,31 @@ def _run_one(spec, workdir, files, substitutions, config_dir, done_timeout, env)
     return state
 
 
-def execute(specs, steps, workdir, files=(), substitutions=(), config_dir=".",
-            done_file=None, jobs=1, done_timeout=DONE_TIMEOUT_S):
+def execute(specs, steps, workdir, files=(), substitutions=(), config_dir=".", done_file=None, jobs=1):
     """Run every spec in its own sandbox directory under workdir.
 
-    Steps (after placeholder substitution) run sequentially through the
-    shell; a failing step marks the run failed and skips the rest.  When
-    a done-file is configured the run only counts as done once that
-    marker exists.  Steps see the caller's environment with relative
-    PYTHONPATH entries made absolute against the caller's cwd.
+    Steps are substituted for every spec before the first sandbox
+    exists, then up to `jobs` runs go at once in a thread pool.  A run's
+    steps go sequentially through the shell; a failing step marks the
+    run failed and skips the rest.  A configured done-file must exist
+    after the last step.  Steps see the caller's environment with
+    relative PYTHONPATH entries made absolute against the caller's cwd.
     """
-    for spec in specs:
-        spec.steps = [substitute(step, spec) for step in steps]
-        spec.done_file = done_file
+    commands = [[substitute(step, spec) for step in steps] for spec in specs]
     env = _step_environment()
-    if jobs <= 1:
-        return [_run_one(s, workdir, files, substitutions, config_dir, done_timeout, env) for s in specs]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_run_one, s, workdir, files, substitutions, config_dir, done_timeout, env)
-            for s in specs
-        ]
-        return [f.result() for f in futures]
+        return list(pool.map(
+            lambda spec, cmds: _run_one(spec, cmds, workdir, files, substitutions, config_dir, done_file, env),
+            specs, commands,
+        ))
 
 
 def compile_pattern(text):
     """Turn an anchored pattern with one $jube_pat_fp into a regex."""
-    if "$jube_pat_fp" not in text:
-        raise ConfigError(f"pattern {text!r} lacks the $jube_pat_fp capture")
-    escaped = re.escape(text).replace(re.escape("$jube_pat_fp"), f"({FLOAT_RE})")
-    try:
-        return re.compile(escaped)
-    except re.error as exc:
-        raise ConfigError(f"bad pattern {text!r}: {exc}") from exc
+    if text.count("$jube_pat_fp") != 1:
+        raise ConfigError(f"pattern {text!r} needs exactly one $jube_pat_fp capture")
+    # the escaped text plus one float group is always a valid regex
+    return re.compile(re.escape(text).replace(re.escape("$jube_pat_fp"), f"({FLOAT_RE})"))
 
 
 def extract(outputs, patterns):
@@ -275,7 +263,7 @@ def extract(outputs, patterns):
     outputs: list of (spec, text).  Returns one row dict per run with
     the parameter values plus one column per pattern; when a pattern
     matches several times the last match wins, a missing match leaves
-    the cell empty and logs a warning.
+    the cell empty.
     """
     compiled = {name: compile_pattern(text) for name, text in patterns.items()}
     rows = []
@@ -284,11 +272,7 @@ def extract(outputs, patterns):
         row["_index"] = spec.index
         for name, regex in compiled.items():
             matches = regex.findall(text)
-            if matches:
-                row[name] = matches[-1]
-            else:
-                row[name] = ""
-                log.warning("run %d: pattern %r matched nothing", spec.index, name)
+            row[name] = matches[-1] if matches else ""
         rows.append(row)
     return rows
 
@@ -350,8 +334,12 @@ def parse_config(path):
     """Read a benchmark config file; see the module docstring for the grammar."""
     path = Path(path)
     cfg = BenchConfig(config_dir=path.parent)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
     section = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -379,14 +367,7 @@ def parse_config(path):
             if not match:
                 raise ConfigError(f"line {lineno}: bad parameter declaration {key!r}")
             name, index_name = match.groups()
-            cfg.space.parameters.append(
-                Param(
-                    name=name,
-                    values=_split_list(value),
-                    mode="indexed" if index_name else "crossed",
-                    index_name=index_name or "",
-                )
-            )
+            cfg.space.parameters.append(Param(name, _split_list(value), index_name or ""))
         elif section == "constants":
             cfg.space.constants[key] = value
         elif section == "files":
@@ -418,27 +399,38 @@ def parse_config(path):
     return cfg
 
 
-def run_benchmark(cfg, base_dir=None, jobs=1, done_timeout=DONE_TIMEOUT_S):
-    """Expand, execute and analyze one benchmark config.
+def run_benchmark(cfg, base_dir=None, jobs=1):
+    """Check, expand, execute and analyze one benchmark config.
 
-    Returns (states, rows, csv_text, pretty_text) and writes result.csv
-    and result.txt into the outpath directory.  A done run in which a
-    pattern matched nothing becomes incomplete.
+    Every error the config can cause is raised before the first sandbox
+    exists.  Returns (states, rows, csv_text, pretty_text) and writes
+    result.csv and result.txt into the outpath directory.  A done run in
+    which a pattern matched nothing becomes incomplete.
     """
-    base = Path(base_dir) if base_dir else cfg.config_dir
-    workdir = base / cfg.outpath
     specs = expand(cfg.space)
-    states = execute(
-        specs,
-        cfg.steps,
-        workdir,
-        files=cfg.files,
-        substitutions=cfg.substitutions,
-        config_dir=cfg.config_dir,
-        done_file=cfg.done_file,
-        jobs=jobs,
-        done_timeout=done_timeout,
-    )
+    for name in cfg.files:
+        if not (cfg.config_dir / name).is_file():
+            raise ConfigError(f"file to copy {name!r} not found in {cfg.config_dir}")
+    copied = {Path(name).name: cfg.config_dir / name for name in cfg.files}
+    templates = [copied[src].read_text() for src, _ in cfg.substitutions if src in copied]
+    for text in [*cfg.steps, *templates]:
+        substitute(text, specs[0])  # every run has the same names
+    for text in cfg.patterns.values():
+        compile_pattern(text)
+    names = list(specs[0].values)
+    columns = cfg.columns or names + list(cfg.patterns)
+    known = {*names, *cfg.patterns, "_index", "state"}
+    for col in [*columns, cfg.sort] if cfg.sort else columns:
+        if col not in known:
+            raise ConfigError(f"[result] names unknown column {col!r}; known: {', '.join(sorted(known))}")
+
+    workdir = (Path(base_dir) if base_dir else cfg.config_dir) / cfg.outpath
+    try:
+        workdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the run directory: {exc}") from exc
+    states = execute(specs, cfg.steps, workdir, files=cfg.files, substitutions=cfg.substitutions,
+                     config_dir=cfg.config_dir, done_file=cfg.done_file, jobs=jobs)
     outputs = []
     for state in states:
         text = ""
@@ -454,7 +446,6 @@ def run_benchmark(cfg, base_dir=None, jobs=1, done_timeout=DONE_TIMEOUT_S):
             state.state = "incomplete"
             state.stderr = "patterns matched nothing: " + ", ".join(unmatched)
         row["state"] = state.state
-    columns = cfg.columns or (list(specs[0].values) + list(cfg.patterns) if specs else [])
     csv_text, pretty = render_table(rows, columns, sort=cfg.sort)
     (workdir / "result.csv").write_text(csv_text)
     (workdir / "result.txt").write_text(pretty)

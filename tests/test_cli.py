@@ -274,6 +274,55 @@ class TestSweepAndReport:
         assert "run 0 incomplete" in proc.stderr
         assert "val_pat" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("val_pat = value: $jube_pat_fp", "val_pat = value: $jube_pat_fp\np = hi there"),
+            ("columns = alpha, val_pat", "columns = alpha, typo"),
+            ("sort = alpha", "sort = zzz"),
+            ("do = sh run.sh", "do = echo #TYPO#"),
+            ("alpha = 1, 2", "alpha = 1, 2\nn indexed-by j = 1, 2"),
+        ],
+        ids=["pattern-without-capture", "unknown-column", "unknown-sort", "unknown-placeholder", "unknown-index"],
+    )
+    def test_config_error_exits_2_before_any_run(self, tmp_path, old, new):
+        (tmp_path / "bench.cfg").write_text(self.CONFIG.replace(old, new))
+        (tmp_path / "run.tmpl").write_text('echo "value: #ALPHA#.0" > run.out\ntouch ready\n')
+        proc = pitlab("sweep", "--config", str(tmp_path / "bench.cfg"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: ") and len(proc.stderr.splitlines()) == 1
+        assert not (tmp_path / "bench_run").exists()
+
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path):
+        (tmp_path / "bench.cfg").write_text(self.CONFIG)
+        (tmp_path / "run.tmpl").write_text("touch ready\n")
+        proc = pitlab("sweep", "--config", str(tmp_path / "bench.cfg"), "--jobs", "0")
+        assert proc.returncode == 2
+        assert "--jobs" in proc.stderr
+        assert not (tmp_path / "bench_run").exists()
+
+    def test_unusable_workdir_exits_2(self, tmp_path):
+        (tmp_path / "bench.cfg").write_text(self.CONFIG)
+        (tmp_path / "run.tmpl").write_text("touch ready\n")
+        (tmp_path / "afile").write_text("")
+        proc = pitlab("sweep", "--config", str(tmp_path / "bench.cfg"), "--workdir", str(tmp_path / "afile"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: cannot create the run directory")
+
+    def test_missing_config_exits_2(self, tmp_path):
+        proc = pitlab("sweep", "--config", str(tmp_path / "nope.cfg"))
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1 and "nope.cfg" in proc.stderr
+
+    @pytest.mark.parametrize("content", [None, ""], ids=["missing", "empty"])
+    def test_report_unreadable_input_exits_2(self, tmp_path, content):
+        csv_path = tmp_path / "result.csv"
+        if content is not None:
+            csv_path.write_text(content)
+        proc = pitlab("report", "--input", str(csv_path))
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1 and "result.csv" in proc.stderr
+
     def test_report_rerenders_csv(self, tmp_path):
         csv_path = tmp_path / "result.csv"
         csv_path.write_text("n,t\n2,0.5\n1,0.9\n")

@@ -234,14 +234,6 @@ class TestSerialSdc:
         assert abs(result.final_values[-1][0] - np.exp(-1.0)) <= 1e-8
         assert all(k >= 1 for k in result.iterations)
 
-    def test_fixed_sweep_mode(self):
-        problem = DahlquistProblem(-1.0, 0.0)
-        result = run_sdc_serial(
-            problem, make_radau_table(3), np.array([1.0]), 0.1, 4, fixed_sweeps=2
-        )
-        assert result.iterations == [2, 2, 2, 2]
-        assert result.fine_sweep_count == 8
-
     def test_not_converged_raises(self):
         problem = DahlquistProblem(-1.0, 0.0)
         with pytest.raises(NotConvergedError):
@@ -251,6 +243,8 @@ class TestSerialSdc:
 
     def test_trace_has_sweep_regions(self):
         problem = DahlquistProblem(-1.0, 0.0)
-        result = run_sdc_serial(problem, make_radau_table(3), np.array([1.0]), 0.1, 2, fixed_sweeps=3)
-        assert region_counts(result.trace, "IT_FINE") == {0: 6}
-        assert region_counts(result.trace, "IT_CHECK") == {0: 6}
+        result = run_sdc_serial(problem, make_radau_table(3), np.array([1.0]), 0.1, 2, tolerance=1e-10)
+        sweeps = sum(result.iterations)
+        assert sweeps > 2
+        assert region_counts(result.trace, "IT_FINE") == {0: sweeps}
+        assert region_counts(result.trace, "IT_CHECK") == {0: sweeps}

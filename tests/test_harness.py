@@ -28,9 +28,9 @@ def listing_style_space():
     return ParamSpace(
         parameters=[
             Param("i", values_i),
-            Param("nnodes", nnodes, mode="indexed", index_name="i"),
-            Param("ntasks", ntasks, mode="indexed", index_name="i"),
-            Param("space_size", ntasks, mode="indexed", index_name="i"),
+            Param("nnodes", nnodes, index_name="i"),
+            Param("ntasks", ntasks, index_name="i"),
+            Param("space_size", ntasks, index_name="i"),
             Param("mpi", ["intel", "parastation"]),
         ]
     )
@@ -50,7 +50,6 @@ class TestExpand:
     def test_crossing_instead_multiplies_out(self):
         space = listing_style_space()
         for param in space.parameters:
-            param.mode = "crossed"
             param.index_name = ""
         assert len(expand(space)) == 10 * 10 * 10 * 10 * 2
 
@@ -68,14 +67,25 @@ class TestExpand:
         space = ParamSpace(
             parameters=[
                 Param("i", ["0", "1"]),
-                Param("n", ["1", "2", "3"], mode="indexed", index_name="i"),
+                Param("n", ["1", "2", "3"], index_name="i"),
             ]
         )
         with pytest.raises(ConfigError, match="has 3 values"):
             expand(space)
 
+    def test_index_name_alone_decides_stepped_or_crossed(self):
+        space = ParamSpace(
+            parameters=[
+                Param("i", ["0", "1"]),
+                Param("n", ["4", "8"], index_name="i"),
+                Param("m", ["x", "y"]),
+            ]
+        )
+        order = [(s.values["i"], s.values["n"], s.values["m"]) for s in expand(space)]
+        assert order == [("0", "4", "x"), ("0", "4", "y"), ("1", "8", "x"), ("1", "8", "y")]
+
     def test_unknown_index_rejected(self):
-        space = ParamSpace(parameters=[Param("n", ["1"], mode="indexed", index_name="j")])
+        space = ParamSpace(parameters=[Param("n", ["1"], index_name="j")])
         with pytest.raises(ConfigError, match="unknown parameter"):
             expand(space)
 
@@ -118,9 +128,20 @@ class TestExecute:
 
     def test_missing_done_file_fails(self, tmp_path):
         specs = expand(ParamSpace(constants={}))
-        states = execute(specs, ["true"], tmp_path / "runs", done_file="ready", done_timeout=0.2)
+        states = execute(specs, ["true"], tmp_path / "runs", done_file="ready")
         assert states[0].state == "failed"
-        assert "never appeared" in states[0].stderr
+        assert "'ready' missing after the last step" in states[0].stderr
+
+    def test_background_work_holding_the_output_is_waited_for(self, tmp_path):
+        specs = expand(ParamSpace(constants={}))
+        states = execute(specs, ["(sleep 0.2; touch ready) &"], tmp_path / "runs", done_file="ready")
+        assert states[0].state == "done"
+
+    def test_unknown_step_placeholder_runs_nothing(self, tmp_path):
+        specs = expand(ParamSpace(parameters=[Param("v", ["1", "2"])]))
+        with pytest.raises(SubstitutionError, match="TYPO"):
+            execute(specs, ["touch #V#", "echo #TYPO#"], tmp_path / "runs", jobs=2)
+        assert not (tmp_path / "runs").exists()
 
     def test_sandboxes_are_disjoint_with_own_substituted_files(self, tmp_path):
         (tmp_path / "t.tmpl").write_text("value = #V#\n")
@@ -191,6 +212,10 @@ class TestExtract:
     def test_pattern_without_capture_rejected(self):
         with pytest.raises(ConfigError, match="jube_pat_fp"):
             compile_pattern("no capture here")
+
+    def test_pattern_with_two_captures_rejected(self):
+        with pytest.raises(ConfigError, match="exactly one"):
+            compile_pattern("$jube_pat_fp and $jube_pat_fp")
 
 
 class TestRenderTable:
@@ -270,6 +295,22 @@ class TestConfigFile:
         assert all("val_pat" in s.stderr for s in states)
         assert [row["state"] for row in rows] == ["incomplete"] * 3
         assert all(row["val_pat"] == "" for row in rows)
+
+    @pytest.mark.parametrize(
+        "old, new, template, message",
+        [
+            ("i = 0, 1, 2", "i = 0, 1, 2\nempty =", "touch ready\n", "'empty' has no values"),
+            ("copy = in.tmpl", "copy = in.tmpl, absent.txt", "touch ready\n", "'absent.txt' not found"),
+            ("", "", "echo #TYPO#\n", "unresolved placeholders: TYPO"),
+        ],
+        ids=["no-values", "missing-copy", "template-placeholder"],
+    )
+    def test_config_errors_raised_before_any_sandbox(self, tmp_path, old, new, template, message):
+        (tmp_path / "bench.cfg").write_text(self.CONFIG.replace(old, new))
+        (tmp_path / "in.tmpl").write_text(template)
+        with pytest.raises((ConfigError, SubstitutionError), match=message):
+            run_benchmark(parse_config(tmp_path / "bench.cfg"))
+        assert not (tmp_path / "bench_run").exists()
 
     def test_bad_lines_report_numbers(self, tmp_path):
         bad = tmp_path / "bad.cfg"
