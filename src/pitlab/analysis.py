@@ -12,8 +12,9 @@ Sender patterns.
 Every step reads `trace.index`, built once per trace by `pitlab.trace`
 in one pass per rank: the FIFO message matching and, per rank, the
 events in time order, the match of each post, the blocked spans and the
-region-stack changes.  The replay sweeps each rank forward once, so the
-analysis is linear in the number of events.
+region-stack changes.  The replay sweeps each rank forward once and
+parks a rank that waits for a send not yet replayed until that send is,
+so the analysis is linear in the number of events.
 """
 
 import csv
@@ -232,6 +233,49 @@ def _replay_ops(trace, window):
     return ranks
 
 
+def _replay(trace, window):
+    """The ideal-network replay of the window: each rank's ops and the
+    time each op replays at, in the rank's order.
+
+    A worklist of ranks: a rank runs until a receive completion whose
+    send has not been replayed yet, is parked under that match and is
+    woken when the send-post is replayed, so every op is visited once
+    and once more per park, at most once per matched message.
+    """
+    ranks = _replay_ops(trace, window)
+    times = {rank: [] for rank in ranks}
+    clocks = dict.fromkeys(ranks, 0.0)
+    send_post_times = {}
+    parked = {}  # match index -> the rank whose receive completion waits for it
+    ready = list(ranks)
+    while ready:
+        rank = ready.pop()
+        ops, replayed, clock = ranks[rank], times[rank], clocks[rank]
+        for i in range(len(replayed), len(ops)):
+            delta, ev, match_idx = ops[i]
+            kind = ev.kind
+            if kind == "recv-complete":
+                if match_idx is not None:
+                    sent = send_post_times.get(match_idx)
+                    if sent is None:
+                        parked[match_idx] = rank  # matched send not replayed yet
+                        break
+                    if sent > clock:
+                        clock = sent
+            elif kind != "send-complete":  # a send completes at once: no sender blocking
+                clock += delta
+                if kind == "send-post" and match_idx is not None:
+                    send_post_times[match_idx] = clock
+                    if match_idx in parked:
+                        ready.append(parked.pop(match_idx))
+            replayed.append(clock)
+        clocks[rank] = clock
+    stuck = {rank: len(ops) - len(times[rank]) for rank, ops in ranks.items() if len(times[rank]) < len(ops)}
+    if stuck:
+        raise ReplayError(f"cyclic message dependency; undelivered ops per rank: {stuck}")
+    return ranks, times
+
+
 def replay_trace(trace, window=None):
     """Re-time the trace on an ideal network.
 
@@ -239,42 +283,21 @@ def replay_trace(trace, window=None):
     never block, and each receive completes as soon as both it and its
     own matching send are posted.  Ranks start at time zero.
     """
-    ranks = _replay_ops(trace, window)
-    send_post_times = {}
-    pointers = {rank: 0 for rank in ranks}
-    clocks = {rank: 0.0 for rank in ranks}
-    new_events = []
-    progress = True
-    while progress:
-        progress = False
-        for rank, ops in ranks.items():
-            while pointers[rank] < len(ops):
-                delta, ev, match_idx = ops[pointers[rank]]
-                if ev.kind == "recv-complete":
-                    if match_idx is not None and match_idx not in send_post_times:
-                        break  # matched send not replayed yet
-                    t = clocks[rank] if match_idx is None else max(clocks[rank], send_post_times[match_idx])
-                    clocks[rank] = t
-                elif ev.kind == "send-complete":
-                    t = clocks[rank]  # no sender blocking
-                else:
-                    clocks[rank] += delta
-                    t = clocks[rank]
-                    if ev.kind == "send-post" and match_idx is not None:
-                        send_post_times[match_idx] = t
-                new_events.append(TraceEvent(rank, ev.kind, ev.name, t, ev.bytes, ev.peer))
-                pointers[rank] += 1
-                progress = True
-    stuck = {rank: len(ops) - pointers[rank] for rank, ops in ranks.items() if pointers[rank] < len(ops)}
-    if stuck:
-        raise ReplayError(f"cyclic message dependency; undelivered ops per rank: {stuck}")
+    ranks, times = _replay(trace, window)
+    new_events = [
+        TraceEvent(rank, ev.kind, ev.name, t, ev.bytes, ev.peer)
+        for rank, ops in ranks.items()
+        for (_, ev, _), t in zip(ops, times[rank])
+    ]
     new_events.sort(key=lambda ev: (ev.t, ev.rank))
     return Trace(events=new_events, num_ranks=trace.num_ranks)
 
 
 def ideal_replay(trace, window=None):
-    """Makespan of the trace replayed on the ideal network."""
-    return max((ev.t for ev in replay_trace(trace, window).events), default=0.0)
+    """Makespan of the trace replayed on the ideal network: the latest
+    of the ranks' last replayed times (a rank's clock never runs back)."""
+    _, times = _replay(trace, window)
+    return max((replayed[-1] for replayed in times.values() if replayed), default=0.0)
 
 
 def emit_report(report, path, fmt="csv"):

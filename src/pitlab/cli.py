@@ -7,8 +7,10 @@ through the workflow harness; `report` re-renders result tables.
 
 Exit codes: 0 success, 2 usage error, 3 divergence or non-convergence,
 4 structural analysis error.  `sweep` exits 2 on a config error, which
-it reports before any run starts, and 1 when some run is not done;
-`report` exits 2 on a missing or empty input or an unknown sort column.
+it reports before any run starts (a run directory left by an earlier
+sweep is one), and 1 when some run is not done; `report` exits 2 on a
+missing or empty input, a row with more or fewer cells than the header,
+or an unknown sort column.
 
 Each run option is declared once, as its flag.  A config file
 (`--config`) holds `key = value` lines whose keys are the long flag
@@ -249,6 +251,9 @@ def _cmd_report(args):
         if not lines:
             raise harness.ConfigError(f"{args.input} is empty")
         header, *data = lines
+        for number, row in enumerate(data, start=1):
+            if len(row) != len(header):
+                raise harness.ConfigError(f"{args.input} row {number} has {len(row)} cells, the header {len(header)}")
         csv_text, pretty = harness.render_table([dict(zip(header, row)) for row in data], header, sort=args.sort)
     except (OSError, harness.ConfigError) as exc:
         print(f"report error: {exc}", file=sys.stderr)

@@ -199,12 +199,11 @@ def _step_environment():
     return env
 
 
-def _run_one(spec, commands, workdir, files, substitutions, config_dir, done_file, env):
+def _run_one(spec, commands, files, substitutions, config_dir, done_file, env):
     state = RunState(spec)
-    sandbox = Path(workdir) / f"{spec.index:06d}"
-    sandbox.mkdir(parents=True, exist_ok=True)
-    spec.sandbox = sandbox
+    sandbox = spec.sandbox
     try:
+        sandbox.mkdir(parents=True)  # never an earlier run's directory
         for name in files:
             shutil.copy(Path(config_dir) / name, sandbox / Path(name).name)
         for src, dst in substitutions:
@@ -234,17 +233,25 @@ def execute(specs, steps, workdir, files=(), substitutions=(), config_dir=".", d
     """Run every spec in its own sandbox directory under workdir.
 
     Steps are substituted for every spec before the first sandbox
-    exists, then up to `jobs` runs go at once in a thread pool.  A run's
-    steps go sequentially through the shell; a failing step marks the
-    run failed and skips the rest.  A configured done-file must exist
-    after the last step.  Steps see the caller's environment with
-    relative PYTHONPATH entries made absolute against the caller's cwd.
+    exists, and a sandbox left by an earlier sweep is refused as a
+    `ConfigError` (an earlier run's files must not pass as this run's);
+    then up to `jobs` runs go at once in a thread pool.  A run's steps
+    go sequentially through the shell; a failing step marks the run
+    failed and skips the rest.  A configured done-file must exist after
+    the last step.  Steps see the caller's environment with relative
+    PYTHONPATH entries made absolute against the caller's cwd.
     """
     commands = [[substitute(step, spec) for step in steps] for spec in specs]
+    sandboxes = [Path(workdir) / f"{spec.index:06d}" for spec in specs]
+    for sandbox in sandboxes:
+        if sandbox.exists():
+            raise ConfigError(f"run directory {sandbox} exists from an earlier sweep; move it or use another outpath")
+    for spec, sandbox in zip(specs, sandboxes):
+        spec.sandbox = sandbox
     env = _step_environment()
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(
-            lambda spec, cmds: _run_one(spec, cmds, workdir, files, substitutions, config_dir, done_file, env),
+            lambda spec, cmds: _run_one(spec, cmds, files, substitutions, config_dir, done_file, env),
             specs, commands,
         ))
 

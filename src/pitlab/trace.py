@@ -12,6 +12,7 @@ communication) and every analysis step read.
 
 import bisect
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -41,6 +42,10 @@ COMM_KINDS = ("send-post", "send-complete", "recv-post", "recv-complete")
 
 FORMAT_NAME = "pitlab-trace"
 FORMAT_VERSION = 1
+
+WRITE_CHUNK = 1000  # lines per write
+JSON_WHITESPACE = " \t\n\r"  # what json.loads skips around a value
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 class StructuralError(RuntimeError):
@@ -166,20 +171,62 @@ def merge_tracers(tracers):
     return Trace(events=events, num_ranks=len(tracers))
 
 
+def _record(ev):
+    record = {"rank": ev.rank, "kind": ev.kind, "name": ev.name, "t": ev.t}
+    if ev.bytes is not None:
+        record["bytes"] = ev.bytes
+    if ev.peer is not None:
+        record["peer"] = ev.peer
+    return record
+
+
+class _Quoted(dict):
+    """`json.dumps` of each distinct string, computed on first use."""
+
+    def __missing__(self, text):
+        quoted = self[text] = json.dumps(text)
+        return quoted
+
+
 def write_trace(trace, path):
+    """Write the trace as one header line and one JSON record per event.
+
+    An event whose fields are strings, exact ints and a finite float has
+    its line formatted here, byte for byte as `json.dumps` formats the
+    record: strings escaped once per distinct value, `repr` for the
+    time.  Any other event (a bool, None, NaN or a subclass) goes through
+    `json.dumps`.  Lines go out in chunks of WRITE_CHUNK.
+    """
+    quoted = _Quoted()
     with open(path, "w") as fh:
         fh.write(json.dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION, "num_ranks": trace.num_ranks}) + "\n")
+        lines = []
         for ev in trace.events:
-            record = {"rank": ev.rank, "kind": ev.kind, "name": ev.name, "t": ev.t}
-            if ev.bytes is not None:
-                record["bytes"] = ev.bytes
-            if ev.peer is not None:
-                record["peer"] = ev.peer
-            fh.write(json.dumps(record) + "\n")
+            kind, name, t, nbytes, peer = ev.kind, ev.name, ev.t, ev.bytes, ev.peer
+            if (
+                type(ev.rank) is int and type(kind) is str and type(name) is str
+                and type(t) is float and math.isfinite(t)
+                and (nbytes is None or type(nbytes) is int) and (peer is None or type(peer) is int)
+            ):
+                line = f'{{"rank": {ev.rank}, "kind": {quoted[kind]}, "name": {quoted[name]}, "t": {t!r}'
+                if nbytes is not None:
+                    line += f', "bytes": {nbytes}'
+                if peer is not None:
+                    line += f', "peer": {peer}'
+                lines.append(line + "}\n")
+            else:
+                lines.append(json.dumps(_record(ev)) + "\n")
+            if len(lines) == WRITE_CHUNK:
+                fh.write("".join(lines))
+                lines.clear()
+        fh.write("".join(lines))
     return path
 
 
 def read_trace(path):
+    """Read a trace file line by line; a bad line raises TraceParseError
+    naming it.  A line is accepted exactly when `json.loads` accepts it:
+    one JSON value, with only JSON whitespace around it."""
     events = []
     with open(path) as fh:
         header_line = fh.readline()
@@ -191,20 +238,16 @@ def read_trace(path):
         except (ValueError, KeyError, json.JSONDecodeError) as exc:
             raise TraceParseError(f"line 1: bad header: {exc}") from None
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
-                rec = json.loads(line)
-                events.append(
-                    TraceEvent(
-                        rank=int(rec["rank"]),
-                        kind=rec["kind"],
-                        name=rec["name"],
-                        t=float(rec["t"]),
-                        bytes=rec.get("bytes"),
-                        peer=rec.get("peer"),
-                    )
-                )
+                text = line.strip(JSON_WHITESPACE)
+                rec, end = _raw_decode(text)
+                if end != len(text):
+                    raise json.JSONDecodeError("Extra data", text, end)
+                events.append(TraceEvent(
+                    int(rec["rank"]), rec["kind"], rec["name"], float(rec["t"]), rec.get("bytes"), rec.get("peer")
+                ))
             except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
                 raise TraceParseError(f"line {lineno}: {exc}") from None
     return Trace(events=events, num_ranks=num_ranks)

@@ -1,10 +1,11 @@
 """The indexed trace analysis against the rescanning algorithm it replaced.
 
 The reference below is the earlier analysis: a replay that clips every
-span of a rank at every event and keys messages by timestamp, and a
-region lookup that rescans the trace for each wait state.  The indexed
-analysis must give equal reports, wait states and replayed events, do
-work linear in the trace, and fix the replay's timestamp collisions.
+span of a rank at every event, keys messages by timestamp and revisits
+every unfinished rank on each pass, and a region lookup that rescans
+the trace for each wait state.  The indexed analysis must give equal
+reports, wait states, replayed events and makespans, do work linear in
+the trace, and fix the replay's timestamp collisions.
 The reference pairs each receive completion with its own match, as the
 indexed replay does.
 """
@@ -20,6 +21,7 @@ from pitlab.analysis import (
     CausalityError,
     EmptyPhaseError,
     PopReport,
+    ReplayError,
     WaitState,
     audit_messages,
     causality_violations,
@@ -31,7 +33,7 @@ from pitlab.analysis import (
     replay_trace,
 )
 from pitlab.controller import dahlquist_config, run
-from pitlab.trace import comm_intervals, merged_length
+from pitlab.trace import Trace, TraceEvent, comm_intervals, merged_length
 
 
 def ref_phase_window(trace, full_run=False):
@@ -98,6 +100,46 @@ def ref_replay_ops(trace, window):
     return ranks
 
 
+def ref_replay_trace(trace, window=None):
+    """The replay the worklist replaced: every pass revisits every
+    unfinished rank until no rank makes progress."""
+    ranks = ref_replay_ops(trace, window)
+    send_post_times = {}
+    pointers = {rank: 0 for rank in ranks}
+    clocks = {rank: 0.0 for rank in ranks}
+    new_events = []
+    progress = True
+    while progress:
+        progress = False
+        for rank, ops in ranks.items():
+            while pointers[rank] < len(ops):
+                delta, ev, match_idx = ops[pointers[rank]]
+                if ev.kind == "recv-complete":
+                    if match_idx is not None and match_idx not in send_post_times:
+                        break  # matched send not replayed yet
+                    t = clocks[rank] if match_idx is None else max(clocks[rank], send_post_times[match_idx])
+                    clocks[rank] = t
+                elif ev.kind == "send-complete":
+                    t = clocks[rank]  # no sender blocking
+                else:
+                    clocks[rank] += delta
+                    t = clocks[rank]
+                    if ev.kind == "send-post" and match_idx is not None:
+                        send_post_times[match_idx] = t
+                new_events.append(TraceEvent(rank, ev.kind, ev.name, t, ev.bytes, ev.peer))
+                pointers[rank] += 1
+                progress = True
+    stuck = {rank: len(ops) - pointers[rank] for rank, ops in ranks.items() if pointers[rank] < len(ops)}
+    if stuck:
+        raise ReplayError(f"cyclic message dependency; undelivered ops per rank: {stuck}")
+    new_events.sort(key=lambda ev: (ev.t, ev.rank))
+    return Trace(events=new_events, num_ranks=trace.num_ranks)
+
+
+def ref_ideal_replay(trace, window=None):
+    return max((ev.t for ev in ref_replay_trace(trace, window).events), default=0.0)
+
+
 def ref_region_at(events, rank, t):
     """Rescans the time-ordered trace up to t for every lookup."""
     stack = []
@@ -142,7 +184,7 @@ def ref_pop_metrics(trace, full_run=False):
             starts.append(min(in_phase))
             ends.append(max(in_phase))
     total = max(ends) - min(starts)
-    ideal = ideal_replay(trace, window=(lo, hi))
+    ideal = ref_ideal_replay(trace, window=(lo, hi))
     return PopReport(
         c_mean / c_max, c_max / total, c_max / ideal, ideal / total, c_mean / total, comp, total, ideal
     )
@@ -177,11 +219,12 @@ def _outcome(fn, *args, **kwargs):
         return type(exc).__name__
 
 
-def _reports(trace, pop, window, wait_states):
+def _reports(trace, pop, window, wait_states, replay, ideal):
     outputs = {
         "wait_states": wait_states(trace),
         "ops": analysis._replay_ops(trace, None),
-        "replay": replay_trace(trace).events,
+        "replay": replay(trace).events,
+        "ideal": ideal(trace),
     }
     for full_run in (False, True):
         outputs[("pop", full_run)] = _outcome(pop, trace, full_run=full_run)
@@ -189,17 +232,21 @@ def _reports(trace, pop, window, wait_states):
         outputs[("window", full_run)] = lo_hi
         if isinstance(lo_hi, tuple):
             outputs[("ops", full_run)] = analysis._replay_ops(trace, lo_hi)
-            outputs[("replay", full_run)] = replay_trace(trace, window=lo_hi).events
+            outputs[("replay", full_run)] = replay(trace, window=lo_hi).events
+            outputs[("ideal", full_run)] = ideal(trace, window=lo_hi)
     return outputs
 
 
 def assert_matches_reference(trace, monkeypatch):
     new = _reports(
-        trace, pop_metrics, phase_window, lambda t: (detect_late_receiver(t), detect_late_sender(t))
+        trace, pop_metrics, phase_window, lambda t: (detect_late_receiver(t), detect_late_sender(t)),
+        replay_trace, ideal_replay,
     )
     with monkeypatch.context() as patch:
         patch.setattr(analysis, "_replay_ops", ref_replay_ops)
-        old = _reports(trace, ref_pop_metrics, ref_phase_window, ref_wait_states)
+        old = _reports(
+            trace, ref_pop_metrics, ref_phase_window, ref_wait_states, ref_replay_trace, ref_ideal_replay
+        )
     assert new.keys() == old.keys()
     for key in old:
         assert new[key] == old[key], key
@@ -210,7 +257,9 @@ def _dahlquist_trace(mode, workers, **kwargs):
 
 
 class TestMatchesTheRescanningAnalysis:
-    @pytest.mark.parametrize("build", [pop_hand_trace, fig5_trace], ids=["hand", "fig5"])
+    @pytest.mark.parametrize(
+        "build", [pop_hand_trace, fig5_trace, lambda: _ping_pong_trace(5, 6)], ids=["hand", "fig5", "ping-pong"]
+    )
     def test_fixtures(self, build, monkeypatch):
         assert_matches_reference(build(), monkeypatch)
 
@@ -229,6 +278,25 @@ class TestMatchesTheRescanningAnalysis:
     )
     def test_dahlquist_runs(self, mode, kwargs, monkeypatch):
         assert_matches_reference(_dahlquist_trace(mode, 8, **kwargs), monkeypatch)
+
+    def test_cyclic_dependency_raises_as_before(self):
+        # each rank's send comes after its own receive of the other's send
+        trace = make_trace(
+            [
+                ev(r, kind, name, t, nbytes, 1 - r)
+                for r, (mine, theirs) in enumerate([("a", "b"), ("b", "a")])
+                for kind, name, t, nbytes in [
+                    ("recv-post", theirs, 0.0, 0), ("recv-complete", theirs, 1.0, 8),
+                    ("send-post", mine, 1.0, 8), ("send-complete", mine, 1.0, 8),
+                ]
+            ],
+            2,
+        )
+        with pytest.raises(ReplayError) as new:
+            ideal_replay(trace)
+        with pytest.raises(ReplayError) as old:
+            ref_replay_trace(trace)
+        assert str(new.value) == str(old.value) == "cyclic message dependency; undelivered ops per rank: {0: 3, 1: 3}"
 
     def test_region_lookup_tie_rule(self):
         # an event at exactly the lookup time has already happened
@@ -363,3 +431,72 @@ class TestLinearWork:
         assert events >= 100_000
         # eight times the trace, no more work per event or span
         assert per_unit[1] <= 1.01 * per_unit[0]
+
+    def test_replay_visits_each_op_once_plus_once_per_park(self, monkeypatch):
+        # A rank resumes once at the start and once per park, and each
+        # park visits its op once more: visits - ops = resumptions - ranks.
+        replay_ops = analysis._replay_ops
+        counts = Counter()
+
+        class CountingOps(list):
+            def __getitem__(self, i):
+                counts["visits"] += 1
+                return super().__getitem__(i)
+
+        def counting_replay_ops(trace, window):
+            return {rank: CountingOps(ops) for rank, ops in replay_ops(trace, window).items()}
+
+        for trace in (synthetic_trace(8, 20, 3), _ping_pong_trace(8, 50), pop_hand_trace(), fig5_trace()):
+            ops = sum(len(rank_ops) for rank_ops in replay_ops(trace, None).values())
+            counts.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(analysis, "_replay_ops", counting_replay_ops)
+                replayed = replay_trace(trace)
+            resumptions = counts["visits"] - ops + trace.num_ranks
+            assert Counter((e.rank, e.kind, e.name) for e in replayed.events) == Counter(
+                (e.rank, e.kind, e.name) for e in trace.events
+            )  # every op replayed exactly once
+            assert resumptions <= trace.num_ranks + audit_messages(trace)["matched"]
+
+
+def _ping_pong_trace(num_ranks, rounds):
+    """Rank 0 and the last rank exchange `rounds` ping-pongs; the ranks
+    between them wait the whole run for one message from rank 0.  A replay
+    that revisits every waiting rank per pass does rounds x ranks work."""
+    last = num_ranks - 1
+    events = []
+    for k in range(rounds):
+        ping, pong = f"ping/{k}", f"pong/{k}"
+        events += [
+            ev(last, "send-post", ping, 2.0 * k, 8, 0),
+            ev(last, "send-complete", ping, 2.0 * k, 8, 0),
+            ev(last, "recv-post", pong, 2.0 * k, 0, 0),
+            ev(last, "recv-complete", pong, 2.0 * k + 1.0, 8, 0),
+            ev(0, "recv-post", ping, 2.0 * k, 0, last),
+            ev(0, "recv-complete", ping, 2.0 * k, 8, last),
+            ev(0, "send-post", pong, 2.0 * k + 1.0, 8, last),
+            ev(0, "send-complete", pong, 2.0 * k + 1.0, 8, last),
+        ]
+    for r in range(1, last):
+        events += [
+            ev(0, "send-post", "done", 2.0 * rounds, 8, r),
+            ev(0, "send-complete", "done", 2.0 * rounds, 8, r),
+            ev(r, "recv-post", "done", 0.0, 0, 0),
+            ev(r, "recv-complete", "done", 2.0 * rounds, 8, 0),
+        ]
+    return make_trace(events, num_ranks)
+
+
+class TestReplayIdempotent:
+    @pytest.mark.parametrize(
+        "build",
+        [pop_hand_trace, fig5_trace, _two_open_receives_trace, lambda: synthetic_trace(6, 5, 4),
+         lambda: _ping_pong_trace(4, 5), lambda: _dahlquist_trace("serial", 4)],
+        ids=["hand", "fig5", "two-open", "synthetic", "ping-pong", "dahlquist"],
+    )
+    def test_replaying_a_replay_changes_nothing(self, build):
+        first = replay_trace(build())
+        second = replay_trace(first)
+        assert [(e.rank, e.kind, e.name) for e in second.events] == [(e.rank, e.kind, e.name) for e in first.events]
+        assert max(abs(a.t - b.t) for a, b in zip(first.events, second.events)) <= 1e-12
+        assert ideal_replay(first) == pytest.approx(ideal_replay(second), abs=1e-12)

@@ -293,6 +293,19 @@ class TestSweepAndReport:
         assert proc.stderr.startswith("config error: ") and len(proc.stderr.splitlines()) == 1
         assert not (tmp_path / "bench_run").exists()
 
+    def test_rerun_into_the_same_outpath_exits_2(self, tmp_path):
+        (tmp_path / "bench.cfg").write_text(self.CONFIG)
+        (tmp_path / "run.tmpl").write_text('echo "value: #ALPHA#.0" > run.out\ntouch ready\n')
+        assert pitlab("sweep", "--config", str(tmp_path / "bench.cfg")).returncode == 0
+        # the rerun's runs write nothing, so the first sweep's files would pass as theirs
+        (tmp_path / "run.tmpl").write_text("true\n")
+        proc = pitlab("sweep", "--config", str(tmp_path / "bench.cfg"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: run directory ") and len(proc.stderr.splitlines()) == 1
+        assert "000000" in proc.stderr
+        for index, alpha in (0, 1), (1, 2):  # nothing deleted
+            assert (tmp_path / "bench_run" / f"{index:06d}" / "run.out").read_text() == f"value: {alpha}.0\n"
+
     def test_jobs_below_one_is_a_usage_error(self, tmp_path):
         (tmp_path / "bench.cfg").write_text(self.CONFIG)
         (tmp_path / "run.tmpl").write_text("touch ready\n")
@@ -322,6 +335,15 @@ class TestSweepAndReport:
         proc = pitlab("report", "--input", str(csv_path))
         assert proc.returncode == 2
         assert len(proc.stderr.splitlines()) == 1 and "result.csv" in proc.stderr
+
+    @pytest.mark.parametrize("row", ["2,0.5,extra", "2"], ids=["long", "short"])
+    def test_report_row_unlike_the_header_exits_2(self, tmp_path, row):
+        csv_path = tmp_path / "result.csv"
+        csv_path.write_text(f"n,t\n1,0.9\n{row}\n")
+        proc = pitlab("report", "--input", str(csv_path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "row 2" in proc.stderr
 
     def test_report_rerenders_csv(self, tmp_path):
         csv_path = tmp_path / "result.csv"

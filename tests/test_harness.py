@@ -143,6 +143,14 @@ class TestExecute:
             execute(specs, ["touch #V#", "echo #TYPO#"], tmp_path / "runs", jobs=2)
         assert not (tmp_path / "runs").exists()
 
+    def test_existing_sandbox_refused_before_any_run(self, tmp_path):
+        specs = expand(ParamSpace(parameters=[Param("v", ["1", "2"])]))
+        (tmp_path / "runs" / "000001").mkdir(parents=True)
+        with pytest.raises(ConfigError, match="000001"):
+            execute(specs, ["touch ran"], tmp_path / "runs", jobs=2)
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["000001"]
+        assert not (tmp_path / "runs" / "000001" / "ran").exists()
+
     def test_sandboxes_are_disjoint_with_own_substituted_files(self, tmp_path):
         (tmp_path / "t.tmpl").write_text("value = #V#\n")
         space = ParamSpace(parameters=[Param("v", ["1", "2"])])

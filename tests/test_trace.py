@@ -1,10 +1,17 @@
+import json
+import math
+
+import numpy as np
 import pytest
 
-from conftest import ev, make_trace
+from conftest import ev, fig5_trace, make_trace, pop_hand_trace, synthetic_trace
+from pitlab.controller import dahlquist_config, run
 from pitlab.trace import (
+    FORMAT_NAME,
     PHASES,
     StructuralError,
     Trace,
+    TraceEvent,
     TraceParseError,
     Tracer,
     build_profile,
@@ -118,6 +125,143 @@ class TestFileRoundtrip:
         path.write_text('{"something": "else"}\n')
         with pytest.raises(TraceParseError, match="line 1"):
             read_trace(path)
+
+
+def ref_write_trace(trace, path):
+    """The writer the preformatted one replaced: one json.dumps per event."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"format": FORMAT_NAME, "version": 1, "num_ranks": trace.num_ranks}) + "\n")
+        for e in trace.events:
+            record = {"rank": e.rank, "kind": e.kind, "name": e.name, "t": e.t}
+            if e.bytes is not None:
+                record["bytes"] = e.bytes
+            if e.peer is not None:
+                record["peer"] = e.peer
+            fh.write(json.dumps(record) + "\n")
+    return path
+
+
+def ref_read_trace(path):
+    """The reader the raw-decode one replaced: one json.loads per line."""
+    events = []
+    with open(path) as fh:
+        header_line = fh.readline()
+        try:
+            header = json.loads(header_line)
+            if header.get("format") != FORMAT_NAME:
+                raise ValueError(f"not a {FORMAT_NAME} file")
+            num_ranks = int(header["num_ranks"])
+        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            raise TraceParseError(f"line 1: bad header: {exc}") from None
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                events.append(
+                    TraceEvent(
+                        rank=int(rec["rank"]),
+                        kind=rec["kind"],
+                        name=rec["name"],
+                        t=float(rec["t"]),
+                        bytes=rec.get("bytes"),
+                        peer=rec.get("peer"),
+                    )
+                )
+            except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+                raise TraceParseError(f"line {lineno}: {exc}") from None
+    return Trace(events=events, num_ranks=num_ranks)
+
+
+def escapes_trace():
+    """Names that need escapes, non-finite and subclassed times, bools,
+    a large int and names that are not strings: the values the writer
+    hands to json.dumps."""
+    events = [
+        ev(0, "region-enter", 'say "hi" \\ back\tslash\n', 0.1),
+        ev(0, "region-exit", "Zeit \u00fcber \u2192 \U0001f600 \x7f \x00", 1e300),
+        ev(0, "send-post", "nan", math.nan, 8, 1),
+        ev(0, "send-complete", "inf", math.inf, 8, 1),
+        ev(1, "recv-post", "-inf", -math.inf, 0, 0),
+        ev(1, "recv-complete", "bool bytes", 0.5, True, 0),
+        ev(1, "send-post", "bool peer", 0.5, 8, False),
+        ev(1, "send-complete", "big", 0.75, 2**70, -1),
+        ev(1, "region-enter", "zero", -0.0, None, 7),
+        ev(1, "region-exit", "float64", np.float64(0.1), 3, 0),
+        ev(True, "region-enter", "bool rank", 2.5),
+        ev(-3, "region-exit", "", 5e-324),
+        ev(2, "region-enter", 1, 3.0),
+        ev(2, "region-exit", True, 3.5),  # equal to 1 as a dict key
+    ]
+    return Trace(events=events, num_ranks=3)
+
+
+GOOD = '{"rank": 0, "kind": "region-enter", "name": "x", "t": 0.5}'
+
+
+class TestWriterReaderOracle:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pop_hand_trace,
+            fig5_trace,
+            lambda: synthetic_trace(6, 24, 3),  # 2,316 events: three write chunks
+            lambda: run(dahlquist_config(4, 0.1), mode="serial").trace,
+            escapes_trace,
+        ],
+        ids=["hand", "fig5", "synthetic", "dahlquist", "escapes"],
+    )
+    def test_files_and_events_equal_the_reference(self, build, tmp_path):
+        trace = build()
+        new, ref = tmp_path / "new.trc.jsonl", tmp_path / "ref.trc.jsonl"
+        write_trace(trace, new)
+        ref_write_trace(trace, ref)
+        assert new.read_bytes() == ref.read_bytes()
+        back = read_trace(new)
+        assert back.num_ranks == trace.num_ranks
+        assert repr(back.events) == repr(ref_read_trace(new).events)  # repr: NaN != NaN
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            f"{GOOD}\n \t\n\x0b\n{GOOD} \t\r\n\r{GOOD}\n",
+            f"{GOOD}\n{GOOD}",
+        ],
+        ids=["whitespace", "no-final-newline"],
+    )
+    def test_accepts_what_json_loads_accepts(self, body, tmp_path):
+        path = tmp_path / "t.trc.jsonl"
+        path.write_text('{"format": "pitlab-trace", "version": 1, "num_ranks": 1}\n' + body)
+        assert read_trace(path).events == ref_read_trace(path).events != []
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            f"{GOOD}\n{GOOD}{GOOD}\n",
+            f'{GOOD}\n{{"rank": 0, "kind": "region-enter",\n"name": "x", "t": 0.5}}\n',
+            f'{{"rank": 0, "kind": "a",\n"name": "x", "t": 0.5}}\n{GOOD}{GOOD}\n',
+            f"{GOOD}\n{GOOD} x\n",
+            f"{GOOD}\n\x0b{GOOD}\n",
+            f"{GOOD}\n{GOOD}\x0c\n",
+            f"{GOOD}\n\ufeff{GOOD}\n",
+            f'{GOOD}\n{{"rank": 0, "kind": "region-enter", "t": 0.5}}\n',
+            f'{GOOD}\n{{"rank": "zero", "kind": "region-enter", "name": "x", "t": 0.5}}\n',
+            f'{GOOD}\n{{"rank": 0, "kind": "region-enter", "name": "x", "t": [0.5]}}\n',
+            f"{GOOD}\n[0, 1]\n",
+        ],
+        ids=[
+            "two-records", "split-record", "split-then-two", "trailing-garbage", "leading-vt",
+            "trailing-ff", "bom", "missing-key", "wrong-type", "list-time", "not-an-object",
+        ],
+    )
+    def test_rejects_the_line_json_loads_rejects(self, body, tmp_path):
+        path = tmp_path / "bad.trc.jsonl"
+        path.write_text('{"format": "pitlab-trace", "version": 1, "num_ranks": 1}\n' + body)
+        with pytest.raises(TraceParseError) as ref:
+            ref_read_trace(path)
+        with pytest.raises(TraceParseError) as new:
+            read_trace(path)
+        assert str(new.value).split(":")[0] == str(ref.value).split(":")[0]
 
 
 class TestMerge:
