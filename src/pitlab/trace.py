@@ -191,11 +191,13 @@ class _Quoted(dict):
 def write_trace(trace, path):
     """Write the trace as one header line and one JSON record per event.
 
-    An event whose fields are strings, exact ints and a finite float has
-    its line formatted here, byte for byte as `json.dumps` formats the
-    record: strings escaped once per distinct value, `repr` for the
-    time.  Any other event (a bool, None, NaN or a subclass) goes through
-    `json.dumps`.  Lines go out in chunks of WRITE_CHUNK.
+    An event whose kind and name are strings, whose rank, bytes and peer
+    are exact ints (bytes and peer may be absent) and whose time is a
+    finite float has its line formatted here, byte for byte as
+    `json.dumps` formats the record: strings escaped once per distinct
+    value, `repr` for the time.  Any other event (a bool, NaN or inf, a
+    subclass, a name that is not a string) goes through `json.dumps`.
+    Lines go out in chunks of WRITE_CHUNK.
     """
     quoted = _Quoted()
     with open(path, "w") as fh:
