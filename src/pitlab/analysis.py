@@ -9,12 +9,12 @@ wait-state search flags Late Receiver patterns (a posted send blocked
 because the matching receive came later) and, as the mirror case, Late
 Sender patterns.
 
-Every step reads `trace.index`, built once per trace by `pitlab.trace`
-in one pass per rank: the FIFO message matching and, per rank, the
-events in time order, the match of each post, the blocked spans and the
-region-stack changes.  The replay sweeps each rank forward once and
-parks a rank that waits for a send not yet replayed until that send is,
-so the analysis is linear in the number of events.
+Every step reads `trace.index`, built once per trace by `pitlab.trace`:
+one record per message and, per rank, the events in time order, each
+one's message, the blocked spans and the region-stack changes.  The
+replay sweeps each rank forward once; a receive holds the message whose
+send-post releases it, and its rank is parked until that send-post is
+replayed, so the analysis is linear in the number of events.
 """
 
 import csv
@@ -201,22 +201,18 @@ def detect_late_sender(trace, min_wait=0.0):
 
 
 def _replay_ops(trace, window):
-    """Per-rank op lists with pure compute deltas between events, in one
-    forward sweep per rank: a blocked span joins the active list at the
-    first event after its start and leaves once an event at or after its
-    end has passed; only active spans are clipped to each event's gap."""
-    windows = {}
+    """Per-rank (compute delta, event, message) ops in one forward sweep
+    per rank: a blocked span joins the active list at the first event
+    after its start and leaves once an event at or after its end has
+    passed; only active spans are clipped to each event's gap.  A receive
+    whose send-post is outside the window has no dependency: no message."""
+    ranks = {}
     for rank, view in trace.index.ranks.items():
         a, b = view.window(*window) if window else (0, len(view.events))
-        windows[rank] = (view.spans, view.events[a:b], view.match_ids[a:b])
-    replayed_sends = {
-        idx for _, events, match_ids in windows.values() for ev, idx in zip(events, match_ids) if ev.kind == "send-post"
-    }
-    ranks = {}
-    for rank, (spans, events, match_ids) in windows.items():
+        spans, events = view.spans, view.events[a:b]
         ops, active, next_span = [], [], 0
         prev_t = events[0].t if events else 0.0
-        for ev, match_idx in zip(events, match_ids):
+        for ev, m in zip(events, view.messages[a:b]):
             while next_span < len(spans) and spans[next_span][0] < ev.t:
                 active.append(spans[next_span])
                 next_span += 1
@@ -224,10 +220,9 @@ def _replay_ops(trace, window):
                 active = [span for span in active if span[1] > prev_t]
             overlap = merged_length(_clip_spans(active, prev_t, ev.t)) if active else 0.0
             delta = max(ev.t - prev_t - overlap, 0.0)
-            if ev.kind in ("recv-post", "recv-complete") and match_idx not in replayed_sends:
-                # matching send predates the window; dependency already met
-                match_idx = None
-            ops.append((delta, ev, match_idx))
+            if window and m is not None and ev.kind in ("recv-post", "recv-complete"):
+                m = m if window[0] <= m.send_post <= window[1] else None
+            ops.append((delta, ev, m))
             prev_t = ev.t
         ranks[rank] = ops
     return ranks
@@ -238,36 +233,36 @@ def _replay(trace, window):
     time each op replays at, in the rank's order.
 
     A worklist of ranks: a rank runs until a receive completion whose
-    send has not been replayed yet, is parked under that match and is
-    woken when the send-post is replayed, so every op is visited once
-    and once more per park, at most once per matched message.
+    message's send-post has not been replayed yet, is parked under that
+    message and is woken when the send-post is replayed, so every op is
+    visited once and once more per park, at most once per message.
     """
     ranks = _replay_ops(trace, window)
     times = {rank: [] for rank in ranks}
     clocks = dict.fromkeys(ranks, 0.0)
-    send_post_times = {}
-    parked = {}  # match index -> the rank whose receive completion waits for it
+    send_post_times = {}  # message -> its send-post's replayed time
+    parked = {}  # message -> the rank whose receive completion waits for its send-post
     ready = list(ranks)
     while ready:
         rank = ready.pop()
         ops, replayed, clock = ranks[rank], times[rank], clocks[rank]
         for i in range(len(replayed), len(ops)):
-            delta, ev, match_idx = ops[i]
+            delta, ev, m = ops[i]
             kind = ev.kind
             if kind == "recv-complete":
-                if match_idx is not None:
-                    sent = send_post_times.get(match_idx)
+                if m is not None:
+                    sent = send_post_times.get(m)
                     if sent is None:
-                        parked[match_idx] = rank  # matched send not replayed yet
+                        parked[m] = rank  # its send-post not replayed yet
                         break
                     if sent > clock:
                         clock = sent
             elif kind != "send-complete":  # a send completes at once: no sender blocking
                 clock += delta
-                if kind == "send-post" and match_idx is not None:
-                    send_post_times[match_idx] = clock
-                    if match_idx in parked:
-                        ready.append(parked.pop(match_idx))
+                if kind == "send-post" and m is not None:
+                    send_post_times[m] = clock
+                    if m in parked:
+                        ready.append(parked.pop(m))
             replayed.append(clock)
         clocks[rank] = clock
     stuck = {rank: len(ops) - len(times[rank]) for rank, ops in ranks.items() if len(times[rank]) < len(ops)}

@@ -28,14 +28,14 @@ from pathlib import Path
 from . import analysis, harness
 from .comm import DEFAULT_RENDEZVOUS_BYTES
 from .controller import (
-    DivergedError,
-    NotConvergedError,
+    ConvergenceFailure,
     allen_cahn_config,
     dahlquist_config,
     format_summary,
     run,
     run_sdc_serial,
 )
+from .analysis import CausalityError, EmptyPhaseError, ReplayError
 from .trace import StructuralError, TraceParseError, build_profile, read_trace, write_trace
 
 EXIT_OK = 0
@@ -167,7 +167,7 @@ def _cmd_run(args):
             )
         else:
             result = run(cfg, mode=args.mode)
-    except (DivergedError, NotConvergedError) as exc:
+    except ConvergenceFailure as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 
@@ -214,13 +214,7 @@ def _cmd_analyze(args):
             path = analysis.emit_report(states, out_dir / f"waitstates.{suffix}", fmt=args.format)
             print(f"Wait-state report written to {path}")
             print(Path(path).read_text(), end="")
-    except (
-        TraceParseError,
-        StructuralError,
-        analysis.CausalityError,
-        analysis.EmptyPhaseError,
-        analysis.ReplayError,
-    ) as exc:
+    except (TraceParseError, StructuralError, CausalityError, EmptyPhaseError, ReplayError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
     return EXIT_OK

@@ -44,6 +44,7 @@ from .transfer import IdentityResampler, LevelPair, SpectralResampler, compute_f
 __all__ = [
     "RunConfig",
     "RunResult",
+    "ConvergenceFailure",
     "DivergedError",
     "NotConvergedError",
     "run",
@@ -56,16 +57,20 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e6
 
 
-class DivergedError(RuntimeError):
+class ConvergenceFailure(RuntimeError):
+    """A run stopped unconverged; residuals: rank -> last residual or None."""
+
     def __init__(self, msg, residuals=None):
         super().__init__(msg)
         self.residuals = residuals or {}
 
 
-class NotConvergedError(RuntimeError):
-    def __init__(self, msg, residuals=None):
-        super().__init__(msg)
-        self.residuals = residuals or {}
+class DivergedError(ConvergenceFailure):
+    pass
+
+
+class NotConvergedError(ConvergenceFailure):
+    pass
 
 
 @dataclass
@@ -244,7 +249,7 @@ def run(config, mode="parallel"):
 
     In parallel mode each worker is a thread; in serial mode the same
     schedule is emulated round-robin.  The iterates are identical.  A
-    NotConvergedError maps every rank to its worker's last residual, or
+    ConvergenceFailure maps every rank to its worker's last residual, or
     to None for a worker that has not finished an iteration.
     """
     config.validate()
@@ -267,7 +272,7 @@ def run(config, mode="parallel"):
             _run_serial(workers)
         else:
             _run_parallel(workers, network)
-    except NotConvergedError as exc:
+    except ConvergenceFailure as exc:
         exc.residuals = {w.rank: w.residual_history[-1] if w.residual_history else None for w in workers}
         raise
     wall = time.perf_counter() - start
@@ -339,7 +344,7 @@ def run_sdc_serial(problem, table, u0, dt, num_steps, tolerance=1e-8, max_sweeps
                 res = residual(state, table)
             history.append(res)
             if not np.isfinite(res) or res > DIVERGENCE_LIMIT:
-                raise DivergedError(f"serial SDC diverged: residual {res:.3e}")
+                raise DivergedError(f"serial SDC diverged: residual {res:.3e}", {0: res})
             if res <= tolerance:
                 break
             if k >= max_sweeps:

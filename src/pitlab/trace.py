@@ -4,16 +4,15 @@ Each worker rank owns one tracer and appends region and communication
 events with monotonic timestamps; buffers are merged only after the run.
 Traces are stored as line-oriented JSON (one event per line behind a
 single header line) so tests can diff them.  A trace's index lives with
-the trace and is built once, on first use: the FIFO message matching
-and, per rank, one pass over its events in time order that the profile
-(call counts, inclusive/exclusive times, computation versus
-communication) and every analysis step read.
+the trace and is built once, on first use: one record per message from
+one FIFO pairing, and per rank its events in time order, their messages,
+the blocked spans read off those records, and one region-stack walk.
+The profile and every analysis step read it.
 """
 
 import bisect
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -37,8 +36,9 @@ __all__ = [
 
 PHASES = ("PREDICT", "IT_FINE", "IT_DOWN", "IT_COARSE", "IT_UP", "IT_CHECK")
 
-REGION_KINDS = ("region-enter", "region-exit")
 COMM_KINDS = ("send-post", "send-complete", "recv-post", "recv-complete")
+KINDS = ("region-enter", "region-exit") + COMM_KINDS
+_NUMBER, _INT_OR_NULL = (float, int), (int, type(None))  # the types a record's fields may have; a bool is neither
 
 FORMAT_NAME = "pitlab-trace"
 FORMAT_VERSION = 1
@@ -227,8 +227,10 @@ def write_trace(trace, path):
 
 def read_trace(path):
     """Read a trace file line by line; a bad line raises TraceParseError
-    naming it.  A line is accepted exactly when `json.loads` accepts it:
-    one JSON value, with only JSON whitespace around it."""
+    naming it.  A line is accepted when `json.loads` accepts it (one JSON
+    value, with only JSON whitespace around it) and the value is a record
+    of one of the six kinds with a string name, an int rank, an int or
+    float time, and int bytes and peer unless absent or null."""
     events = []
     with open(path) as fh:
         header_line = fh.readline()
@@ -247,10 +249,13 @@ def read_trace(path):
                 rec, end = _raw_decode(text)
                 if end != len(text):
                     raise json.JSONDecodeError("Extra data", text, end)
-                events.append(TraceEvent(
-                    int(rec["rank"]), rec["kind"], rec["name"], float(rec["t"]), rec.get("bytes"), rec.get("peer")
-                ))
-            except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+                rank, kind, name, t = rec["rank"], rec["kind"], rec["name"], rec["t"]
+                nbytes, peer = rec.get("bytes"), rec.get("peer")
+                if not (kind in KINDS and type(name) is str and type(rank) is int and type(t) in _NUMBER
+                        and type(nbytes) in _INT_OR_NULL and type(peer) in _INT_OR_NULL):
+                    raise ValueError("want one of the six kinds, a str name, an int rank, bytes and peer, number t")
+                events.append(TraceEvent(rank, kind, name, float(t), nbytes, peer))
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise TraceParseError(f"line {lineno}: {exc}") from None
     return Trace(events=events, num_ranks=num_ranks)
 
@@ -291,20 +296,6 @@ class Profile:
         return dict(sorted(totals.items(), key=lambda item: (order.get(item[0], len(PHASES)), item[0])))
 
 
-def comm_intervals(events):
-    """Matched (post, complete) spans per rank, FIFO within (name, peer)."""
-    spans = []
-    open_ops = {}
-    for ev in events:
-        if ev.kind in ("send-post", "recv-post"):
-            open_ops.setdefault((ev.kind[:4], ev.name, ev.peer), deque()).append(ev.t)
-        elif ev.kind in ("send-complete", "recv-complete"):
-            queue = open_ops.get((ev.kind[:4], ev.name, ev.peer))
-            if queue:
-                spans.append((queue.popleft(), ev.t))
-    return spans
-
-
 def merged_length(spans):
     total = 0.0
     last_end = None
@@ -318,74 +309,77 @@ def merged_length(spans):
     return total
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class _Match:
+    """One message: when each side posted and completed it, None if never."""
+
     source: int
     dest: int
     name: str
-    send_post: float
-    send_complete: float | None
-    recv_post: float | None
-    recv_complete: float | None
-    send_at: int  # positions in trace.events of the two posts and the receive's completion
-    recv_at: int | None = None
-    recv_done_at: int | None = None
+    send_post: float | None = None
+    send_complete: float | None = None
+    recv_post: float | None = None
+    recv_complete: float | None = None
 
 
 def match_messages(trace):
-    """Pair sends with receives by (source, dest, tag), FIFO within a key.
-
-    Returns (matches, unmatched_sends, unmatched_recvs); matches may have
-    a missing completion if the trace was cut short.  Each match records
-    where its two post events and its receive completion sit in
-    trace.events.
-    """
-    sends = {}  # (source, dest, name) -> [posts in order, how many of them have completed]
-    recvs = {}
-    for pos, ev in enumerate(trace.events):
-        if ev.kind == "send-post":
+    """One _Match per message, FIFO per (source, dest, name): the k-th post
+    of a side posts that side of the key's k-th message, the k-th
+    completion of a side completes it once that side has posted it.
+    Returns the messages both sides posted (keys by first send-post; a
+    completion may be missing), those only the sender or only the receiver
+    posted, and each event's message (None for a region or a stray completion)."""
+    fifos = {}  # key -> [messages, sends posted, sends completed, receives posted, receives completed]
+    sent = []  # the FIFOs in order of their first send-post
+    owners = []
+    for ev in trace.events:
+        kind, m = ev.kind, None
+        if kind == "send-post":
             key = (ev.rank, ev.peer, ev.name)
-            fifo = sends.get(key) or sends.setdefault(key, [[], 0])
-            fifo[0].append(_Match(ev.rank, ev.peer, ev.name, ev.t, None, None, None, pos))
-        elif ev.kind == "send-complete":
-            fifo = sends.get((ev.rank, ev.peer, ev.name))
-            if fifo and fifo[1] < len(fifo[0]):
-                fifo[0][fifo[1]].send_complete = ev.t
-                fifo[1] += 1
-        elif ev.kind == "recv-post":
+            fifo = fifos.get(key) or fifos.setdefault(key, [[], 0, 0, 0, 0])
+            if not fifo[1]:
+                sent.append(fifo)
+            if fifo[1] == len(fifo[0]):
+                fifo[0].append(_Match(*key))
+            m = fifo[0][fifo[1]]
+            fifo[1] += 1
+            m.send_post = ev.t
+        elif kind == "recv-post":
             key = (ev.peer, ev.rank, ev.name)
-            fifo = recvs.get(key) or recvs.setdefault(key, [[], 0])
-            fifo[0].append([ev.t, None, pos, None])
-        elif ev.kind == "recv-complete":
-            fifo = recvs.get((ev.peer, ev.rank, ev.name))
-            if fifo and fifo[1] < len(fifo[0]):
-                entry = fifo[0][fifo[1]]
-                entry[1], entry[3] = ev.t, pos
-                fifo[1] += 1
-    matches, unmatched_sends, unmatched_recvs = [], [], []
-    for key, (send_list, _) in sends.items():
-        recv_list = recvs.pop(key, [[]])[0]
-        for i, m in enumerate(send_list):
-            if i < len(recv_list):
-                m.recv_post, m.recv_complete, m.recv_at, m.recv_done_at = recv_list[i]
-                matches.append(m)
-            else:
-                unmatched_sends.append(m)
-        unmatched_recvs.extend(recv_list[len(send_list):])
-    for leftover, _ in recvs.values():
-        unmatched_recvs.extend(leftover)
-    return matches, unmatched_sends, unmatched_recvs
+            fifo = fifos.get(key) or fifos.setdefault(key, [[], 0, 0, 0, 0])
+            if fifo[3] == len(fifo[0]):
+                fifo[0].append(_Match(*key))
+            m = fifo[0][fifo[3]]
+            fifo[3] += 1
+            m.recv_post = ev.t
+        elif kind == "send-complete":
+            fifo = fifos.get((ev.rank, ev.peer, ev.name))
+            if fifo and fifo[2] < fifo[1]:
+                m = fifo[0][fifo[2]]
+                fifo[2] += 1
+                m.send_complete = ev.t
+        elif kind == "recv-complete":
+            fifo = fifos.get((ev.peer, ev.rank, ev.name))
+            if fifo and fifo[4] < fifo[3]:
+                m = fifo[0][fifo[4]]
+                fifo[4] += 1
+                m.recv_complete = ev.t
+        owners.append(m)
+    matches = [m for fifo in sent for m in fifo[0][:min(fifo[1], fifo[3])]]
+    unmatched_sends = [m for fifo in fifos.values() for m in fifo[0][fifo[3]:fifo[1]]]
+    unmatched_recvs = [m for fifo in fifos.values() for m in fifo[0][fifo[1]:fifo[3]]]
+    return matches, unmatched_sends, unmatched_recvs, owners
 
 
 class _RankView:
     """One rank's events in time order with what the profile and the
     analysis look up, from one walk of its region stack."""
 
-    def __init__(self, events, match_ids):
+    def __init__(self, events, messages, spans):
         self.events = events
         self.times = [ev.t for ev in events]
-        self.match_ids = match_ids  # match of each post and recv-complete event, else None
-        self.spans = sorted(comm_intervals(events))  # blocked spans, by start
+        self.messages = messages  # each comm event's message if both sides posted it, else None
+        self.spans = sorted(spans)  # blocked (post, completion) spans of the rank's messages, by start
         self.region_times, self.region_tops = [], []  # when the region stack changes, and its new top
         self.regions = {}  # name -> RegionStats, in first-exit order
         self.predict_end = None  # last predictor exit
@@ -429,22 +423,29 @@ class _RankView:
 
 class _TraceIndex:
     """The single pass over a trace that the profile and every analysis
-    step read: the message matching and one view per rank."""
+    step read: one _Match per message, and one view per rank with its
+    messages and its blocked spans read off them."""
 
     def __init__(self, trace):
-        self.matches, self.unmatched_sends, self.unmatched_recvs = match_messages(trace)
-        match_at = {
-            pos: idx for idx, m in enumerate(self.matches) for pos in (m.send_at, m.recv_at, m.recv_done_at)
-        }
+        self.matches, self.unmatched_sends, self.unmatched_recvs, owners = match_messages(trace)
         events = trace.events
         times = [ev.t for ev in events]
         positions = {r: [] for r in range(trace.num_ranks)}
         for pos, ev in enumerate(events):
             positions.setdefault(ev.rank, []).append(pos)
+        unmatched = self.unmatched_sends + self.unmatched_recvs
+        spans = {rank: [] for rank in positions}  # each side's (post, completion), on its own rank
+        for m in self.matches + unmatched:
+            for rank, post, done in ((m.source, m.send_post, m.send_complete), (m.dest, m.recv_post, m.recv_complete)):
+                if done is not None:
+                    spans[rank].append((post, done))
+        if unmatched:
+            unmatched = set(unmatched)
+            owners = [None if m in unmatched else m for m in owners]
         self.ranks = {}
         for rank, order in positions.items():
             order.sort(key=times.__getitem__)
-            self.ranks[rank] = _RankView([events[pos] for pos in order], [match_at.get(pos) for pos in order])
+            self.ranks[rank] = _RankView([events[pos] for pos in order], [owners[pos] for pos in order], spans[rank])
 
 
 def build_profile(trace):

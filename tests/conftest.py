@@ -1,4 +1,8 @@
-"""Shared builders for synthetic traces used across test modules."""
+"""Shared builders for synthetic traces used across test modules, and the
+earlier two-pass message pairing that the trace index is checked against."""
+
+from collections import deque
+from dataclasses import dataclass
 
 from pitlab.trace import Trace, TraceEvent, build_profile, parse_region_name
 
@@ -108,4 +112,109 @@ def synthetic_trace(num_ranks, iterations, messages):
                     done = t if (side, j) == ("send", 0) else ready + 0.25 * j
                     events.append(ev(r, f"{side}-complete", f"fine/value/{j}", done, 8, peer))
             events += [ev(r, "region-enter", coarse, base + 5.0), ev(r, "region-exit", coarse, base + 6.0)]
+    return make_trace(events, num_ranks)
+
+
+# The pairing the trace index replaced, as it was: match_messages over
+# trace.events, and comm_intervals again over each rank's events.
+
+
+def ref_comm_intervals(events):
+    """Matched (post, complete) spans per rank, FIFO within (name, peer)."""
+    spans = []
+    open_ops = {}
+    for ev in events:
+        if ev.kind in ("send-post", "recv-post"):
+            open_ops.setdefault((ev.kind[:4], ev.name, ev.peer), deque()).append(ev.t)
+        elif ev.kind in ("send-complete", "recv-complete"):
+            queue = open_ops.get((ev.kind[:4], ev.name, ev.peer))
+            if queue:
+                spans.append((queue.popleft(), ev.t))
+    return spans
+
+
+@dataclass
+class _Match:
+    source: int
+    dest: int
+    name: str
+    send_post: float
+    send_complete: float | None
+    recv_post: float | None
+    recv_complete: float | None
+    send_at: int  # positions in trace.events of the two posts and the receive's completion
+    recv_at: int | None = None
+    recv_done_at: int | None = None
+
+
+def ref_match_messages(trace):
+    """Pair sends with receives by (source, dest, tag), FIFO within a key.
+
+    Returns (matches, unmatched_sends, unmatched_recvs); matches may have
+    a missing completion if the trace was cut short.  Each match records
+    where its two post events and its receive completion sit in
+    trace.events.
+    """
+    sends = {}  # (source, dest, name) -> [posts in order, how many of them have completed]
+    recvs = {}
+    for pos, ev in enumerate(trace.events):
+        if ev.kind == "send-post":
+            key = (ev.rank, ev.peer, ev.name)
+            fifo = sends.get(key) or sends.setdefault(key, [[], 0])
+            fifo[0].append(_Match(ev.rank, ev.peer, ev.name, ev.t, None, None, None, pos))
+        elif ev.kind == "send-complete":
+            fifo = sends.get((ev.rank, ev.peer, ev.name))
+            if fifo and fifo[1] < len(fifo[0]):
+                fifo[0][fifo[1]].send_complete = ev.t
+                fifo[1] += 1
+        elif ev.kind == "recv-post":
+            key = (ev.peer, ev.rank, ev.name)
+            fifo = recvs.get(key) or recvs.setdefault(key, [[], 0])
+            fifo[0].append([ev.t, None, pos, None])
+        elif ev.kind == "recv-complete":
+            fifo = recvs.get((ev.peer, ev.rank, ev.name))
+            if fifo and fifo[1] < len(fifo[0]):
+                entry = fifo[0][fifo[1]]
+                entry[1], entry[3] = ev.t, pos
+                fifo[1] += 1
+    matches, unmatched_sends, unmatched_recvs = [], [], []
+    for key, (send_list, _) in sends.items():
+        recv_list = recvs.pop(key, [[]])[0]
+        for i, m in enumerate(send_list):
+            if i < len(recv_list):
+                m.recv_post, m.recv_complete, m.recv_at, m.recv_done_at = recv_list[i]
+                matches.append(m)
+            else:
+                unmatched_sends.append(m)
+        unmatched_recvs.extend(recv_list[len(send_list):])
+    for leftover, _ in recvs.values():
+        unmatched_recvs.extend(leftover)
+    return matches, unmatched_sends, unmatched_recvs
+
+
+def ping_pong_trace(num_ranks, rounds):
+    """Rank 0 and the last rank exchange `rounds` ping-pongs; the ranks
+    between them wait the whole run for one message from rank 0.  A replay
+    that revisits every waiting rank per pass does rounds x ranks work."""
+    last = num_ranks - 1
+    events = []
+    for k in range(rounds):
+        ping, pong = f"ping/{k}", f"pong/{k}"
+        events += [
+            ev(last, "send-post", ping, 2.0 * k, 8, 0),
+            ev(last, "send-complete", ping, 2.0 * k, 8, 0),
+            ev(last, "recv-post", pong, 2.0 * k, 0, 0),
+            ev(last, "recv-complete", pong, 2.0 * k + 1.0, 8, 0),
+            ev(0, "recv-post", ping, 2.0 * k, 0, last),
+            ev(0, "recv-complete", ping, 2.0 * k, 8, last),
+            ev(0, "send-post", pong, 2.0 * k + 1.0, 8, last),
+            ev(0, "send-complete", pong, 2.0 * k + 1.0, 8, last),
+        ]
+    for r in range(1, last):
+        events += [
+            ev(0, "send-post", "done", 2.0 * rounds, 8, r),
+            ev(0, "send-complete", "done", 2.0 * rounds, 8, r),
+            ev(r, "recv-post", "done", 0.0, 0, 0),
+            ev(r, "recv-complete", "done", 2.0 * rounds, 8, 0),
+        ]
     return make_trace(events, num_ranks)

@@ -7,7 +7,9 @@ the trace for each wait state.  The indexed analysis must give equal
 reports, wait states, replayed events and makespans, do work linear in
 the trace, and fix the replay's timestamp collisions.
 The reference pairs each receive completion with its own match, as the
-indexed replay does.
+indexed replay does.  Its ops carry the index of a match where the
+indexed ops carry the message record, so ops are compared by the
+message's key and send-post time.
 """
 
 import statistics
@@ -15,7 +17,17 @@ from collections import Counter
 
 import pytest
 
-from conftest import ev, events_by_rank, fig5_trace, make_trace, pop_hand_trace, synthetic_trace
+from conftest import (
+    ev,
+    events_by_rank,
+    fig5_trace,
+    make_trace,
+    ping_pong_trace,
+    pop_hand_trace,
+    ref_comm_intervals,
+    ref_match_messages,
+    synthetic_trace,
+)
 from pitlab import analysis, trace as tracing
 from pitlab.analysis import (
     CausalityError,
@@ -33,7 +45,7 @@ from pitlab.analysis import (
     replay_trace,
 )
 from pitlab.controller import dahlquist_config, run
-from pitlab.trace import Trace, TraceEvent, comm_intervals, merged_length
+from pitlab.trace import Trace, TraceEvent, merged_length
 
 
 def ref_phase_window(trace, full_run=False):
@@ -54,7 +66,7 @@ def ref_phase_window(trace, full_run=False):
 
 def ref_replay_ops(trace, window):
     """Every span of the rank clipped at every event: O(events x spans)."""
-    matches = tracing.match_messages(trace)[0]
+    matches = ref_match_messages(trace)[0]
     send_key = {}
     recv_key = {}
     done_key = {}
@@ -69,7 +81,7 @@ def ref_replay_ops(trace, window):
     replayed_sends = set()
     for rank, events in events_by_rank(trace).items():
         events = sorted(events, key=lambda ev: ev.t)
-        blocked = comm_intervals(events)
+        blocked = ref_comm_intervals(events)
         in_window = events if lo is None else [ev for ev in events if lo <= ev.t <= hi]
         clipped[rank] = (in_window, blocked)
         for ev in in_window:
@@ -167,7 +179,7 @@ def ref_pop_metrics(trace, full_run=False):
         start = min(ev.t for ev in in_phase)
         end = max(ev.t for ev in in_phase)
         comm = merged_length(
-            analysis._clip_spans(comm_intervals(sorted(events, key=lambda e: e.t)), lo, hi)
+            analysis._clip_spans(ref_comm_intervals(sorted(events, key=lambda e: e.t)), lo, hi)
         )
         comp[rank] = (end - start) - comm
     if not comp:
@@ -194,7 +206,7 @@ def ref_wait_states(trace):
     ordered = sorted(trace.events, key=lambda ev: ev.t)
     receivers = []
     senders = []
-    for m in tracing.match_messages(trace)[0]:
+    for m in ref_match_messages(trace)[0]:
         if m.send_complete is not None and m.recv_post is not None:
             if m.send_complete - m.send_post > 0 and m.recv_post > m.send_post:
                 wait = min(m.recv_post, m.send_complete) - m.send_post
@@ -219,10 +231,23 @@ def _outcome(fn, *args, **kwargs):
         return type(exc).__name__
 
 
-def _reports(trace, pop, window, wait_states, replay, ideal):
+def _message_key(m):
+    return m.source, m.dest, m.name, m.send_post
+
+
+def _op_messages(ranks, message):
+    """Each op with its message as `_message_key`, or None; ignored on
+    send-complete ops, whose message the replay never reads."""
+    return {
+        rank: [(delta, ev, None if x is None or ev.kind == "send-complete" else message(x)) for delta, ev, x in ops]
+        for rank, ops in ranks.items()
+    }
+
+
+def _reports(trace, pop, window, wait_states, replay, ideal, message):
     outputs = {
         "wait_states": wait_states(trace),
-        "ops": analysis._replay_ops(trace, None),
+        "ops": _op_messages(analysis._replay_ops(trace, None), message),
         "replay": replay(trace).events,
         "ideal": ideal(trace),
     }
@@ -231,7 +256,7 @@ def _reports(trace, pop, window, wait_states, replay, ideal):
         lo_hi = _outcome(window, trace, full_run)
         outputs[("window", full_run)] = lo_hi
         if isinstance(lo_hi, tuple):
-            outputs[("ops", full_run)] = analysis._replay_ops(trace, lo_hi)
+            outputs[("ops", full_run)] = _op_messages(analysis._replay_ops(trace, lo_hi), message)
             outputs[("replay", full_run)] = replay(trace, window=lo_hi).events
             outputs[("ideal", full_run)] = ideal(trace, window=lo_hi)
     return outputs
@@ -240,12 +265,14 @@ def _reports(trace, pop, window, wait_states, replay, ideal):
 def assert_matches_reference(trace, monkeypatch):
     new = _reports(
         trace, pop_metrics, phase_window, lambda t: (detect_late_receiver(t), detect_late_sender(t)),
-        replay_trace, ideal_replay,
+        replay_trace, ideal_replay, _message_key,
     )
+    ref_matches = ref_match_messages(trace)[0]
     with monkeypatch.context() as patch:
         patch.setattr(analysis, "_replay_ops", ref_replay_ops)
         old = _reports(
-            trace, ref_pop_metrics, ref_phase_window, ref_wait_states, ref_replay_trace, ref_ideal_replay
+            trace, ref_pop_metrics, ref_phase_window, ref_wait_states, ref_replay_trace, ref_ideal_replay,
+            lambda idx: _message_key(ref_matches[idx]),
         )
     assert new.keys() == old.keys()
     for key in old:
@@ -258,7 +285,7 @@ def _dahlquist_trace(mode, workers, **kwargs):
 
 class TestMatchesTheRescanningAnalysis:
     @pytest.mark.parametrize(
-        "build", [pop_hand_trace, fig5_trace, lambda: _ping_pong_trace(5, 6)], ids=["hand", "fig5", "ping-pong"]
+        "build", [pop_hand_trace, fig5_trace, lambda: ping_pong_trace(5, 6)], ids=["hand", "fig5", "ping-pong"]
     )
     def test_fixtures(self, build, monkeypatch):
         assert_matches_reference(build(), monkeypatch)
@@ -420,7 +447,7 @@ class TestLinearWork:
             trace = synthetic_trace(16, iterations, 4)
             events = len(trace.events)
             spans = sum(
-                len(comm_intervals(sorted(evs, key=lambda e: e.t))) for evs in events_by_rank(trace).values()
+                len(ref_comm_intervals(sorted(evs, key=lambda e: e.t))) for evs in events_by_rank(trace).values()
             )
             counts = self.work(trace, monkeypatch)
             # an event clips only the spans open across the gap before it
@@ -446,7 +473,7 @@ class TestLinearWork:
         def counting_replay_ops(trace, window):
             return {rank: CountingOps(ops) for rank, ops in replay_ops(trace, window).items()}
 
-        for trace in (synthetic_trace(8, 20, 3), _ping_pong_trace(8, 50), pop_hand_trace(), fig5_trace()):
+        for trace in (synthetic_trace(8, 20, 3), ping_pong_trace(8, 50), pop_hand_trace(), fig5_trace()):
             ops = sum(len(rank_ops) for rank_ops in replay_ops(trace, None).values())
             counts.clear()
             with monkeypatch.context() as patch:
@@ -459,39 +486,11 @@ class TestLinearWork:
             assert resumptions <= trace.num_ranks + audit_messages(trace)["matched"]
 
 
-def _ping_pong_trace(num_ranks, rounds):
-    """Rank 0 and the last rank exchange `rounds` ping-pongs; the ranks
-    between them wait the whole run for one message from rank 0.  A replay
-    that revisits every waiting rank per pass does rounds x ranks work."""
-    last = num_ranks - 1
-    events = []
-    for k in range(rounds):
-        ping, pong = f"ping/{k}", f"pong/{k}"
-        events += [
-            ev(last, "send-post", ping, 2.0 * k, 8, 0),
-            ev(last, "send-complete", ping, 2.0 * k, 8, 0),
-            ev(last, "recv-post", pong, 2.0 * k, 0, 0),
-            ev(last, "recv-complete", pong, 2.0 * k + 1.0, 8, 0),
-            ev(0, "recv-post", ping, 2.0 * k, 0, last),
-            ev(0, "recv-complete", ping, 2.0 * k, 8, last),
-            ev(0, "send-post", pong, 2.0 * k + 1.0, 8, last),
-            ev(0, "send-complete", pong, 2.0 * k + 1.0, 8, last),
-        ]
-    for r in range(1, last):
-        events += [
-            ev(0, "send-post", "done", 2.0 * rounds, 8, r),
-            ev(0, "send-complete", "done", 2.0 * rounds, 8, r),
-            ev(r, "recv-post", "done", 0.0, 0, 0),
-            ev(r, "recv-complete", "done", 2.0 * rounds, 8, 0),
-        ]
-    return make_trace(events, num_ranks)
-
-
 class TestReplayIdempotent:
     @pytest.mark.parametrize(
         "build",
         [pop_hand_trace, fig5_trace, _two_open_receives_trace, lambda: synthetic_trace(6, 5, 4),
-         lambda: _ping_pong_trace(4, 5), lambda: _dahlquist_trace("serial", 4)],
+         lambda: ping_pong_trace(4, 5), lambda: _dahlquist_trace("serial", 4)],
         ids=["hand", "fig5", "two-open", "synthetic", "ping-pong", "dahlquist"],
     )
     def test_replaying_a_replay_changes_nothing(self, build):

@@ -210,6 +210,28 @@ class TestAnalyzeCommand:
         assert proc.returncode == 4
         assert "analysis error" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "kind, old, new",
+        [
+            ("region-exit", '"name": "REGION -- IT_FINE -- 1"', '"name": 1'),
+            ("send-post", '"bytes": 64', '"bytes": "8"'),
+            ("send-complete", '"kind": "send-complete"', '"kind": "bogus"'),
+        ],
+        ids=["int-name", "string-bytes", "unknown-kind"],
+    )
+    def test_badly_typed_record_exits_4(self, tmp_path, kind, old, new):
+        path = tmp_path / "typed.trc.jsonl"
+        write_trace(pop_hand_trace(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if f'"kind": "{kind}"' in line)
+        assert old in lines[i]
+        lines[i] = lines[i].replace(old, new)
+        path.write_text("".join(lines))
+        proc = pitlab("analyze", "--trace", str(path), "--out-dir", str(tmp_path))
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith(f"analysis error: line {i + 1}: ")
+
     def test_unbalanced_trace_is_structural_error(self, tmp_path):
         path = tmp_path / "unbalanced.trc.jsonl"
         path.write_text(

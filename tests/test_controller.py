@@ -5,6 +5,7 @@ from conftest import region_counts
 from pitlab.analysis import audit_messages
 from pitlab.collocation import make_radau_table
 from pitlab.controller import (
+    DIVERGENCE_LIMIT,
     DivergedError,
     NotConvergedError,
     allen_cahn_config,
@@ -192,6 +193,24 @@ class TestFailureModes:
         cfg = dahlquist_config(2, 0.5, lambda_implicit=0.0, lambda_explicit=40.0, tolerance=1e-12)
         with pytest.raises(DivergedError):
             run(cfg, mode="serial")
+
+    @pytest.mark.parametrize("mode", ["serial", "parallel"])
+    def test_divergence_names_every_rank(self, mode):
+        cfg = dahlquist_config(2, 0.5, lambda_implicit=0.0, lambda_explicit=40.0, tolerance=1e-12)
+        with pytest.raises(DivergedError, match=r"^worker [01] diverged at iteration \d+: ") as info:
+            run(cfg, mode=mode)
+        residuals = info.value.residuals
+        assert set(residuals) == {0, 1}
+        raised = residuals[int(str(info.value).split()[1])]
+        assert not np.isfinite(raised) or raised > DIVERGENCE_LIMIT
+
+    def test_serial_sdc_divergence_names_rank_0(self):
+        cfg = dahlquist_config(1, 0.5, lambda_implicit=0.0, lambda_explicit=40.0)
+        pair = cfg.pair
+        with pytest.raises(DivergedError) as info:
+            run_sdc_serial(pair.fine_problem, pair.fine_table, cfg.u0, cfg.dt, 1, tolerance=1e-12)
+        assert list(info.value.residuals) == [0]
+        assert not np.isfinite(info.value.residuals[0]) or info.value.residuals[0] > DIVERGENCE_LIMIT
 
     @pytest.mark.parametrize("mode", ["serial", "parallel"])
     def test_max_iterations_raises_not_converged(self, mode):

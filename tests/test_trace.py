@@ -196,6 +196,14 @@ def escapes_trace():
     return Trace(events=events, num_ranks=3)
 
 
+def _typed(event):
+    """Whether the reader takes the event's record: a string name and int
+    rank, bytes and peer (or none), where a bool is not an int."""
+    return type(event.name) is str and all(
+        type(value) is int for value in (event.rank, event.bytes, event.peer) if value is not None
+    )
+
+
 GOOD = '{"rank": 0, "kind": "region-enter", "name": "x", "t": 0.5}'
 
 
@@ -217,9 +225,23 @@ class TestWriterReaderOracle:
         write_trace(trace, new)
         ref_write_trace(trace, ref)
         assert new.read_bytes() == ref.read_bytes()
-        back = read_trace(new)
+        # the reader takes the typed records as the reference does, and
+        # names the line of each record with a bool or a non-string name
+        header, *lines = new.read_text().rstrip("\n").split("\n")
+        typed = [_typed(event) for event in trace.events]
+        assert typed.count(False) == (5 if build is escapes_trace else 0)
+        good = tmp_path / "good.trc.jsonl"
+        good.write_text("".join(f"{line}\n" for line, ok in zip([header] + lines, [True] + typed) if ok))
+        back = read_trace(good)
         assert back.num_ranks == trace.num_ranks
-        assert repr(back.events) == repr(ref_read_trace(new).events)  # repr: NaN != NaN
+        assert repr(back.events) == repr(ref_read_trace(good).events)  # repr: NaN != NaN
+        for i, ok in enumerate(typed):
+            if not ok:
+                before = [line for line, kept in zip(lines[:i], typed) if kept]
+                bad = tmp_path / "bad.trc.jsonl"
+                bad.write_text("".join(f"{line}\n" for line in [header, *before, lines[i]]))
+                with pytest.raises(TraceParseError, match=rf"^line {len(before) + 2}: "):
+                    read_trace(bad)
 
     @pytest.mark.parametrize(
         "body",
@@ -262,6 +284,38 @@ class TestWriterReaderOracle:
         with pytest.raises(TraceParseError) as new:
             read_trace(path)
         assert str(new.value).split(":")[0] == str(ref.value).split(":")[0]
+
+
+TYPED_RECORD = {"rank": "0", "kind": '"send-post"', "name": '"x"', "t": "0.5", "bytes": "8", "peer": "1"}
+
+
+class TestTypedRecords:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kind", '"bogus"'), ("kind", "1"), ("name", "1"), ("name", "true"), ("name", "null"),
+            ("rank", "true"), ("rank", "1.0"), ("rank", '"1"'), ("t", "false"), ("t", '"0.5"'),
+            ("bytes", "true"), ("bytes", '"8"'), ("bytes", "8.0"), ("peer", "false"), ("peer", "[1]"),
+        ],
+    )
+    def test_a_badly_typed_field_names_its_line(self, field, value, tmp_path):
+        record = dict(TYPED_RECORD, **{field: value})
+        path = tmp_path / "typed.trc.jsonl"
+        line = "{" + ", ".join(f'"{key}": {text}' for key, text in record.items()) + "}"
+        path.write_text(f'{{"format": "pitlab-trace", "version": 1, "num_ranks": 2}}\n{GOOD}\n{line}\n')
+        with pytest.raises(TraceParseError, match="^line 3: "):
+            read_trace(path)
+
+    def test_int_time_and_null_bytes_and_peer_are_taken(self, tmp_path):
+        path = tmp_path / "typed.trc.jsonl"
+        path.write_text(
+            '{"format": "pitlab-trace", "version": 1, "num_ranks": 1}\n'
+            '{"rank": 0, "kind": "recv-post", "name": "x", "t": 2, "bytes": null, "peer": null}\n'
+            + "{" + ", ".join(f'"{key}": {text}' for key, text in TYPED_RECORD.items()) + "}\n"
+        )
+        first, second = read_trace(path).events
+        assert (first.t, type(first.t), first.bytes, first.peer) == (2.0, float, None, None)
+        assert second == TraceEvent(0, "send-post", "x", 0.5, 8, 1)
 
 
 class TestMerge:

@@ -3,8 +3,11 @@
 `ref_build_profile` is the profile's earlier walk: its own per-rank
 bucketing, time sort, region-stack walk and blocked-span pass.  The
 profile read from the index must equal it, dict order and phase totals
-included, and raise the same structural errors.  One `pitlab analyze`
-must build the index once: one message matching and one view per rank.
+included, and raise the same structural errors.  The index's one FIFO
+pairing must give the matches, unmatched counts and per-rank blocked
+spans of the earlier two passes, `ref_match_messages` over the trace and
+`ref_comm_intervals` over each rank.  One `pitlab analyze` must build
+the index once: one message matching and one view per rank.
 """
 
 import gc
@@ -12,7 +15,17 @@ import weakref
 
 import pytest
 
-from conftest import ev, events_by_rank, fig5_trace, make_trace, pop_hand_trace, synthetic_trace
+from conftest import (
+    ev,
+    events_by_rank,
+    fig5_trace,
+    make_trace,
+    ping_pong_trace,
+    pop_hand_trace,
+    ref_comm_intervals,
+    ref_match_messages,
+    synthetic_trace,
+)
 from pitlab import cli, trace as tracing
 from pitlab.analysis import pop_metrics
 from pitlab.controller import dahlquist_config, run
@@ -22,7 +35,6 @@ from pitlab.trace import (
     RegionStats,
     StructuralError,
     build_profile,
-    comm_intervals,
     merged_length,
     write_trace,
 )
@@ -60,7 +72,7 @@ def ref_build_profile(trace):
             raise StructuralError(
                 f"rank {rank}: regions never exited: " + ", ".join(frame[0] for frame in stack)
             )
-        stats.communication = merged_length(comm_intervals(events))
+        stats.communication = merged_length(ref_comm_intervals(events))
         stats.computation = stats.runtime - stats.communication
         exclusive_total = sum(reg.exclusive for (r, _), reg in profile.regions.items() if r == rank)
         stats.untracked = stats.runtime - exclusive_total
@@ -148,6 +160,93 @@ class TestProfileFromTheIndex:
         build_profile(trace).regions[(0, FINE % 0)].count += 5
         assert build_profile(trace).regions[(0, FINE % 0)].count == 1
         assert trace.index is trace.index
+
+
+UNPAIRED = {
+    # rank 0 sends "a" twice, rank 1 receives it once
+    "unmatched-send": [
+        ev(0, "send-post", "a", 0.0, 8, 1),
+        ev(0, "send-complete", "a", 0.5, 8, 1),
+        ev(0, "send-post", "a", 1.0, 8, 1),
+        ev(0, "send-complete", "a", 1.5, 8, 1),
+        ev(1, "recv-post", "a", 0.25, 0, 0),
+        ev(1, "recv-complete", "a", 0.5, 8, 0),
+    ],
+    # rank 1 receives "b" twice, once completed and once left open; rank 0 never sends it
+    "unmatched-recv": [
+        ev(0, "send-post", "a", 0.0, 8, 1),
+        ev(0, "send-complete", "a", 0.0, 8, 1),
+        ev(1, "recv-post", "b", 0.0, 0, 0),
+        ev(1, "recv-complete", "b", 0.75, 8, 0),
+        ev(1, "recv-post", "b", 1.0, 0, 0),
+        ev(1, "recv-post", "a", 1.0, 0, 0),
+        ev(1, "recv-complete", "a", 1.25, 8, 0),
+    ],
+    # completions with no post of their side open: before the key's first
+    # post, of a key never posted, and one more completion of each side
+    # while only the other side has posted the key's second message
+    "completion-without-post": [
+        ev(0, "send-complete", "a", 0.0, 8, 1),
+        ev(1, "recv-post", "a", 0.1, 0, 0),
+        ev(1, "recv-post", "a", 0.2, 0, 0),
+        ev(1, "recv-complete", "c", 0.25, 8, 0),
+        ev(0, "send-post", "b", 0.3, 8, 1),
+        ev(0, "send-post", "b", 0.35, 8, 1),
+        ev(1, "recv-post", "b", 0.4, 0, 0),
+        ev(1, "recv-complete", "b", 0.45, 8, 0),
+        ev(0, "send-post", "a", 0.5, 8, 1),
+        ev(0, "send-complete", "a", 0.75, 8, 1),
+        ev(1, "recv-complete", "a", 0.8, 8, 0),
+        ev(1, "recv-complete", "b", 0.9, 8, 0),
+        ev(0, "send-complete", "a", 1.0, 8, 1),
+    ],
+}
+
+
+def _times_and_key(m):
+    return m.source, m.dest, m.name, m.send_post, m.send_complete, m.recv_post, m.recv_complete
+
+
+class TestOnePairing:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pop_hand_trace,
+            fig5_trace,
+            lambda: ping_pong_trace(5, 6),
+            lambda: synthetic_trace(2, 1, 1),
+            lambda: synthetic_trace(3, 2, 2),
+            lambda: synthetic_trace(4, 6, 3),
+            lambda: synthetic_trace(6, 5, 4),
+            lambda: _dahlquist_trace("serial"),
+            lambda: _dahlquist_trace("parallel"),
+            lambda: _dahlquist_trace("parallel", rendezvous_bytes=0),
+        ]
+        + [lambda name=name: make_trace(UNPAIRED[name], 2) for name in UNPAIRED],
+        ids=["hand", "fig5", "ping-pong", "shape0", "shape1", "shape2", "shape3", "serial", "threads",
+             "threads-rendezvous"] + list(UNPAIRED),
+    )
+    def test_equals_the_two_pass_pairing(self, build):
+        trace = build()
+        index = trace.index
+        matches, unmatched_sends, unmatched_recvs = ref_match_messages(trace)
+        assert [_times_and_key(m) for m in index.matches] == [_times_and_key(m) for m in matches]
+        assert len(index.unmatched_sends) == len(unmatched_sends)
+        assert len(index.unmatched_recvs) == len(unmatched_recvs)
+        matched = set(map(id, index.matches))
+        for rank, events in events_by_rank(trace).items():
+            view = index.ranks[rank]
+            assert view.spans == sorted(ref_comm_intervals(sorted(events, key=lambda e: e.t)))
+            assert {id(m) for m in view.messages if m is not None} <= matched
+
+    def test_the_hand_traces_leave_messages_unpaired(self):
+        audits = {
+            name: (len(index.matches), len(index.unmatched_sends), len(index.unmatched_recvs))
+            for name, index in ((name, make_trace(events, 2).index) for name, events in UNPAIRED.items())
+        }
+        assert audits == {
+            "unmatched-send": (1, 1, 0), "unmatched-recv": (1, 0, 2), "completion-without-post": (2, 1, 1)
+        }
 
 
 class TestOneIndexPerAnalyze:
