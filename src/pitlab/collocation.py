@@ -181,6 +181,10 @@ class CollocationTable:
     q : integration matrix for the unit interval
     qd_imp : lower-triangular implicit preconditioner
     qd_exp : strictly lower-triangular explicit preconditioner
+
+    Derived for a (2, m, ...) right-hand-side stack: the (m, 2m) blocks
+    q_prev = [q - qd_imp | q - qd_exp] and q_pair = [q | q]; per node j,
+    qd_lower[j] = (qd_imp[j, :j], qd_exp[j, :j]), qd_diag[j] = qd_imp[j, j].
     """
 
     m: int
@@ -190,6 +194,14 @@ class CollocationTable:
     q: np.ndarray
     qd_imp: np.ndarray
     qd_exp: np.ndarray
+
+    def __post_init__(self):
+        # derived here, so that dataclasses.replace derives them again
+        q, qdi, qde = self.q, self.qd_imp, self.qd_exp
+        for name, value in (("q_prev", np.hstack((q - qdi, q - qde))), ("q_pair", np.hstack((q, q))),
+                            ("qd_lower", tuple(np.stack((qdi[j, :j], qde[j, :j])) for j in range(self.m))),
+                            ("qd_diag", tuple(map(float, np.diagonal(qdi))))):
+            object.__setattr__(self, name, value)
 
 
 def make_radau_table(m, t0=0.0, t1=1.0, implicit="lu"):

@@ -4,8 +4,9 @@ One sweep applies the preconditioned Picard update node by node, with
 the stiff right-hand side treated implicitly (diagonal solve supplied by
 the problem) and the remaining part explicitly.  The residual measures
 how far the node values are from solving the collocation system.  A
-level's node data are (M, ...) arrays, and every quadrature over the
-nodes goes through node_integrals.
+level's node values are one (M, ...) array, its right-hand sides one
+(2, M, ...) stack, implicit part first; every node quadrature goes
+through node_integrals, the stack's with the table's (M, 2M) blocks.
 """
 
 from dataclasses import dataclass
@@ -36,18 +37,20 @@ class LevelState:
     """Solution data of one time step on one level.
 
     u0 is the value at the interval start, u[m] the current iterate at
-    node m, f_imp/f_exp the cached right-hand-side evaluations (kept
-    consistent with u after every update), tau the FAS correction per
-    node (zero on the finest level), dt the step size.  u, f_imp, f_exp
-    and tau are each one (M, ...) array with the node index first.
+    node m, f the cached right-hand-side evaluations (kept consistent
+    with u after every update), tau the FAS correction per node (zero on
+    the finest level), dt the step size.  u and tau are (M, ...) arrays
+    with the node index first, f one (2, M, ...) array of views f_imp, f_exp.
     """
 
     u0: np.ndarray
     u: np.ndarray
-    f_imp: np.ndarray
-    f_exp: np.ndarray
+    f: np.ndarray
     tau: np.ndarray
     dt: float
+
+    f_imp = property(lambda self: self.f[0])
+    f_exp = property(lambda self: self.f[1])
 
     @classmethod
     def spread(cls, u0, num_nodes, dt, problem):
@@ -57,27 +60,21 @@ class LevelState:
         copied; the node arrays take the type of u0 and both evaluations.
         """
         u0 = np.asarray(u0)
-        f_imp = problem.eval_implicit(u0)
-        f_exp = problem.eval_explicit(u0)
-        dtype = np.result_type(u0, f_imp, f_exp)
-
-        def nodes(value):
-            return np.repeat(np.asarray(value, dtype)[None], num_nodes, axis=0)
-
+        f = np.stack((problem.eval_implicit(u0), problem.eval_explicit(u0)))
+        dtype = np.result_type(u0, f)
         return cls(
             u0=u0.copy(),
-            u=nodes(u0),
-            f_imp=nodes(f_imp),
-            f_exp=nodes(f_exp),
+            u=np.repeat(np.asarray(u0, dtype)[None], num_nodes, axis=0),
+            f=np.repeat(np.asarray(f, dtype)[:, None], num_nodes, axis=1),
             tau=np.zeros((num_nodes, *u0.shape), dtype),
             dt=float(dt),
         )
 
     def refresh_rhs(self, problem):
         """Re-evaluate both right-hand-side caches at the current nodes,
-        one call per part on the whole node stack."""
-        self.f_imp = problem.eval_implicit(self.u)
-        self.f_exp = problem.eval_explicit(self.u)
+        one call per part on the whole node stack, into f."""
+        self.f[0] = problem.eval_implicit(self.u)
+        self.f[1] = problem.eval_explicit(self.u)
 
 
 def imex_sweep(state, tab, problem):
@@ -89,31 +86,33 @@ def imex_sweep(state, tab, problem):
             + dt sum_{j<m} [qdI_mj fI(u_j^new) + qdE_mj fE(u_j^new)]
             + dt sum_j [(q - qdI)_mj fI(u_j^old) + (q - qdE)_mj fE(u_j^old)]
 
-    with the diagonal implicit part resolved by problem.implicit_solve.
-    Right-hand-side caches are refreshed node by node as values update,
-    written into rows of the (M, ...) node arrays.  The solve itself
-    gives the implicit part: with f = dt qdI_mm nonzero,
-    fI(u_m) = (u_m - rhs_m)/f, so fI is not evaluated again.  A node
+    with the diagonal implicit part resolved by problem.implicit_solve;
+    the new-value sum is one contraction over the view f[:, :m].  The
+    caches in f are refreshed node by node as values update.  The solve
+    itself gives the implicit part: with d = dt qdI_mm nonzero,
+    fI(u_m) = (u_m - rhs_m)/d, so fI is not evaluated again.  A node
     whose diagonal is zero (an explicit preconditioner) evaluates it.
     """
-    dt = state.dt
-    q, qdi, qde = tab.q, tab.qd_imp, tab.qd_exp
+    dt, f = state.dt, state.f
     # u0, tau and the integral terms from the previous iterate, per node
-    rhs = node_integrals(q - qdi, state.f_imp) + node_integrals(q - qde, state.f_exp)
-    rhs *= dt
+    rhs = node_integrals(dt * tab.q_prev, f.reshape(-1, *state.u0.shape))
     rhs += state.u0
     rhs += state.tau
     for row in range(tab.m):
-        for j in range(row):
-            rhs[row] += dt * (qdi[row, j] * state.f_imp[j] + qde[row, j] * state.f_exp[j])
-        factor = dt * qdi[row, row]
+        if row:
+            rhs[row] += np.einsum("kj,kj...->...", dt * tab.qd_lower[row], f[:, :row])
+        factor = dt * tab.qd_diag[row]
         try:
             u_new = problem.implicit_solve(rhs[row], factor)
         except Exception as exc:
             raise SolveFailure(f"implicit solve failed at node {row}: {exc}", node=row) from exc
         state.u[row] = u_new
-        state.f_imp[row] = (u_new - rhs[row]) / factor if factor else problem.eval_implicit(u_new)
-        state.f_exp[row] = problem.eval_explicit(u_new)
+        if factor:
+            np.subtract(u_new, rhs[row], out=f[0, row])
+            f[0, row] /= factor
+        else:
+            f[0, row] = problem.eval_implicit(u_new)
+        f[1, row] = problem.eval_explicit(u_new)
     return state
 
 
@@ -123,12 +122,12 @@ def residual(state, tab):
     Uses the cached right-hand-side values; it never re-evaluates the
     problem, so evaluation counts stay attributable to sweeps.
     """
-    defect = node_integrals(tab.q, state.f_imp + state.f_exp)
-    defect *= state.dt
+    defect = node_integrals(state.dt * tab.q_pair, state.f.reshape(-1, *state.u0.shape))
     defect += state.u0
     defect += state.tau
     defect -= state.u
-    return float(np.max(np.abs(defect)))
+    # the real part of a real defect is the defect itself
+    return float(np.max(np.abs(defect, out=defect.real)))
 
 
 def collocation_solve_direct(u0, tab, problem, dt):

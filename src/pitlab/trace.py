@@ -227,19 +227,23 @@ def write_trace(trace, path):
 
 def read_trace(path):
     """Read a trace file line by line; a bad line raises TraceParseError
-    naming it.  A line is accepted when `json.loads` accepts it (one JSON
-    value, with only JSON whitespace around it) and the value is a record
-    of one of the six kinds with a string name, an int rank, an int or
-    float time, and int bytes and peer unless absent or null."""
+    naming it.  The header is an object of this format and version with a
+    positive int num_ranks (a bool is no int).  A line is accepted when
+    `json.loads` accepts it (one JSON value, with only JSON whitespace
+    around it) and the value is a record of one of the six kinds with a
+    string name, an int rank, an int or float time, and int bytes and
+    peer unless absent or null."""
     events = []
     with open(path) as fh:
         header_line = fh.readline()
         try:
             header = json.loads(header_line)
-            if header.get("format") != FORMAT_NAME:
+            if type(header) is not dict or header.get("format") != FORMAT_NAME:
                 raise ValueError(f"not a {FORMAT_NAME} file")
-            num_ranks = int(header["num_ranks"])
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            num_ranks, version = header.get("num_ranks"), header.get("version")
+            if not (type(version) is int and version == FORMAT_VERSION and type(num_ranks) is int and num_ranks > 0):
+                raise ValueError(f"want version {FORMAT_VERSION} and a positive int num_ranks, got {header}")
+        except ValueError as exc:
             raise TraceParseError(f"line 1: bad header: {exc}") from None
         for lineno, line in enumerate(fh, start=2):
             if line.isspace():

@@ -5,7 +5,8 @@ prolongation zero-pads it; both preserve mode amplitudes.  The coarse
 Nyquist mode is folded on the way down and split symmetrically on the
 way up, which makes restrict(prolong(u)) the exact identity for every
 real coarse field.  The tau correction makes the coarse collocation
-problem reproduce restricted fine information.
+problem reproduce restricted fine information; it integrates each
+level's (2, M, ...) right-hand-side stack in one quadrature of [q | q].
 """
 
 from dataclasses import dataclass
@@ -165,7 +166,8 @@ def compute_fas_tau(fine_state, coarse_state, pair):
     not through tau.  Returns the (M, ...) stack of coarse tau values.
     """
     dt = fine_state.dt
-    fine_integral = dt * node_integrals(pair.fine_table.q, fine_state.f_imp + fine_state.f_exp)
-    coarse_integral = dt * node_integrals(pair.coarse_table.q, coarse_state.f_imp + coarse_state.f_exp)
-    restricted = np.stack([pair.restrict(v) for v in fine_integral + fine_state.tau])
-    return restricted - coarse_integral
+    fine = node_integrals(dt * pair.fine_table.q_pair, fine_state.f.reshape(-1, *fine_state.u0.shape))
+    fine += fine_state.tau
+    tau = np.stack([pair.restrict(v) for v in fine])
+    tau -= node_integrals(dt * pair.coarse_table.q_pair, coarse_state.f.reshape(-1, *coarse_state.u0.shape))
+    return tau

@@ -1,9 +1,14 @@
-"""Shared builders for synthetic traces used across test modules, and the
-earlier two-pass message pairing that the trace index is checked against."""
+"""Shared builders for synthetic traces used across test modules, the
+earlier two-pass message pairing that the trace index is checked against,
+and the earlier sweep layer and Allen-Cahn kernels that the stacked
+right-hand side and the pass-by-pass transforms are checked against."""
 
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
+from pitlab.sweeper import SolveFailure, node_integrals
 from pitlab.trace import Trace, TraceEvent, build_profile, parse_region_name
 
 
@@ -218,3 +223,68 @@ def ping_pong_trace(num_ranks, rounds):
             ev(r, "recv-complete", "done", 2.0 * rounds, 8, 0),
         ]
     return make_trace(events, num_ranks)
+
+
+# The sweep layer as it was before each level's right-hand sides became
+# one (2, M, ...) stack: it reads and writes the f_imp and f_exp views.
+
+
+def ref_imex_sweep(state, tab, problem):
+    """One IMEX SDC sweep with per-term loops over the new values."""
+    dt = state.dt
+    q, qdi, qde = tab.q, tab.qd_imp, tab.qd_exp
+    # u0, tau and the integral terms from the previous iterate, per node
+    rhs = node_integrals(q - qdi, state.f_imp) + node_integrals(q - qde, state.f_exp)
+    rhs *= dt
+    rhs += state.u0
+    rhs += state.tau
+    for row in range(tab.m):
+        for j in range(row):
+            rhs[row] += dt * (qdi[row, j] * state.f_imp[j] + qde[row, j] * state.f_exp[j])
+        factor = dt * qdi[row, row]
+        try:
+            u_new = problem.implicit_solve(rhs[row], factor)
+        except Exception as exc:
+            raise SolveFailure(f"implicit solve failed at node {row}: {exc}", node=row) from exc
+        state.u[row] = u_new
+        state.f_imp[row] = (u_new - rhs[row]) / factor if factor else problem.eval_implicit(u_new)
+        state.f_exp[row] = problem.eval_explicit(u_new)
+    return state
+
+
+def ref_residual(state, tab):
+    """Max-norm collocation residual, integrating f_imp + f_exp."""
+    defect = node_integrals(tab.q, state.f_imp + state.f_exp)
+    defect *= state.dt
+    defect += state.u0
+    defect += state.tau
+    defect -= state.u
+    return float(np.max(np.abs(defect)))
+
+
+def ref_compute_fas_tau(fine_state, coarse_state, pair):
+    """FAS correction, integrating f_imp + f_exp on each level."""
+    dt = fine_state.dt
+    fine_integral = dt * node_integrals(pair.fine_table.q, fine_state.f_imp + fine_state.f_exp)
+    coarse_integral = dt * node_integrals(pair.coarse_table.q, coarse_state.f_imp + coarse_state.f_exp)
+    restricted = np.stack([pair.restrict(v) for v in fine_integral + fine_state.tau])
+    return restricted - coarse_integral
+
+
+# AllenCahnProblem's kernels as they were before the pass-by-pass
+# transforms, called with the problem as self.
+
+
+def ref_eval_implicit(self, u):
+    return np.fft.irfft2(self._symbol * np.fft.rfft2(u), s=(self.n, self.n))
+
+
+def ref_eval_explicit(self, u):
+    return -(2.0 / self.eps**2) * u * (1.0 - u) * (1.0 - 2.0 * u)
+
+
+def ref_implicit_solve(self, rhs, factor):
+    """Solve (I - factor*Lap) u = rhs diagonally in Fourier space."""
+    if factor < 0:
+        raise ValueError(f"implicit solve needs a nonnegative factor, got {factor}")
+    return np.fft.irfft2(np.fft.rfft2(rhs) * self._solve_multiplier(factor), s=(self.n, self.n))

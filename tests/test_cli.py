@@ -232,6 +232,31 @@ class TestAnalyzeCommand:
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert proc.stderr.startswith(f"analysis error: line {i + 1}: ")
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "[1]",
+            '{"format": "pitlab-trace", "version": 1, "num_ranks": 2.7}',
+            '{"format": "pitlab-trace", "version": 1, "num_ranks": true}',
+            '{"format": "pitlab-trace", "version": 1, "num_ranks": "4"}',
+            '{"format": "pitlab-trace", "version": 1, "num_ranks": 0}',
+            '{"format": "pitlab-trace", "version": 2, "num_ranks": 2}',
+            '{"format": "pitlab-trace", "version": true, "num_ranks": 2}',
+            '{"format": "pitlab-trace", "num_ranks": 2}',
+        ],
+        ids=["list", "float-ranks", "bool-ranks", "string-ranks", "zero-ranks", "version-2", "bool-version",
+             "no-version"],
+    )
+    def test_bad_header_exits_4(self, tmp_path, header):
+        path = tmp_path / "header.trc.jsonl"
+        write_trace(pop_hand_trace(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "\n" + "".join(lines[1:]))
+        proc = pitlab("analyze", "--trace", str(path), "--out-dir", str(tmp_path))
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith("analysis error: line 1: bad header: ")
+
     def test_unbalanced_trace_is_structural_error(self, tmp_path):
         path = tmp_path / "unbalanced.trc.jsonl"
         path.write_text(

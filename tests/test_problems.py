@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import ref_eval_explicit, ref_eval_implicit, ref_implicit_solve
 from pitlab.problems import (
     AllenCahnProblem,
     DahlquistProblem,
@@ -159,6 +160,17 @@ class TestRealTransformKernels:
             assert relative_error(problem.eval_implicit(u), laplacian(u)) <= 1e-12
             for factor in (0.0, 3.3e-5, 2.5e-4, 0.1):
                 assert relative_error(problem.implicit_solve(u, factor), solve(u, factor)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4, 32, 128, 256])
+    @pytest.mark.parametrize("lpatches", [1, 2])
+    @pytest.mark.parametrize("nodes", [(), (3,)], ids=["field", "stack"])
+    def test_kernels_bit_identical_to_two_dimensional_transforms(self, n, lpatches, nodes):
+        problem = AllenCahnProblem(n, lpatches)
+        u = np.random.default_rng(n + lpatches).standard_normal((*nodes, n, n))
+        assert np.array_equal(problem.eval_implicit(u), ref_eval_implicit(problem, u))
+        assert np.array_equal(problem.eval_explicit(u), ref_eval_explicit(problem, u))
+        for factor in (0.0, 2.5e-4, 0.1):
+            assert np.array_equal(problem.implicit_solve(u, factor), ref_implicit_solve(problem, u, factor))
 
     def test_node_stack_evaluates_per_node(self):
         problem = AllenCahnProblem(32)

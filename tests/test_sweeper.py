@@ -1,9 +1,12 @@
+import copy
 import dataclasses
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import ref_imex_sweep, ref_residual
 from pitlab.collocation import make_radau_table
 from pitlab.controller import DivergedError, run_sdc_serial
 from pitlab.problems import AllenCahnProblem, DahlquistProblem, ac_initial_condition
@@ -280,3 +283,86 @@ class TestFftBudget:
         counting = CountingProblem(problem)
         imex_sweep(state, make_radau_table(m), counting)
         assert counting.calls == Counter(implicit_solve=m, eval_explicit=m)
+
+
+class TestStackedRhs:
+    def test_rhs_views_write_through_to_the_stack(self):
+        _, state = dahlquist_state()
+        assert state.f.shape == (2, 3, 1)
+        state.f_imp[1] = 7.0
+        state.f_exp[2] = -3.0
+        assert state.f[0, 1, 0] == 7.0 and state.f[1, 2, 0] == -3.0
+
+    @staticmethod
+    def oracle_case(case):
+        """(problem, state, table, Lipschitz bound of the problem's f)."""
+        lu = make_radau_table(3)
+        if case == "allen-cahn-64-tau":
+            problem, state = allen_cahn_state(n=64)
+            state.tau = 1e-3 * np.random.default_rng(5).standard_normal(state.tau.shape)
+            # |d/du of the reaction| = 2/eps^2 |1 - 6u + 6u^2|, below 2/eps^2 * 2 near [0, 1]
+            return problem, state, lu, 4.0 / 0.04**2
+        if case == "dahlquist-complex":
+            problem = DahlquistProblem(-1.0 + 2.0j, 0.3)
+            return problem, LevelState.spread(np.array([1.0 + 0.5j]), 3, 0.1, problem), lu, abs(-1.0 + 2.0j)
+        problem, state = dahlquist_state()
+        table = lu if case == "dahlquist-lu" else dataclasses.replace(lu, qd_imp=lu.qd_exp)
+        return problem, state, table, 2.0
+
+    @pytest.mark.parametrize("case", ["dahlquist-lu", "dahlquist-zero-diagonal", "dahlquist-complex",
+                                      "allen-cahn-64-tau"])
+    def test_sweep_and_residual_match_the_per_term_loops(self, case):
+        # the stacked quadratures sum in another order: allow a few
+        # rounding errors of the dtype on the scale of the terms summed
+        problem, state, tab, lipschitz = self.oracle_case(case)
+        eps = np.finfo(state.u.dtype).eps
+        weight = (np.abs(tab.q) + np.abs(tab.qd_imp) + np.abs(tab.qd_exp)).sum(axis=1).max()
+        # f_imp = (u - rhs) / (dt qdI_mm) scales a difference up
+        stiff = max([lipschitz] + [1.0 / (state.dt * d) for d in tab.qd_diag if d])
+        for _ in range(3):
+            ref = copy.deepcopy(state)
+            imex_sweep(state, tab, problem)
+            ref_imex_sweep(ref, tab, problem)
+            scale = (np.abs(state.u0).max() + np.abs(state.tau).max() + np.abs(ref.u).max()
+                     + state.dt * weight * np.abs(ref.f).max())
+            assert np.abs(state.u - ref.u).max() <= 8 * eps * scale
+            assert np.abs(state.f - ref.f).max() <= 8 * eps * scale * stiff
+            assert abs(residual(state, tab) - ref_residual(ref, tab)) <= 8 * eps * scale
+            state = ref
+
+
+def peak_node_arrays(call, node_bytes):
+    """tracemalloc peak of one call, in node arrays.  A first, untraced
+    call fills the FFT plan and solve multiplier caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / node_bytes
+
+
+class TestAllocationBudget:
+    # Allen-Cahn 64^2, M = 3.  Peaks before the stacked right-hand side
+    # and the pass-by-pass transforms: implicit_solve 3.14, eval_explicit
+    # 3.01, eval_implicit on the stack 9.33, residual 6.05, sweep 9.01.
+    # The residual's broadcast add of u0 takes numpy's 64 KB ufunc buffer,
+    # two node arrays at 64^2.
+    @pytest.mark.parametrize("kernel, budget", [
+        ("implicit_solve", 2.5), ("eval_explicit", 2.5), ("eval_implicit", 7.0),
+        ("residual", 5.5), ("imex_sweep", 7.0),
+    ])
+    def test_peak_allocation(self, kernel, budget):
+        problem, state = allen_cahn_state(n=64)
+        tab = make_radau_table(3)
+        imex_sweep(state, tab, problem)
+        calls = {
+            "implicit_solve": lambda: problem.implicit_solve(state.u[0], 1e-3),
+            "eval_explicit": lambda: problem.eval_explicit(state.u[0]),
+            "eval_implicit": lambda: problem.eval_implicit(state.u),
+            "residual": lambda: residual(state, tab),
+            "imex_sweep": lambda: imex_sweep(state, tab, problem),
+        }
+        assert peak_node_arrays(calls[kernel], state.u0.nbytes) <= budget

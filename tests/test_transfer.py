@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import ref_compute_fas_tau
 from pitlab.collocation import make_radau_table
-from pitlab.problems import AllenCahnProblem, _forward, _inverse
+from pitlab.problems import AllenCahnProblem, _forward, _inverse, ac_initial_condition
 from pitlab.sweeper import LevelState, imex_sweep, residual
 from pitlab.transfer import IdentityResampler, LevelPair, SpectralResampler, compute_fas_tau
 
@@ -198,6 +199,24 @@ class TestFasTau:
         coarse = LevelState.spread(pair.restrict(u0), 3, 0.01, pair.coarse_problem)
         tau = compute_fas_tau(fine, coarse, pair)
         assert max(np.abs(t).max() for t in tau) <= 1e-11
+
+    def test_stacked_tau_matches_the_summed_parts(self):
+        # one quadrature of [q | q] over the stack sums in another order
+        # than q times f_imp + f_exp: a few rounding errors of the dtype on
+        # the scale of the terms tau sums
+        pair = ac_pair(fine_n=64, coarse_n=32)
+        u0 = ac_initial_condition(1, 0.04, 64, 1, radius=0.25).values
+        fine = LevelState.spread(u0, 3, 1e-3, pair.fine_problem)
+        fine.tau = 1e-3 * np.random.default_rng(3).standard_normal(fine.tau.shape)
+        imex_sweep(fine, pair.fine_table, pair.fine_problem)
+        coarse = LevelState.spread(pair.restrict(u0), 3, 1e-3, pair.coarse_problem)
+        coarse.u = np.stack([pair.restrict(v) for v in fine.u])
+        coarse.refresh_rhs(pair.coarse_problem)
+        got = compute_fas_tau(fine, coarse, pair)
+        ref = ref_compute_fas_tau(fine, coarse, pair)
+        weight = np.abs(pair.fine_table.q).sum(axis=1).max()
+        scale = np.abs(fine.tau).max() + fine.dt * weight * max(np.abs(fine.f).max(), np.abs(coarse.f).max())
+        assert np.abs(got - ref).max() <= 8 * np.finfo(got.dtype).eps * scale
 
     def test_fas_consistency_reproduces_restricted_fine_solution(self):
         # drive the fine level to the collocation solution, form tau, and
