@@ -4,9 +4,10 @@ Builds right Gauss-Radau nodes, the node-to-start integration matrix Q,
 and the two sweep preconditioners: the implicit lower-triangular matrix
 obtained from the LU factorization of Q^T, and the explicit Euler matrix
 of node spacings.  Q and the preconditioners are stored for the unit
-interval; the step size is applied by the sweeper.
+interval; a table scales its sweep blocks by dt once per step size.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
 
 _NEWTON_TOL = 1e-14
 _NEWTON_MAX_ITER = 100
+ScaledBlocks = namedtuple("ScaledBlocks", "q_prev q_pair qd_lower qd_diag")
 
 
 class NumericFailure(RuntimeError):
@@ -185,6 +187,7 @@ class CollocationTable:
     Derived for a (2, m, ...) right-hand-side stack: the (m, 2m) blocks
     q_prev = [q - qd_imp | q - qd_exp] and q_pair = [q | q]; per node j,
     qd_lower[j] = (qd_imp[j, :j], qd_exp[j, :j]), qd_diag[j] = qd_imp[j, j].
+    scaled(dt) gives all four times dt as ScaledBlocks, memoised per step size.
     """
 
     m: int
@@ -200,8 +203,18 @@ class CollocationTable:
         q, qdi, qde = self.q, self.qd_imp, self.qd_exp
         for name, value in (("q_prev", np.hstack((q - qdi, q - qde))), ("q_pair", np.hstack((q, q))),
                             ("qd_lower", tuple(np.stack((qdi[j, :j], qde[j, :j])) for j in range(self.m))),
-                            ("qd_diag", tuple(map(float, np.diagonal(qdi))))):
+                            ("qd_diag", tuple(map(float, np.diagonal(qdi)))), ("_scaled", {})):
             object.__setattr__(self, name, value)
+
+    def scaled(self, dt):
+        """The four blocks times dt, formed on the first call for each step
+        size; every later caller shares them, so the arrays are read-only."""
+        if dt not in self._scaled:
+            arrays = [dt * self.q_prev, dt * self.q_pair, *(dt * lower for lower in self.qd_lower)]
+            for array in arrays:
+                array.flags.writeable = False
+            self._scaled[dt] = ScaledBlocks(*arrays[:2], tuple(arrays[2:]), tuple(dt * d for d in self.qd_diag))
+        return self._scaled[dt]
 
 
 def make_radau_table(m, t0=0.0, t1=1.0, implicit="lu"):

@@ -83,6 +83,7 @@ class Message:
         self.waited = False
 
 
+@functools.lru_cache(maxsize=1024)
 def tag_name(tag):
     return "/".join(str(part) for part in tag)
 

@@ -137,9 +137,8 @@ class _Worker:
         self.iterations = 0
         self.fine_sweeps_done = 0
         self.residual_history = []
-
-    def _region(self, phase):
-        return self.tracer.region(tracing.region_name(phase, self.rank))
+        # one reusable region per phase, its name formatted once
+        self._regions = {phase: tracer.region(tracing.region_name(phase, rank)) for phase in tracing.PHASES}
 
     def _send(self, tag, payload):
         if self.rank + 1 < self.cfg.num_steps:
@@ -154,7 +153,7 @@ class _Worker:
         its end value after each sweep and refining its initial value
         from behind, then corrects the fine level by prolongation."""
         cfg = self.cfg
-        with self._region("PREDICT"):
+        with self._regions["PREDICT"]:
             self.fine = LevelState.spread(cfg.u0, cfg.pair.fine_table.m, cfg.dt, self.pair.fine_problem)
             coarse_u0 = self.pair.restrict(self.fine.u0)
             self.coarse = LevelState.spread(coarse_u0, cfg.pair.coarse_table.m, cfg.dt, self.pair.coarse_problem)
@@ -168,15 +167,14 @@ class _Worker:
             self._correct_fine()
 
     def _correct_fine(self):
-        correction = self.coarse.u - self._restricted
-        self.fine.u += np.stack([self.pair.prolong(c) for c in correction])
+        self.fine.u += self.pair.prolong(self.coarse.u - self._restricted)
         self.fine.refresh_rhs(self.pair.fine_problem)
 
     def iteration(self, k):
         cfg = self.cfg
         delay = cfg.compute_delay.get(self.rank, 0.0)
         for s in range(cfg.fine_sweeps):
-            with self._region("IT_FINE"):
+            with self._regions["IT_FINE"]:
                 if delay:
                     time.sleep(delay)
                 imex_sweep(self.fine, self.pair.fine_table, self.pair.fine_problem)
@@ -187,18 +185,18 @@ class _Worker:
                     # its receive, the Late Receiver the analyzer looks for
                     self._send(("fine", "value", k), pack_array(self.fine.u[-1]))
 
-        with self._region("IT_DOWN"):
+        with self._regions["IT_DOWN"]:
             # the updated fine initial value must be in before tau is formed
             if self.rank > 0 and not self.prev_stopped:
                 msg = self._recv(("fine", "value", k))
                 self.fine.u0 = unpack_array(msg.payload)
-            self._restricted = np.stack([self.pair.restrict(v) for v in self.fine.u])
+            self._restricted = self.pair.restrict(self.fine.u)
             self.coarse.u = self._restricted.copy()
             self.coarse.u0 = self.pair.restrict(self.fine.u0)
             self.coarse.refresh_rhs(self.pair.coarse_problem)
             self.coarse.tau = compute_fas_tau(self.fine, self.coarse, self.pair)
 
-        with self._region("IT_COARSE"):
+        with self._regions["IT_COARSE"]:
             # serialized receive -> sweep -> send along the ranks
             if self.rank > 0 and not self.prev_stopped:
                 msg = self._recv(("coarse", "value", k))
@@ -207,10 +205,10 @@ class _Worker:
                 imex_sweep(self.coarse, self.pair.coarse_table, self.pair.coarse_problem)
             self._send(("coarse", "value", k), pack_array(self.coarse.u[-1]))
 
-        with self._region("IT_UP"):
+        with self._regions["IT_UP"]:
             self._correct_fine()
 
-        with self._region("IT_CHECK"):
+        with self._regions["IT_CHECK"]:
             if self.rank > 0 and not self.prev_stopped:
                 msg = self._recv(("fine", "status", k))
                 stopped, final = unpack_status(msg.payload)
@@ -326,21 +324,24 @@ def run_sdc_serial(problem, table, u0, dt, num_steps, tolerance=1e-8, max_sweeps
     """Plain single-level SDC time stepping, the time-serial baseline.
 
     Sweeps each step until the residual is below tolerance, then moves
-    on with the last-node value as the next initial value.
+    on with the last-node value as the next initial value; one state,
+    refilled in place, serves every step.
     """
-    u = np.asarray(u0)
     tracer = tracing.Tracer(0)
+    fine_region, check_region = (tracer.region(tracing.region_name(phase, 0)) for phase in ("IT_FINE", "IT_CHECK"))
     values, counts, histories = [], [], []
     start = time.perf_counter()
-    for _ in range(num_steps):
-        state = LevelState.spread(u, table.m, dt, problem)
+    state = LevelState.spread(u0, table.m, dt, problem)
+    for step in range(num_steps):
+        if step:
+            state.respread(values[-1], problem)
         history = []
         k = 0
         while True:
-            with tracer.region(tracing.region_name("IT_FINE", 0)):
+            with fine_region:
                 imex_sweep(state, table, problem)
             k += 1
-            with tracer.region(tracing.region_name("IT_CHECK", 0)):
+            with check_region:
                 res = residual(state, table)
             history.append(res)
             if not np.isfinite(res) or res > DIVERGENCE_LIMIT:
@@ -349,8 +350,7 @@ def run_sdc_serial(problem, table, u0, dt, num_steps, tolerance=1e-8, max_sweeps
                 break
             if k >= max_sweeps:
                 raise NotConvergedError(f"serial SDC: {max_sweeps} sweeps without convergence", {0: res})
-        u = state.u[-1].copy()
-        values.append(u)
+        values.append(state.u[-1].copy())
         counts.append(k)
         histories.append(history)
     wall = time.perf_counter() - start

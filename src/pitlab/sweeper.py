@@ -61,14 +61,20 @@ class LevelState:
         """
         u0 = np.asarray(u0)
         f = np.stack((problem.eval_implicit(u0), problem.eval_explicit(u0)))
-        dtype = np.result_type(u0, f)
-        return cls(
-            u0=u0.copy(),
-            u=np.repeat(np.asarray(u0, dtype)[None], num_nodes, axis=0),
-            f=np.repeat(np.asarray(f, dtype)[:, None], num_nodes, axis=1),
-            tau=np.zeros((num_nodes, *u0.shape), dtype),
-            dt=float(dt),
-        )
+        dtype, shape = np.result_type(u0, f), (num_nodes, *u0.shape)
+        state = cls(u0, np.empty(shape, dtype), np.empty((2, *shape), dtype), np.zeros(shape, dtype), float(dt))
+        return state._fill(u0, f)
+
+    def respread(self, u0, problem):
+        """spread into this state's own arrays, keeping tau and dt."""
+        u0 = np.asarray(u0)
+        self._fill(u0, np.stack((problem.eval_implicit(u0), problem.eval_explicit(u0))))
+
+    def _fill(self, u0, f):
+        self.u0 = u0.copy()
+        self.u[...] = u0
+        self.f[...] = f[:, None]
+        return self
 
     def refresh_rhs(self, problem):
         """Re-evaluate both right-hand-side caches at the current nodes,
@@ -93,25 +99,26 @@ def imex_sweep(state, tab, problem):
     fI(u_m) = (u_m - rhs_m)/d, so fI is not evaluated again.  A node
     whose diagonal is zero (an explicit preconditioner) evaluates it.
     """
-    dt, f = state.dt, state.f
+    f, u = state.f, state.u
+    q_prev, _, qd_lower, qd_diag = tab.scaled(state.dt)
     # u0, tau and the integral terms from the previous iterate, per node
-    rhs = node_integrals(dt * tab.q_prev, f.reshape(-1, *state.u0.shape))
+    rhs = node_integrals(q_prev, f.reshape(-1, *state.u0.shape))
     rhs += state.u0
     rhs += state.tau
-    for row in range(tab.m):
+    for row, (lower, factor) in enumerate(zip(qd_lower, qd_diag)):
+        rhs_row, f_imp = rhs[row], f[0, row]
         if row:
-            rhs[row] += np.einsum("kj,kj...->...", dt * tab.qd_lower[row], f[:, :row])
-        factor = dt * tab.qd_diag[row]
+            rhs_row += np.einsum("kj,kj...->...", lower, f[:, :row])
         try:
-            u_new = problem.implicit_solve(rhs[row], factor)
+            u_new = problem.implicit_solve(rhs_row, factor)
         except Exception as exc:
             raise SolveFailure(f"implicit solve failed at node {row}: {exc}", node=row) from exc
-        state.u[row] = u_new
+        u[row] = u_new
         if factor:
-            np.subtract(u_new, rhs[row], out=f[0, row])
-            f[0, row] /= factor
+            np.subtract(u_new, rhs_row, out=f_imp)
+            f_imp /= factor
         else:
-            f[0, row] = problem.eval_implicit(u_new)
+            f_imp[...] = problem.eval_implicit(u_new)
         f[1, row] = problem.eval_explicit(u_new)
     return state
 
@@ -122,7 +129,7 @@ def residual(state, tab):
     Uses the cached right-hand-side values; it never re-evaluates the
     problem, so evaluation counts stay attributable to sweeps.
     """
-    defect = node_integrals(state.dt * tab.q_pair, state.f.reshape(-1, *state.u0.shape))
+    defect = node_integrals(tab.scaled(state.dt).q_pair, state.f.reshape(-1, *state.u0.shape))
     defect += state.u0
     defect += state.tau
     defect -= state.u

@@ -13,6 +13,7 @@ The profile and every analysis step read it.
 import bisect
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -74,7 +75,7 @@ def parse_region_name(name):
     return None
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     rank: int
     kind: str
@@ -167,7 +168,7 @@ def merge_tracers(tracers):
     events = []
     for tracer in tracers:
         events.extend(tracer.finalize())
-    events.sort(key=lambda ev: (ev.t, ev.rank))
+    events.sort(key=operator.attrgetter("t", "rank"))
     return Trace(events=events, num_ranks=len(tracers))
 
 

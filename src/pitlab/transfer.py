@@ -4,9 +4,10 @@ Restriction truncates the Fourier spectrum to the coarse band and
 prolongation zero-pads it; both preserve mode amplitudes.  The coarse
 Nyquist mode is folded on the way down and split symmetrically on the
 way up, which makes restrict(prolong(u)) the exact identity for every
-real coarse field.  The tau correction makes the coarse collocation
-problem reproduce restricted fine information; it integrates each
-level's (2, M, ...) right-hand-side stack in one quadrature of [q | q].
+real coarse field.  Both take one field or a whole (M, ...) node stack
+in one call.  The tau correction makes the coarse collocation problem
+reproduce restricted fine information; it integrates each level's
+(2, M, ...) right-hand-side stack in one quadrature of dt [q | q].
 """
 
 from dataclasses import dataclass
@@ -52,57 +53,57 @@ class SpectralResampler:
         self._band = np.r_[0:half, fine_n - half:fine_n, half]
 
     def restrict(self, values):
-        """Coarse field with the fine field's coarse band.
+        """Coarse fields with the coarse band of each (n, n) fine field.
 
-        The last-axis FFT runs on all n rows; the axis-0 FFT only on the
+        The last-axis FFT runs on all n rows; the axis -2 FFT only on the
         N_c + 1 columns of the band and its Nyquist fold.
         """
         n, nc = self.fine_n, self.coarse_n
-        if values.shape != (n, n):
-            raise ValueError(f"expected {n}x{n} field, got {values.shape}")
+        if values.shape[-2:] != (n, n):
+            raise ValueError(f"expected {n}x{n} fields, got {values.shape}")
         if n == nc:
             return values.copy()
         half = nc // 2
         lines = _complex(values)
         np.fft.fft(lines, axis=-1, out=lines)
-        cols = lines[:, self._band]
-        np.fft.fft(cols, axis=0, out=cols)
-        out = np.concatenate((cols[:half], cols[n - half:]))
-        out[half] += cols[half]
-        out[:, half] += out[:, nc]
-        out = out[:, :nc]
+        cols = lines[..., self._band]
+        np.fft.fft(cols, axis=-2, out=cols)
+        out = np.concatenate((cols[..., :half, :], cols[..., n - half:, :]), axis=-2)
+        out[..., half, :] += cols[..., half, :]
+        out[..., half] += out[..., nc]
+        out = out[..., :nc]
         out *= (nc / n) ** 2
         return np.real(_passes(np.fft.ifft, out))
 
     def prolong(self, values):
-        """Fine field with the coarse field's spectrum, zero-padded.
+        """Fine fields with each (N_c, N_c) coarse field's spectrum, zero-padded.
 
         The last-axis inverse FFT runs only on the N_c + 1 rows that are
-        not zero; the axis-0 inverse FFT on all n columns.
+        not zero; the axis -2 inverse FFT on all n columns.
         """
         n, nc = self.fine_n, self.coarse_n
-        if values.shape != (nc, nc):
-            raise ValueError(f"expected {nc}x{nc} field, got {values.shape}")
+        if values.shape[-2:] != (nc, nc):
+            raise ValueError(f"expected {nc}x{nc} fields, got {values.shape}")
         if n == nc:
             return values.copy()
-        half = nc // 2
+        half, lead = nc // 2, values.shape[:-2]
         coeffs = _passes(np.fft.fft, _complex(values))
         coeffs *= (n / nc) ** 2
         # fine rows 0..N_c/2 then n-N_c/2..n-1; the coarse Nyquist row
         # is split in half between fine rows N_c/2 and n-N_c/2
-        rows = np.empty((nc + 1, nc), dtype=coeffs.dtype)
-        rows[:half] = coeffs[:half]
-        rows[half] = rows[half + 1] = 0.5 * coeffs[half]
-        rows[half + 2:] = coeffs[half + 1:]
-        block = np.zeros((nc + 1, n), dtype=coeffs.dtype)
-        block[:, :half] = rows[:, :half]
-        block[:, n - half + 1:] = rows[:, half + 1:]
-        block[:, half] = block[:, n - half] = 0.5 * rows[:, half]
+        rows = np.empty((*lead, nc + 1, nc), dtype=coeffs.dtype)
+        rows[..., :half, :] = coeffs[..., :half, :]
+        rows[..., half, :] = rows[..., half + 1, :] = 0.5 * coeffs[..., half, :]
+        rows[..., half + 2:, :] = coeffs[..., half + 1:, :]
+        block = np.zeros((*lead, nc + 1, n), dtype=coeffs.dtype)
+        block[..., :half] = rows[..., :half]
+        block[..., n - half + 1:] = rows[..., half + 1:]
+        block[..., half] = block[..., n - half] = 0.5 * rows[..., half]
         np.fft.ifft(block, axis=-1, out=block)
-        out = np.zeros((n, n), dtype=block.dtype)
-        out[:half + 1] = block[:half + 1]
-        out[n - half:] = block[half + 1:]
-        return np.real(np.fft.ifft(out, axis=0, out=out))
+        out = np.zeros((*lead, n, n), dtype=block.dtype)
+        out[..., :half + 1, :] = block[..., :half + 1, :]
+        out[..., n - half:, :] = block[..., half + 1:, :]
+        return np.real(np.fft.ifft(out, axis=-2, out=out))
 
 
 def _complex(values):
@@ -112,13 +113,13 @@ def _complex(values):
 
 
 def _passes(transform, coeffs):
-    """fft2/ifft2 of a complex array, in place: the last axis, then axis 0."""
+    """fft2/ifft2 of a complex array or stack, in place: the last axis, then axis -2."""
     transform(coeffs, axis=-1, out=coeffs)
-    return transform(coeffs, axis=0, out=coeffs)
+    return transform(coeffs, axis=-2, out=coeffs)
 
 
 class IdentityResampler:
-    """Trivial transfer for problems without spatial coarsening."""
+    """Trivial transfer for problems without spatial coarsening: a copy."""
 
     def restrict(self, values):
         return np.array(values, copy=True)
@@ -166,8 +167,8 @@ def compute_fas_tau(fine_state, coarse_state, pair):
     not through tau.  Returns the (M, ...) stack of coarse tau values.
     """
     dt = fine_state.dt
-    fine = node_integrals(dt * pair.fine_table.q_pair, fine_state.f.reshape(-1, *fine_state.u0.shape))
+    fine = node_integrals(pair.fine_table.scaled(dt).q_pair, fine_state.f.reshape(-1, *fine_state.u0.shape))
     fine += fine_state.tau
-    tau = np.stack([pair.restrict(v) for v in fine])
-    tau -= node_integrals(dt * pair.coarse_table.q_pair, coarse_state.f.reshape(-1, *coarse_state.u0.shape))
+    tau = pair.restrict(fine)
+    tau -= node_integrals(pair.coarse_table.scaled(dt).q_pair, coarse_state.f.reshape(-1, *coarse_state.u0.shape))
     return tau

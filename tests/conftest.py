@@ -1,14 +1,15 @@
 """Shared builders for synthetic traces used across test modules, the
 earlier two-pass message pairing that the trace index is checked against,
 and the earlier sweep layer and Allen-Cahn kernels that the stacked
-right-hand side and the pass-by-pass transforms are checked against."""
+right-hand side and the pass-by-pass transforms are checked against,
+and the serial SDC stepping that spread a fresh state for each step."""
 
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from pitlab.sweeper import SolveFailure, node_integrals
+from pitlab.sweeper import LevelState, SolveFailure, imex_sweep, node_integrals, residual
 from pitlab.trace import Trace, TraceEvent, build_profile, parse_region_name
 
 
@@ -288,3 +289,26 @@ def ref_implicit_solve(self, rhs, factor):
     if factor < 0:
         raise ValueError(f"implicit solve needs a nonnegative factor, got {factor}")
     return np.fft.irfft2(np.fft.rfft2(rhs) * self._solve_multiplier(factor), s=(self.n, self.n))
+
+
+# run_sdc_serial's stepping as it was before one state served every step.
+
+
+def ref_run_sdc_serial(problem, table, u0, dt, num_steps, tolerance):
+    """(final values, sweeps per step, residual histories), spreading a
+    fresh LevelState for each step; untraced, no divergence checks."""
+    u = np.asarray(u0)
+    values, counts, histories = [], [], []
+    for _ in range(num_steps):
+        state = LevelState.spread(u, table.m, dt, problem)
+        history = []
+        while True:
+            imex_sweep(state, table, problem)
+            history.append(residual(state, table))
+            if history[-1] <= tolerance:
+                break
+        u = state.u[-1].copy()
+        values.append(u)
+        counts.append(len(history))
+        histories.append(history)
+    return values, counts, histories

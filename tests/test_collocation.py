@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -120,3 +122,48 @@ class TestTable:
     def test_unknown_preconditioner(self):
         with pytest.raises(ValueError):
             make_radau_table(3, implicit="nope")
+
+
+def unit_blocks(tab):
+    """The table's unit-interval blocks in scaled()'s order, one list entry per array or number."""
+    return [tab.q_prev, tab.q_pair, *tab.qd_lower, *tab.qd_diag]
+
+
+def scaled_blocks(tab, dt):
+    blocks = tab.scaled(dt)
+    return [blocks.q_prev, blocks.q_pair, *blocks.qd_lower, *blocks.qd_diag]
+
+
+class TestScaledBlocks:
+    @pytest.mark.parametrize("implicit", ["lu", "be"])
+    @pytest.mark.parametrize("dt", [0.1, 2.5e-4])
+    def test_each_block_is_dt_times_its_unit_block_bit_for_bit(self, implicit, dt):
+        tab = make_radau_table(4, implicit=implicit)
+        scaled, unit = scaled_blocks(tab, dt), unit_blocks(tab)
+        assert len(scaled) == len(unit) == 2 + 2 * tab.m
+        for got, block in zip(scaled, unit):
+            assert np.array_equal(got, dt * block)
+        assert all(type(d) is float for d in tab.scaled(dt).qd_diag)
+
+    def test_formed_once_per_step_size(self):
+        tab = make_radau_table(3)
+        assert tab.scaled(0.1) is tab.scaled(0.1)
+        assert tab.scaled(0.2) is not tab.scaled(0.1)
+        assert np.array_equal(tab.scaled(0.1).q_pair, 0.1 * tab.q_pair)
+
+    def test_replace_derives_the_blocks_from_the_new_matrices(self):
+        lu = make_radau_table(3)
+        lu.scaled(0.1)  # fill the memo of the original table first
+        ee = dataclasses.replace(lu, qd_imp=lu.qd_exp)
+        for got, block in zip(scaled_blocks(ee, 0.1), unit_blocks(ee)):
+            assert np.array_equal(got, 0.1 * block)
+        assert ee.scaled(0.1).qd_diag == (0.0, 0.0, 0.0)
+        assert not np.array_equal(ee.scaled(0.1).q_prev, lu.scaled(0.1).q_prev)
+
+    def test_blocks_are_read_only(self):
+        blocks = make_radau_table(3).scaled(0.1)
+        for array in (blocks.q_prev, blocks.q_pair, *blocks.qd_lower):
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+        with pytest.raises(TypeError):
+            blocks.qd_diag[0] = 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import region_counts
+from conftest import ref_run_sdc_serial, region_counts
 from pitlab.analysis import audit_messages
 from pitlab.collocation import make_radau_table
 from pitlab.controller import (
@@ -14,7 +14,7 @@ from pitlab.controller import (
     run,
     run_sdc_serial,
 )
-from pitlab.problems import DahlquistProblem
+from pitlab.problems import AllenCahnProblem, DahlquistProblem, ac_initial_condition
 from pitlab.sweeper import collocation_solve_direct
 from pitlab.trace import build_profile, parse_region_name
 
@@ -259,6 +259,16 @@ class TestSerialSdc:
             run_sdc_serial(
                 problem, make_radau_table(3), np.array([1.0]), 0.1, 1, tolerance=1e-30, max_sweeps=4
             )
+
+    def test_one_state_for_every_step_matches_a_fresh_state_per_step(self):
+        problem = AllenCahnProblem(64, 1, 0.04)
+        u0 = ac_initial_condition(1, 0.04, 64, 1, radius=0.25).values
+        table = make_radau_table(3)
+        result = run_sdc_serial(problem, table, u0, 1e-3, 5, tolerance=1e-8)
+        values, counts, histories = ref_run_sdc_serial(problem, table, u0, 1e-3, 5, tolerance=1e-8)
+        assert len(result.final_values) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(result.final_values, values))
+        assert result.iterations == counts and result.residual_histories == histories
 
     def test_trace_has_sweep_regions(self):
         problem = DahlquistProblem(-1.0, 0.0)

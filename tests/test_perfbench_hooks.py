@@ -3,13 +3,20 @@
 `perfbench/spans.py` names each wrapped function or method as an
 (owner, attribute) pair in `patch_targets()`.  Renaming or deleting one
 of them (`Endpoint.isend`, `analysis.ideal_replay`, `_Worker.run_all`, ...)
-must fail here, not only when the benchmark runs.
+must fail here, not only when the benchmark runs.  The benchmark builds
+its config before it patches, so a call site bound while the config is
+built would lose its spans without any error.
 """
 
 import importlib.util
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
+
+from pitlab.controller import dahlquist_config, run
+from pitlab.trace import Tracer
+from pitlab.transfer import IdentityResampler
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -35,3 +42,26 @@ def test_every_patch_target_resolves(monkeypatch):
     assert targets
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, _ in targets if not resolves(owner, attr)]
     assert missing == []
+
+
+def test_wrappers_patched_after_the_config_is_built_see_every_call(monkeypatch):
+    cfg = dahlquist_config(4, 0.1, fine_sweeps=3, coarse_sweeps=1, tolerance=1e-8)
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr in ((Tracer, "record_region"), (IdentityResampler, "restrict"), (IdentityResampler, "prolong")):
+        monkeypatch.setattr(owner, attr, counting(attr, getattr(owner, attr)))
+    result = run(cfg, "serial")
+    iterations = sum(result.iterations)
+    assert iterations > 0
+    assert counts["record_region"] == sum(ev.kind.startswith("region-") for ev in result.trace.events)
+    # per rank, the predictor restricts u0 and prolongs one correction
+    # stack; each iteration restricts the node stack, u0 and the tau stack
+    # and prolongs one correction stack
+    assert counts["restrict"] == cfg.num_steps + 3 * iterations
+    assert counts["prolong"] == cfg.num_steps + iterations

@@ -43,6 +43,18 @@ class TestNodeIntegrals:
         bound = 3 * np.finfo(float).eps * np.abs(q).sum(axis=1).max() * np.abs(values).max()
         assert np.abs(got - np.array(loop)).max() <= bound
 
+    def test_respread_refills_the_same_arrays_as_a_fresh_spread(self):
+        problem, state = allen_cahn_state(n=16)
+        imex_sweep(state, make_radau_table(3), problem)
+        arrays = state.u, state.f, state.tau
+        u1 = state.u[-1].copy()
+        state.respread(u1, problem)
+        fresh = LevelState.spread(u1, 3, state.dt, problem)
+        assert all(a is b for a, b in zip(arrays, (state.u, state.f, state.tau)))
+        assert state.u0 is not u1
+        for name in ("u0", "u", "f", "tau"):
+            assert np.array_equal(getattr(state, name), getattr(fresh, name)), name
+
     def test_spread_stacks_nodes_in_u0_dtype(self):
         # a 2-D Allen-Cahn field and the Dahlquist scalar
         cases = [

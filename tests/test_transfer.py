@@ -142,6 +142,40 @@ class TestSpaceTransfer:
         assert v[0] == 1.0
 
 
+class TestStackedTransfer:
+    """A (k, n, n) node stack in one call gives what k per-node calls give."""
+
+    @pytest.mark.parametrize("nodes", [1, 3])
+    @pytest.mark.parametrize("fine_n, coarse_n", [(16, 8), (64, 16), (128, 32)])
+    def test_stack_matches_per_node_calls_bit_for_bit(self, fine_n, coarse_n, nodes):
+        rs = SpectralResampler(fine_n, coarse_n)
+        rng = np.random.default_rng(fine_n + coarse_n + nodes)
+        fine = rng.standard_normal((nodes, fine_n, fine_n))
+        coarse = rng.standard_normal((nodes, coarse_n, coarse_n))
+        restricted, prolonged = rs.restrict(fine), rs.prolong(coarse)
+        assert restricted.shape == (nodes, coarse_n, coarse_n) and prolonged.shape == (nodes, fine_n, fine_n)
+        assert np.array_equal(restricted, np.stack([rs.restrict(v) for v in fine]))
+        assert np.array_equal(prolonged, np.stack([rs.prolong(v) for v in coarse]))
+
+    def test_identity_resampler_copies_a_stack(self):
+        rs = IdentityResampler()
+        stack = np.arange(6.0).reshape(3, 2)
+        for transfer in (rs.restrict, rs.prolong):
+            out = transfer(stack)
+            assert np.array_equal(out, stack) and not np.shares_memory(out, stack)
+            out[0, 0] = 9.0
+            assert stack[0, 0] == 0.0
+
+    def test_wrong_trailing_dimensions_rejected(self):
+        rs = SpectralResampler(64, 16)
+        for bad in ((3, 64, 32), (3, 32, 64), (3, 16, 16), (64,)):
+            with pytest.raises(ValueError):
+                rs.restrict(np.zeros(bad))
+        for bad in ((3, 16, 8), (3, 8, 16), (3, 64, 64), (16,)):
+            with pytest.raises(ValueError):
+                rs.prolong(np.zeros(bad))
+
+
 class TestFasTau:
     def test_zero_rhs_gives_zero_tau(self):
         pair = ac_pair()
