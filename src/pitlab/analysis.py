@@ -18,7 +18,7 @@ replayed, so the analysis is linear in the number of events.
 """
 
 import csv
-import statistics
+import math
 from dataclasses import dataclass
 
 from .trace import Trace, TraceEvent, merged_length
@@ -150,7 +150,7 @@ def pop_metrics(trace, full_run=False):
     if not comp:
         raise EmptyPhaseError("no rank has events in the selected phase")
     c_max = max(comp.values())
-    c_mean = statistics.fmean(comp.values())
+    c_mean = math.fsum(comp.values()) / len(comp)
     if c_max <= 0:
         raise EmptyPhaseError("no computation time in the selected phase")
     total = max(ends) - min(starts)

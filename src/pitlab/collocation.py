@@ -128,7 +128,7 @@ def build_Q(nodes, t0=0.0):
     """
     nodes = np.asarray(nodes, dtype=float)
     m = len(nodes)
-    if len(np.unique(nodes)) != m:
+    if len(set(nodes.tolist())) != m:
         raise ValueError("duplicate quadrature nodes")
     dt = nodes[-1] - t0
     c = (nodes - t0) / dt

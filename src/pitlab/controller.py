@@ -19,10 +19,10 @@ message already delivered.  Both models therefore produce bit-identical
 iterates and stop, or fail, at the same point.
 """
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
-from statistics import fmean
 
 import numpy as np
 
@@ -185,20 +185,24 @@ class _Worker:
                     # its receive, the Late Receiver the analyzer looks for
                     self._send(("fine", "value", k), pack_array(self.fine.u[-1]))
 
+        # while the predecessor runs, IT_COARSE replaces coarse.u0 with its
+        # coarse value, so u0 is restricted only on rank 0 or after it stopped
+        waiting = self.rank > 0 and not self.prev_stopped
         with self._regions["IT_DOWN"]:
             # the updated fine initial value must be in before tau is formed
-            if self.rank > 0 and not self.prev_stopped:
+            if waiting:
                 msg = self._recv(("fine", "value", k))
                 self.fine.u0 = unpack_array(msg.payload)
             self._restricted = self.pair.restrict(self.fine.u)
             self.coarse.u = self._restricted.copy()
-            self.coarse.u0 = self.pair.restrict(self.fine.u0)
+            if not waiting:
+                self.coarse.u0 = self.pair.restrict(self.fine.u0)
             self.coarse.refresh_rhs(self.pair.coarse_problem)
             self.coarse.tau = compute_fas_tau(self.fine, self.coarse, self.pair)
 
         with self._regions["IT_COARSE"]:
             # serialized receive -> sweep -> send along the ranks
-            if self.rank > 0 and not self.prev_stopped:
+            if waiting:
                 msg = self._recv(("coarse", "value", k))
                 self.coarse.u0 = unpack_array(msg.payload)
             for _ in range(cfg.coarse_sweeps):
@@ -209,7 +213,7 @@ class _Worker:
             self._correct_fine()
 
         with self._regions["IT_CHECK"]:
-            if self.rank > 0 and not self.prev_stopped:
+            if waiting:
                 msg = self._recv(("fine", "status", k))
                 stopped, final = unpack_status(msg.payload)
                 self.prev_stopped = stopped
@@ -283,7 +287,7 @@ def run(config, mode="parallel"):
     return RunResult(
         final_values=[w.fine.u[-1].copy() for w in workers],
         iterations=[w.iterations for w in workers],
-        mean_iterations=fmean(w.iterations for w in workers),
+        mean_iterations=math.fsum(w.iterations for w in workers) / p,
         wall_time=wall,
         trace=merged,
         residual_histories=[list(w.residual_history) for w in workers],
@@ -358,7 +362,7 @@ def run_sdc_serial(problem, table, u0, dt, num_steps, tolerance=1e-8, max_sweeps
     return RunResult(
         final_values=values,
         iterations=counts,
-        mean_iterations=fmean(counts),
+        mean_iterations=math.fsum(counts) / len(counts),
         wall_time=wall,
         trace=merged,
         residual_histories=histories,

@@ -3,9 +3,9 @@
 Restriction truncates the Fourier spectrum to the coarse band and
 prolongation zero-pads it; both preserve mode amplitudes.  The coarse
 Nyquist mode is folded on the way down and split symmetrically on the
-way up, which makes restrict(prolong(u)) the exact identity for every
-real coarse field.  Both take one field or a whole (M, ...) node stack
-in one call.  The tau correction makes the coarse collocation problem
+way up, which makes restrict(prolong(u)) the identity, up to rounding,
+for every real coarse field.  Both take one real field or a whole
+(M, ...) node stack in one call.  The tau correction makes the coarse collocation problem
 reproduce restricted fine information; it integrates each level's
 (2, M, ...) right-hand-side stack in one quadrature of dt [q | q].
 """
@@ -22,22 +22,22 @@ __all__ = ["LevelPair", "SpectralResampler", "IdentityResampler", "compute_fas_t
 class SpectralResampler:
     """Mode-space restriction/prolongation between two periodic grids.
 
-    Both directions work on the FFT-ordered spectrum by index slicing
-    along each axis, so transfer makes no matrix product and no BLAS
-    call: restriction keeps the coarse band and adds the fine +N_c/2
-    mode into the coarse Nyquist slot (which holds -N_c/2);
-    prolongation zero-pads and puts half of the coarse Nyquist mode at
-    each of the fine -N_c/2 and +N_c/2 slots.
+    Fields are real, so both directions work on the half spectrum of
+    rfft (the last axis keeps its columns 0..n/2) by index slicing, with
+    no matrix product and no BLAS call.  Restriction keeps the coarse
+    band, adds the fine +N_c/2 row into the coarse Nyquist row (which
+    holds -N_c/2), and adds to the coarse Nyquist column the conjugate
+    of the row-mirrored fine +N_c/2 column, which is the fine -N_c/2
+    column a full spectrum would hold.  Prolongation zero-pads and puts
+    half of the coarse Nyquist row at each of the fine -N_c/2 and
+    +N_c/2 rows, and half of the Nyquist column at fine column +N_c/2;
+    irfft implies its -N_c/2 mirror.
 
-    On the fine grid only the lines that reach the result are
-    transformed.  numpy's fft2/ifft2 transform the last axis and then
-    axis 0, one line at a time; both directions make the same 1-D
-    passes in that order (in place, on the complex type fft2 would cast
-    to), the fine-grid ones on a subset of the lines.  Every kept line
-    gets the arithmetic of the full-grid transform, so the result is
-    bit-identical to it.  The normalisations (1/n^2 forward, n^2
-    inverse, and the coarse counterparts) are powers of two, so they
-    are exact and are applied as one multiply on the small block.
+    On the fine grid only the columns that reach the result are
+    transformed along axis -2.  The normalisations are powers of two,
+    so they are exact and are applied as one multiply on the small
+    block.  The result differs from a complex fft2 transfer in the last
+    bits only.  A complex field raises TypeError.
     """
 
     def __init__(self, fine_n, coarse_n):
@@ -47,16 +47,14 @@ class SpectralResampler:
             raise ValueError("grid sizes must be powers of two")
         self.fine_n = fine_n
         self.coarse_n = coarse_n
-        half = coarse_n // 2
-        # fine columns the coarse band reads, in coarse order, then the
-        # fine +N_c/2 column that folds into the coarse Nyquist slot
-        self._band = np.r_[0:half, fine_n - half:fine_n, half]
+        # coarse row k's mirror -k, the row of the conjugate mode
+        self._mirror = -np.arange(coarse_n) % coarse_n
 
     def restrict(self, values):
         """Coarse fields with the coarse band of each (n, n) fine field.
 
-        The last-axis FFT runs on all n rows; the axis -2 FFT only on the
-        N_c + 1 columns of the band and its Nyquist fold.
+        The rfft runs on all n rows; the axis -2 FFT only on the
+        N_c/2 + 1 columns of the band.
         """
         n, nc = self.fine_n, self.coarse_n
         if values.shape[-2:] != (n, n):
@@ -64,58 +62,34 @@ class SpectralResampler:
         if n == nc:
             return values.copy()
         half = nc // 2
-        lines = _complex(values)
-        np.fft.fft(lines, axis=-1, out=lines)
-        cols = lines[..., self._band]
-        np.fft.fft(cols, axis=-2, out=cols)
+        cols = np.fft.fft(np.fft.rfft(values)[..., :half + 1], axis=-2)
         out = np.concatenate((cols[..., :half, :], cols[..., n - half:, :]), axis=-2)
         out[..., half, :] += cols[..., half, :]
-        out[..., half] += out[..., nc]
-        out = out[..., :nc]
+        out[..., half] += out[..., self._mirror, half].conj()
         out *= (nc / n) ** 2
-        return np.real(_passes(np.fft.ifft, out))
+        return np.fft.irfft(np.fft.ifft(out, axis=-2, out=out), n=nc)
 
     def prolong(self, values):
         """Fine fields with each (N_c, N_c) coarse field's spectrum, zero-padded.
 
-        The last-axis inverse FFT runs only on the N_c + 1 rows that are
-        not zero; the axis -2 inverse FFT on all n columns.
+        The axis -2 inverse FFT runs only on the N_c/2 + 1 columns that
+        are not zero; irfft pads the rest of each row with zeros.
         """
         n, nc = self.fine_n, self.coarse_n
         if values.shape[-2:] != (nc, nc):
             raise ValueError(f"expected {nc}x{nc} fields, got {values.shape}")
         if n == nc:
             return values.copy()
-        half, lead = nc // 2, values.shape[:-2]
-        coeffs = _passes(np.fft.fft, _complex(values))
+        half = nc // 2
+        coeffs = np.fft.rfft2(values)
         coeffs *= (n / nc) ** 2
-        # fine rows 0..N_c/2 then n-N_c/2..n-1; the coarse Nyquist row
-        # is split in half between fine rows N_c/2 and n-N_c/2
-        rows = np.empty((*lead, nc + 1, nc), dtype=coeffs.dtype)
-        rows[..., :half, :] = coeffs[..., :half, :]
-        rows[..., half, :] = rows[..., half + 1, :] = 0.5 * coeffs[..., half, :]
-        rows[..., half + 2:, :] = coeffs[..., half + 1:, :]
-        block = np.zeros((*lead, nc + 1, n), dtype=coeffs.dtype)
-        block[..., :half] = rows[..., :half]
-        block[..., n - half + 1:] = rows[..., half + 1:]
-        block[..., half] = block[..., n - half] = 0.5 * rows[..., half]
-        np.fft.ifft(block, axis=-1, out=block)
-        out = np.zeros((*lead, n, n), dtype=block.dtype)
-        out[..., :half + 1, :] = block[..., :half + 1, :]
-        out[..., n - half:, :] = block[..., half + 1:, :]
-        return np.real(np.fft.ifft(out, axis=-2, out=out))
-
-
-def _complex(values):
-    # the complex type fft casts real input to; casting first lets every
-    # pass run in place instead of through a cast buffer
-    return values.astype(np.result_type(values.dtype, 1j))
-
-
-def _passes(transform, coeffs):
-    """fft2/ifft2 of a complex array or stack, in place: the last axis, then axis -2."""
-    transform(coeffs, axis=-1, out=coeffs)
-    return transform(coeffs, axis=-2, out=coeffs)
+        coeffs[..., half, :] *= 0.5
+        coeffs[..., half] *= 0.5
+        # fine rows 0..N_c/2 then n-N_c/2..n-1, the halved Nyquist row in both
+        block = np.zeros((*values.shape[:-2], n, half + 1), dtype=coeffs.dtype)
+        block[..., :half + 1, :] = coeffs[..., :half + 1, :]
+        block[..., n - half:, :] = coeffs[..., half:, :]
+        return np.fft.irfft(np.fft.ifft(block, axis=-2, out=block), n=n)
 
 
 class IdentityResampler:
@@ -168,7 +142,8 @@ def compute_fas_tau(fine_state, coarse_state, pair):
     """
     dt = fine_state.dt
     fine = node_integrals(pair.fine_table.scaled(dt).q_pair, fine_state.f.reshape(-1, *fine_state.u0.shape))
-    fine += fine_state.tau
+    if fine_state.tau is not None:
+        fine += fine_state.tau
     tau = pair.restrict(fine)
     tau -= node_integrals(pair.coarse_table.scaled(dt).q_pair, coarse_state.f.reshape(-1, *coarse_state.u0.shape))
     return tau

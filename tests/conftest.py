@@ -2,15 +2,37 @@
 earlier two-pass message pairing that the trace index is checked against,
 and the earlier sweep layer and Allen-Cahn kernels that the stacked
 right-hand side and the pass-by-pass transforms are checked against,
-and the serial SDC stepping that spread a fresh state for each step."""
+and the serial SDC stepping that spread a fresh state for each step;
+also a runner for code that needs a fresh interpreter."""
 
+import os
+import subprocess
+import sys
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from pitlab.sweeper import LevelState, SolveFailure, imex_sweep, node_integrals, residual
 from pitlab.trace import Trace, TraceEvent, build_profile, parse_region_name
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code, **env):
+    """Standard output of code run by a fresh interpreter on this checkout's
+    sources; each keyword sets an environment variable, None unsets it."""
+    full = dict(os.environ, PYTHONPATH=str(SRC))
+    for name, value in env.items():
+        if value is None:
+            full.pop(name, None)
+        else:
+            full[name] = value
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=full, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def ev(rank, kind, name, t, nbytes=None, peer=None):
@@ -238,7 +260,8 @@ def ref_imex_sweep(state, tab, problem):
     rhs = node_integrals(q - qdi, state.f_imp) + node_integrals(q - qde, state.f_exp)
     rhs *= dt
     rhs += state.u0
-    rhs += state.tau
+    if state.tau is not None:
+        rhs += state.tau
     for row in range(tab.m):
         for j in range(row):
             rhs[row] += dt * (qdi[row, j] * state.f_imp[j] + qde[row, j] * state.f_exp[j])
@@ -258,7 +281,8 @@ def ref_residual(state, tab):
     defect = node_integrals(tab.q, state.f_imp + state.f_exp)
     defect *= state.dt
     defect += state.u0
-    defect += state.tau
+    if state.tau is not None:
+        defect += state.tau
     defect -= state.u
     return float(np.max(np.abs(defect)))
 
@@ -268,7 +292,9 @@ def ref_compute_fas_tau(fine_state, coarse_state, pair):
     dt = fine_state.dt
     fine_integral = dt * node_integrals(pair.fine_table.q, fine_state.f_imp + fine_state.f_exp)
     coarse_integral = dt * node_integrals(pair.coarse_table.q, coarse_state.f_imp + coarse_state.f_exp)
-    restricted = np.stack([pair.restrict(v) for v in fine_integral + fine_state.tau])
+    if fine_state.tau is not None:
+        fine_integral += fine_state.tau
+    restricted = np.stack([pair.restrict(v) for v in fine_integral])
     return restricted - coarse_integral
 
 

@@ -1,11 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from conftest import ref_run_sdc_serial, region_counts
+from conftest import ref_run_sdc_serial, region_counts, run_python
 from pitlab.analysis import audit_messages
 from pitlab.collocation import make_radau_table
 from pitlab.controller import (
     DIVERGENCE_LIMIT,
+    _Worker,
     DivergedError,
     NotConvergedError,
     allen_cahn_config,
@@ -17,6 +20,7 @@ from pitlab.controller import (
 from pitlab.problems import AllenCahnProblem, DahlquistProblem, ac_initial_condition
 from pitlab.sweeper import collocation_solve_direct
 from pitlab.trace import build_profile, parse_region_name
+from pitlab.transfer import IdentityResampler
 
 
 def channel_counts(result):
@@ -44,6 +48,19 @@ class TestCrossModeEquivalence:
             assert np.abs(a - b).max() <= 1e-12
 
 
+    @pytest.mark.parametrize("blas_threads", ["1", None], ids=["blas-pinned", "blas-unpinned"])
+    def test_allen_cahn_threaded_iterates_are_bit_identical(self, blas_threads):
+        code = (
+            "import numpy as np\n"
+            "from pitlab.controller import allen_cahn_config, run\n"
+            "cfg = allen_cahn_config(2, 1e-3, n=128, coarse_n=32, radius=0.23)\n"
+            "serial, threaded = run(cfg, 'serial'), run(cfg, 'parallel')\n"
+            "print(serial.iterations == threaded.iterations,\n"
+            "      all(np.array_equal(a, b) for a, b in zip(serial.final_values, threaded.final_values)))\n"
+        )
+        assert run_python(code, OPENBLAS_NUM_THREADS=blas_threads).split() == ["True", "True"]
+
+
 class TestDegenerateRuns:
     def test_single_worker_single_step_matches_direct_collocation(self):
         cfg = dahlquist_config(1, 0.1, tolerance=1e-12)
@@ -63,6 +80,20 @@ class TestDegenerateRuns:
         result = run(cfg, mode="serial")
         for value in result.final_values:
             assert value == pytest.approx([1.0], abs=1e-14)
+
+
+class TestFreshProcess:
+    def test_set_up_imports_neither_masked_arrays_nor_statistics(self):
+        # numpy.ma alone costs 11-17 ms in every fresh process
+        code = (
+            "import sys\n"
+            "import pitlab\n"
+            "from pitlab.controller import allen_cahn_config, dahlquist_config\n"
+            "dahlquist_config(4, 0.1)\n"
+            "allen_cahn_config(4, 1e-3, n=32, coarse_n=8)\n"
+            "print(*sorted({'numpy.ma', 'statistics'} & set(sys.modules)))\n"
+        )
+        assert run_python(code).split() == []
 
 
 class TestPredictorStaircase:
@@ -115,6 +146,33 @@ class TestIterationSchedule:
             }
             for rank in range(1, 4):
                 assert recv_completes[rank] >= send_posts[rank - 1]
+
+    def test_u0_is_restricted_only_once_the_predecessor_has_stopped(self, monkeypatch):
+        # IT_COARSE replaces a waiting rank's coarse u0 with the received
+        # coarse value, so IT_DOWN restricts the node and tau stacks there
+        # and u0 only on rank 0 and after the predecessor has stopped
+        current, counts = [None], Counter()
+
+        def entered(method, key):
+            def wrapper(worker, *args):
+                current[0] = key(worker, *args)
+                return method(worker, *args)
+            return wrapper
+
+        def counting(resampler, values):
+            counts[current[0]] += 1
+            return restrict(resampler, values)
+
+        restrict = IdentityResampler.restrict
+        monkeypatch.setattr(_Worker, "predictor", entered(_Worker.predictor, lambda w: (w.rank, 0)))
+        monkeypatch.setattr(_Worker, "iteration", entered(_Worker.iteration, lambda w, k: (w.rank, k)))
+        monkeypatch.setattr(IdentityResampler, "restrict", counting)
+        result = run(dahlquist_config(4, 0.1), mode="serial")
+        assert result.iterations == [1, 2, 3, 4]
+        # per rank: the predictor's restriction, then one count per iteration
+        expected = {0: [1, 3], 1: [1, 2, 3], 2: [1, 2, 2, 3], 3: [1, 2, 2, 2, 3]}
+        assert {r: [counts[r, k] for k in range(len(c))] for r, c in expected.items()} == expected
+        assert sum(counts.values()) == sum(map(sum, expected.values()))
 
     def test_single_worker_cycle_contracts_after_predictor(self):
         cfg = dahlquist_config(1, 0.1, tolerance=1e-13, max_iterations=20)

@@ -61,7 +61,9 @@ def test_wrappers_patched_after_the_config_is_built_see_every_call(monkeypatch):
     assert iterations > 0
     assert counts["record_region"] == sum(ev.kind.startswith("region-") for ev in result.trace.events)
     # per rank, the predictor restricts u0 and prolongs one correction
-    # stack; each iteration restricts the node stack, u0 and the tau stack
-    # and prolongs one correction stack
-    assert counts["restrict"] == cfg.num_steps + 3 * iterations
+    # stack; each iteration restricts the node stack and the tau stack,
+    # u0 too once the predecessor has stopped (always on rank 0), and
+    # prolongs one correction stack
+    after_stop = result.iterations[0] + sum(max(0, b - a) for a, b in zip(result.iterations, result.iterations[1:]))
+    assert counts["restrict"] == cfg.num_steps + 2 * iterations + after_stop
     assert counts["prolong"] == cfg.num_steps + iterations

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import ref_imex_sweep, ref_residual
+from conftest import ref_imex_sweep, ref_residual, run_python
 from pitlab.collocation import make_radau_table
 from pitlab.controller import DivergedError, run_sdc_serial
 from pitlab.problems import AllenCahnProblem, DahlquistProblem, ac_initial_condition
@@ -43,6 +43,19 @@ class TestNodeIntegrals:
         bound = 3 * np.finfo(float).eps * np.abs(q).sum(axis=1).max() * np.abs(values).max()
         assert np.abs(got - np.array(loop)).max() <= bound
 
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # 3 * 128^2 * 6 multiply-adds, above OpenBLAS's threading threshold
+        # of 262,144, so the second run splits the product over two threads
+        code = (
+            "import hashlib, numpy as np\n"
+            "from pitlab.sweeper import node_integrals\n"
+            "rng = np.random.default_rng(4)\n"
+            "q, values = rng.standard_normal((3, 6)), rng.standard_normal((6, 128, 128))\n"
+            "print(hashlib.sha256(node_integrals(q, values).tobytes()).hexdigest())\n"
+        )
+        digests = {threads: run_python(code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")}
+        assert digests["1"] == digests["2"]
+
     def test_respread_refills_the_same_arrays_as_a_fresh_spread(self):
         problem, state = allen_cahn_state(n=16)
         imex_sweep(state, make_radau_table(3), problem)
@@ -64,11 +77,12 @@ class TestNodeIntegrals:
         for problem, u0 in cases:
             state = LevelState.spread(u0, 3, 0.1, problem)
             assert state.u0 is not u0 and np.array_equal(state.u0, u0)
+            # no FAS correction until one is assigned
+            assert state.tau is None
             expected = {
                 "u": u0,
                 "f_imp": problem.eval_implicit(u0),
                 "f_exp": problem.eval_explicit(u0),
-                "tau": np.zeros_like(u0),
             }
             for name, node_value in expected.items():
                 stack = getattr(state, name)
@@ -311,7 +325,7 @@ class TestStackedRhs:
         lu = make_radau_table(3)
         if case == "allen-cahn-64-tau":
             problem, state = allen_cahn_state(n=64)
-            state.tau = 1e-3 * np.random.default_rng(5).standard_normal(state.tau.shape)
+            state.tau = 1e-3 * np.random.default_rng(5).standard_normal(state.u.shape)
             # |d/du of the reaction| = 2/eps^2 |1 - 6u + 6u^2|, below 2/eps^2 * 2 near [0, 1]
             return problem, state, lu, 4.0 / 0.04**2
         if case == "dahlquist-complex":
@@ -335,7 +349,8 @@ class TestStackedRhs:
             ref = copy.deepcopy(state)
             imex_sweep(state, tab, problem)
             ref_imex_sweep(ref, tab, problem)
-            scale = (np.abs(state.u0).max() + np.abs(state.tau).max() + np.abs(ref.u).max()
+            tau = 0.0 if state.tau is None else np.abs(state.tau).max()
+            scale = (np.abs(state.u0).max() + tau + np.abs(ref.u).max()
                      + state.dt * weight * np.abs(ref.f).max())
             assert np.abs(state.u - ref.u).max() <= 8 * eps * scale
             assert np.abs(state.f - ref.f).max() <= 8 * eps * scale * stiff

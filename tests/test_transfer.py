@@ -3,7 +3,7 @@ import pytest
 
 from conftest import ref_compute_fas_tau
 from pitlab.collocation import make_radau_table
-from pitlab.problems import AllenCahnProblem, _forward, _inverse, ac_initial_condition
+from pitlab.problems import AllenCahnProblem, ac_initial_condition
 from pitlab.sweeper import LevelState, imex_sweep, residual
 from pitlab.transfer import IdentityResampler, LevelPair, SpectralResampler, compute_fas_tau
 
@@ -13,31 +13,46 @@ def coords(n, length=1.0):
     return np.meshgrid(x, x, indexing="ij")
 
 
+# The references transform the whole fine grid.  numpy's rfft2 is an rfft
+# along the last axis and then an fft along axis -2, one line at a time,
+# and irfft2 the reverse, so every line the resampler transforms gets the
+# same arithmetic and the results agree bit for bit.  With norm="forward"
+# the scaling is 1/n per axis on the way in and none on the way out;
+# powers of two, so exact wherever they are applied.
+
+
+def coarse_nyquist_fold(coeffs):
+    """Adds the implied -N_c/2 column, the conjugate of the row-mirrored
+    +N_c/2 column, into the coarse Nyquist column, in place."""
+    coarse_n = coeffs.shape[0]
+    mirror = -np.arange(coarse_n) % coarse_n
+    coeffs[:, coarse_n // 2] += coeffs[mirror, coarse_n // 2].conj()
+    return coeffs
+
+
 def full_grid_restrict(values, coarse_n):
-    """Reference restriction: the whole fine spectrum, then the band."""
+    """Reference restriction: the whole fine half spectrum, then the band."""
     half = coarse_n // 2
-    coeffs = _forward(values)
+    coeffs = np.fft.rfft2(values, norm="forward")
     rows = np.concatenate((coeffs[:half], coeffs[-half:]))
     rows[half] += coeffs[half]
-    out = np.concatenate((rows[:, :half], rows[:, -half:]), axis=1)
-    out[:, half] += rows[:, half]
-    return _inverse(out)
+    out = coarse_nyquist_fold(rows[:, :half + 1])
+    return np.fft.irfft2(out, s=(coarse_n, coarse_n), norm="forward")
 
 
 def full_grid_prolong(values, fine_n):
-    """Reference prolongation: the zero-padded spectrum on the whole fine grid."""
+    """Reference prolongation: the zero-padded half spectrum on the whole fine grid."""
     n, coarse_n = fine_n, values.shape[0]
     half = coarse_n // 2
-    coeffs = _forward(values)
-    rows = np.zeros((n, coarse_n), dtype=coeffs.dtype)
+    coeffs = np.fft.rfft2(values, norm="forward")
+    rows = np.zeros((n, half + 1), dtype=coeffs.dtype)
     rows[:half] = coeffs[:half]
     rows[n - half + 1:] = coeffs[half + 1:]
     rows[half] = rows[n - half] = 0.5 * coeffs[half]
-    out = np.zeros((n, n), dtype=coeffs.dtype)
+    out = np.zeros((n, n // 2 + 1), dtype=coeffs.dtype)
     out[:, :half] = rows[:, :half]
-    out[:, n - half + 1:] = rows[:, half + 1:]
-    out[:, half] = out[:, n - half] = 0.5 * rows[:, half]
-    return _inverse(out)
+    out[:, half] = 0.5 * rows[:, half]
+    return np.fft.irfft2(out, s=(n, n), norm="forward")
 
 
 def ac_pair(fine_n=32, coarse_n=8, eps=0.04, m=3):
@@ -90,8 +105,11 @@ class TestSpaceTransfer:
 
     @pytest.mark.parametrize("fine_n, coarse_n", [(128, 32), (256, 64), (64, 16), (8, 2), (128, 64)])
     def test_sliced_transfer_matches_dense_mode_matrices_bit_for_bit(self, fine_n, coarse_n):
-        # reference: R keeps |m| < N_c/2 and adds the fine +-N_c/2 modes
-        # into the coarse Nyquist row; P is R^T with 1/2 on both halves
+        # reference on the half spectra: R keeps the rows |m| < N_c/2 and
+        # adds the fine +-N_c/2 rows into the coarse Nyquist row; P is R^T
+        # with 1/2 on both halves.  Columns 0..N_c/2 are kept (C), and on
+        # the way up the +N_c/2 column is halved (D); the Nyquist column
+        # fold takes a conjugate, so it is written out
         half = coarse_n // 2
         r = np.zeros((coarse_n, fine_n))
         for m in range(-half, half):
@@ -99,15 +117,20 @@ class TestSpaceTransfer:
         r[half, half] += 1.0
         p = r.T.copy()
         p[fine_n - half, half] = p[half, half] = 0.5
+        c = np.eye(half + 1, fine_n // 2 + 1)
+        d = c.T.copy()
+        d[half, half] = 0.5
         rs = SpectralResampler(fine_n, coarse_n)
         rng = np.random.default_rng(fine_n + coarse_n)
         for _ in range(3):
             fine = rng.standard_normal((fine_n, fine_n))
             coarse = rng.standard_normal((coarse_n, coarse_n))
-            dense_r = _inverse(r @ _forward(fine) @ r.T)
-            dense_p = _inverse(p @ _forward(coarse) @ p.T)
-            assert np.array_equal(rs.restrict(fine), dense_r)
-            assert np.array_equal(rs.prolong(coarse), dense_p)
+            fine_modes = np.fft.rfft2(fine, norm="forward")
+            coarse_modes = np.fft.rfft2(coarse, norm="forward")
+            dense_r = coarse_nyquist_fold(r @ fine_modes @ c.T)
+            dense_p = p @ coarse_modes @ d.T
+            assert np.array_equal(rs.restrict(fine), np.fft.irfft2(dense_r, s=coarse.shape, norm="forward"))
+            assert np.array_equal(rs.prolong(coarse), np.fft.irfft2(dense_p, s=fine.shape, norm="forward"))
 
     @pytest.mark.parametrize("fine_n, coarse_n", [(128, 32), (256, 64), (64, 16), (8, 2), (128, 64)])
     def test_pruned_transforms_match_full_grid_transfer_bit_for_bit(self, fine_n, coarse_n):
@@ -122,6 +145,15 @@ class TestSpaceTransfer:
         ]:
             assert np.array_equal(rs.restrict(fine), full_grid_restrict(fine, coarse_n))
             assert np.array_equal(rs.prolong(coarse), full_grid_prolong(coarse, fine_n))
+
+    def test_complex_field_rejected(self):
+        # fields are real: rfft refuses a complex one instead of dropping
+        # its imaginary part
+        rs = SpectralResampler(64, 16)
+        with pytest.raises(TypeError):
+            rs.restrict(np.zeros((64, 64), dtype=complex))
+        with pytest.raises(TypeError):
+            rs.prolong(np.zeros((3, 16, 16), dtype=complex))
 
     def test_size_mismatch_rejected(self):
         rs = SpectralResampler(64, 16)
@@ -241,7 +273,7 @@ class TestFasTau:
         pair = ac_pair(fine_n=64, coarse_n=32)
         u0 = ac_initial_condition(1, 0.04, 64, 1, radius=0.25).values
         fine = LevelState.spread(u0, 3, 1e-3, pair.fine_problem)
-        fine.tau = 1e-3 * np.random.default_rng(3).standard_normal(fine.tau.shape)
+        fine.tau = 1e-3 * np.random.default_rng(3).standard_normal(fine.u.shape)
         imex_sweep(fine, pair.fine_table, pair.fine_problem)
         coarse = LevelState.spread(pair.restrict(u0), 3, 1e-3, pair.coarse_problem)
         coarse.u = np.stack([pair.restrict(v) for v in fine.u])
