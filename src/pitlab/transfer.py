@@ -5,9 +5,10 @@ prolongation zero-pads it; both preserve mode amplitudes.  The coarse
 Nyquist mode is folded on the way down and split symmetrically on the
 way up, which makes restrict(prolong(u)) the identity, up to rounding,
 for every real coarse field.  Both take one real field or a whole
-(M, ...) node stack in one call.  The tau correction makes the coarse collocation problem
-reproduce restricted fine information; it integrates each level's
-(2, M, ...) right-hand-side stack in one quadrature of dt [q | q].
+(M, ...) node stack in one call.  The tau correction makes the coarse
+collocation problem reproduce restricted fine information; it integrates
+each level's (2, M, ...) right-hand-side stack in one quadrature of
+dt [q | q].
 """
 
 from dataclasses import dataclass
