@@ -11,8 +11,10 @@ Sender patterns.
 
 Every step reads `trace.index`, built once per trace by `pitlab.trace`:
 one record per message and, per rank, the events in time order, each
-one's message, the blocked spans and the region-stack changes.  The
-replay sweeps each rank forward once; a receive holds the message whose
+one's message and compute time, the blocked spans and the region-stack
+changes.  The efficiency report and the replay take a rank's
+computation from those per-event compute times and from nothing else.
+The replay sweeps each rank forward once; a receive holds the message whose
 send-post releases it, and its rank is parked until that send-post is
 replayed, so the analysis is linear in the number of events.
 """
@@ -21,7 +23,7 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .trace import Trace, TraceEvent, merged_length
+from .trace import Trace, TraceEvent
 
 __all__ = [
     "PopReport",
@@ -122,15 +124,12 @@ def phase_window(trace, full_run=False):
     return start, t_max
 
 
-def _clip_spans(spans, lo, hi):
-    return [(max(s, lo), min(e, hi)) for s, e in spans if min(e, hi) > max(s, lo)]
-
-
 def pop_metrics(trace, full_run=False):
     """Efficiency decomposition of a trace phase.
 
-    With per-rank computation time c_p = span_p - comm_p and phase
-    makespan T: load balance mean(c)/max(c), communication efficiency
+    With per-rank computation time c_p, the sum of the compute gaps of
+    the rank's events in the phase after its first (see `trace`), and
+    phase makespan T: load balance mean(c)/max(c), communication efficiency
     max(c)/T, parallel efficiency mean(c)/T; the ideal replay makespan
     splits communication efficiency into serialisation max(c)/T_ideal
     and transfer T_ideal/T.
@@ -146,7 +145,7 @@ def pop_metrics(trace, full_run=False):
             continue
         starts.append(view.times[a])
         ends.append(view.times[b - 1])
-        comp[rank] = (ends[-1] - starts[-1]) - merged_length(_clip_spans(view.spans, lo, hi))
+        comp[rank] = sum(view.compute[a + 1:b])  # the window's first event computes nothing
     if not comp:
         raise EmptyPhaseError("no rank has events in the selected phase")
     c_max = max(comp.values())
@@ -201,29 +200,18 @@ def detect_late_sender(trace, min_wait=0.0):
 
 
 def _replay_ops(trace, window):
-    """Per-rank (compute delta, event, message) ops in one forward sweep
-    per rank: a blocked span joins the active list at the first event
-    after its start and leaves once an event at or after its end has
-    passed; only active spans are clipped to each event's gap.  A receive
-    whose send-post is outside the window has no dependency: no message."""
+    """Per-rank (compute delta, event, message) ops: each event in the
+    window with its compute from the index, 0.0 for the window's first.
+    A receive whose send-post is outside the window has no dependency:
+    no message."""
     ranks = {}
     for rank, view in trace.index.ranks.items():
         a, b = view.window(*window) if window else (0, len(view.events))
-        spans, events = view.spans, view.events[a:b]
-        ops, active, next_span = [], [], 0
-        prev_t = events[0].t if events else 0.0
-        for ev, m in zip(events, view.messages[a:b]):
-            while next_span < len(spans) and spans[next_span][0] < ev.t:
-                active.append(spans[next_span])
-                next_span += 1
-            if active:
-                active = [span for span in active if span[1] > prev_t]
-            overlap = merged_length(_clip_spans(active, prev_t, ev.t)) if active else 0.0
-            delta = max(ev.t - prev_t - overlap, 0.0)
+        ops = []
+        for delta, ev, m in zip(view.compute[a:b], view.events[a:b], view.messages[a:b]):
             if window and m is not None and ev.kind in ("recv-post", "recv-complete"):
                 m = m if window[0] <= m.send_post <= window[1] else None
-            ops.append((delta, ev, m))
-            prev_t = ev.t
+            ops.append((delta if ops else 0.0, ev, m))
         ranks[rank] = ops
     return ranks
 

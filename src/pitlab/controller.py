@@ -98,6 +98,10 @@ class RunConfig:
             raise ValueError(f"need at least one step, got {self.num_steps}")
         if not 0 < self.dt < float("inf"):
             raise ValueError(f"step size must be finite and positive, got {self.dt}")
+        if self.max_iterations < 1:
+            raise ValueError(f"need at least one iteration, got {self.max_iterations}")
+        if not 0 <= self.latency < float("inf"):
+            raise ValueError(f"latency must be finite and non-negative, got {self.latency}")
 
 
 @dataclass

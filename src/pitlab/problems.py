@@ -132,6 +132,8 @@ class AllenCahnProblem:
 
     def __init__(self, n, lpatches=1, eps=0.04):
         _require_pow2(n)
+        if lpatches < 1:
+            raise ValueError(f"need at least one patch per side, got {lpatches}")
         if eps <= 0:
             raise ValueError(f"interface parameter must be positive, got {eps}")
         self.n = n
@@ -223,6 +225,8 @@ def ac_initial_condition(lpatches, eps, n, seed, radius=None):
     so equal seeds give bit-identical fields.  A fixed radius for every
     patch can be forced with the radius argument (test override).
     """
+    if lpatches < 1:
+        raise ValueError(f"need at least one patch per side, got {lpatches}")
     if n % lpatches:
         raise ValueError(f"grid size {n} not divisible by patch count {lpatches}")
     rng = Xorshift64Star(seed)

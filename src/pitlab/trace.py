@@ -6,8 +6,10 @@ Traces are stored as line-oriented JSON (one event per line behind a
 single header line) so tests can diff them.  A trace's index lives with
 the trace and is built once, on first use: one record per message from
 one FIFO pairing, and per rank its events in time order, their messages,
-the blocked spans read off those records, and one region-stack walk.
-The profile and every analysis step read it.
+the blocked spans read off those records, and one walk for each event's
+compute time (the gap since the rank's previous event, 0.0 while a
+blocked span is open across it) and the region stack.  The profile and
+every analysis step read it; computation is defined there alone.
 """
 
 import bisect
@@ -378,19 +380,28 @@ def match_messages(trace):
 
 class _RankView:
     """One rank's events in time order with what the profile and the
-    analysis look up, from one walk of its region stack."""
+    analysis look up, from one walk: each event's compute and the region stack."""
 
     def __init__(self, events, messages, spans):
         self.events = events
         self.times = [ev.t for ev in events]
         self.messages = messages  # each comm event's message if both sides posted it, else None
-        self.spans = sorted(spans)  # blocked (post, completion) spans of the rank's messages, by start
+        self.spans = spans = sorted(spans)  # blocked (post, completion) spans of the rank's messages, by start
+        self.compute = []  # per event: the gap since the previous event, 0.0 while a blocked span is open across it
         self.region_times, self.region_tops = [], []  # when the region stack changes, and its new top
         self.regions = {}  # name -> RegionStats, in first-exit order
         self.predict_end = None  # last predictor exit
         self.error = None  # first structural error
         stack = []  # [name, enter time, time spent in child regions]
+        next_span, open_until = 0, -math.inf  # the latest end of the spans started before the event
+        prev_t = events[0].t if events else 0.0
         for ev in events:
+            while next_span < len(spans) and spans[next_span][0] < ev.t:
+                open_until = max(open_until, spans[next_span][1])
+                next_span += 1
+            # a span's ends are this rank's event times: one still open after prev_t covers the whole gap
+            self.compute.append(0.0 if open_until > prev_t else ev.t - prev_t)
+            prev_t = ev.t
             if ev.kind == "region-enter":
                 stack.append([ev.name, ev.t, 0.0])
             elif ev.kind == "region-exit":
@@ -468,6 +479,6 @@ def build_profile(trace):
         stats.bytes_sent = sum(ev.bytes or 0 for ev in view.events if ev.kind == "send-post")
         stats.bytes_received = sum(ev.bytes or 0 for ev in view.events if ev.kind == "recv-complete")
         stats.communication = merged_length(view.spans)
-        stats.computation = stats.runtime - stats.communication
+        stats.computation = sum(view.compute)
         stats.untracked = stats.runtime - sum(reg.exclusive for reg in view.regions.values())
     return profile

@@ -6,6 +6,9 @@ every unfinished rank on each pass, and a region lookup that rescans
 the trace for each wait state.  The indexed analysis must give equal
 reports, wait states, replayed events and makespans, do work linear in
 the trace, and fix the replay's timestamp collisions.
+The POP reference takes a rank's computation as its span in the window
+less its blocked spans clipped to that span, from the rank's own first
+to its last event in the window.
 The reference pairs each receive completion with its own match, as the
 indexed replay does.  Its ops carry the index of a match where the
 indexed ops carry the message record, so ops are compared by the
@@ -45,7 +48,7 @@ from pitlab.analysis import (
     replay_trace,
 )
 from pitlab.controller import dahlquist_config, run
-from pitlab.trace import Trace, TraceEvent, merged_length
+from pitlab.trace import Trace, TraceEvent, build_profile, merged_length
 
 
 def ref_phase_window(trace, full_run=False):
@@ -62,6 +65,10 @@ def ref_phase_window(trace, full_run=False):
     if start >= t_max:
         raise EmptyPhaseError("selected phase is empty; nothing after the predictor")
     return start, t_max
+
+
+def ref_clip_spans(spans, lo, hi):
+    return [(max(s, lo), min(e, hi)) for s, e in spans if min(e, hi) > max(s, lo)]
 
 
 def ref_replay_ops(trace, window):
@@ -95,7 +102,7 @@ def ref_replay_ops(trace, window):
         prev_t = events[0].t if events else 0.0
         for ev in events:
             gap = ev.t - prev_t
-            overlap = merged_length(analysis._clip_spans(blocked, prev_t, ev.t))
+            overlap = merged_length(ref_clip_spans(blocked, prev_t, ev.t))
             delta = max(gap - overlap, 0.0)
             match_idx = None
             if ev.kind == "send-post":
@@ -178,9 +185,8 @@ def ref_pop_metrics(trace, full_run=False):
             continue
         start = min(ev.t for ev in in_phase)
         end = max(ev.t for ev in in_phase)
-        comm = merged_length(
-            analysis._clip_spans(ref_comm_intervals(sorted(events, key=lambda e: e.t)), lo, hi)
-        )
+        # blocked time counts from the rank's own first event in the phase
+        comm = merged_length(ref_clip_spans(ref_comm_intervals(sorted(events, key=lambda e: e.t)), start, end))
         comp[rank] = (end - start) - comm
     if not comp:
         raise EmptyPhaseError("no rank has events in the selected phase")
@@ -414,28 +420,112 @@ class TestReplayPairsEachReceiveWithItsMatch:
         assert done == {"a": 0.0, "b": 4.0}
 
 
+def _send_across_window_start_trace():
+    """Rank 0 posts a rendezvous send at 1, before rank 1's last PREDICT
+    exit at 3 opens the window; rank 1 receives it at 3, the hand-shake
+    completes both sides at 4, then rank 0 computes 0.5 s and rank 1 3 s."""
+    return make_trace(
+        [
+            ev(0, "region-enter", "REGION -- PREDICT -- 0", 0.0),
+            ev(0, "region-exit", "REGION -- PREDICT -- 0", 1.0),
+            ev(0, "send-post", "x", 1.0, 8, 1),
+            ev(0, "send-complete", "x", 4.0, 8, 1),
+            ev(0, "region-enter", "REGION -- IT_FINE -- 0", 4.0),
+            ev(0, "region-exit", "REGION -- IT_FINE -- 0", 4.5),
+            ev(1, "region-enter", "REGION -- PREDICT -- 1", 0.0),
+            ev(1, "region-exit", "REGION -- PREDICT -- 1", 3.0),
+            ev(1, "recv-post", "x", 3.0, 0, 0),
+            ev(1, "recv-complete", "x", 4.0, 8, 0),
+            ev(1, "region-enter", "REGION -- IT_FINE -- 1", 4.0),
+            ev(1, "region-exit", "REGION -- IT_FINE -- 1", 7.0),
+        ],
+        2,
+    )
+
+
+class TestPopWindow:
+    def test_blocked_time_before_a_ranks_first_event_is_not_subtracted(self):
+        # clipped to the window [3, 7] instead, rank 0's span left 1 s of
+        # blocking to subtract from 0.5 s of compute: c_0 = -0.5
+        trace = _send_across_window_start_trace()
+        report = pop_metrics(trace)
+        assert phase_window(trace) == (3.0, 7.0)
+        assert report.comp_times == {0: 0.5, 1: 3.0}
+        assert (report.total_runtime, report.ideal_runtime) == (4.0, 3.0)
+        assert report.load_balance == 1.75 / 3.0
+        assert pop_metrics(trace, full_run=True).comp_times == {0: 1.5, 1: 6.0}
+
+
+_COMPUTE_FIXTURES = {
+    "hand": pop_hand_trace,
+    "fig5": fig5_trace,
+    "ping-pong": lambda: ping_pong_trace(5, 6),
+    "shape0": lambda: synthetic_trace(2, 1, 1),
+    "shape1": lambda: synthetic_trace(3, 2, 2),
+    "shape2": lambda: synthetic_trace(4, 6, 3),
+    "shape3": lambda: synthetic_trace(6, 5, 4),
+    "two-open": _two_open_receives_trace,
+    "collision": lambda: _collision_trace(3.0),
+    "window-start": _send_across_window_start_trace,
+    "serial": lambda: _dahlquist_trace("serial", 8),
+    "threads": lambda: _dahlquist_trace("parallel", 8),
+    "threads-rendezvous": lambda: _dahlquist_trace("parallel", 8, rendezvous_bytes=0),
+}
+
+
+class TestOneDefinitionOfCompute:
+    """The profile, the POP report and the replay read one compute time
+    per event from the index, so they agree exactly.  Each compute value
+    is a gap between two of the rank's events or 0.0, so it is never
+    negative; and a completion's gap lies inside its own blocked span, so
+    its compute is 0.0 and the replay, which adds every other delta to a
+    clock that only waits forward, ends each rank at or after its summed
+    compute: serialisation efficiency is at most 1 by construction."""
+
+    @pytest.mark.parametrize("name", list(_COMPUTE_FIXTURES))
+    def test_profile_report_and_replay_agree(self, name):
+        trace = _COMPUTE_FIXTURES[name]()
+        profile = build_profile(trace)
+        full = _outcome(pop_metrics, trace, full_run=True)
+        if isinstance(full, str):  # nothing computes: fig5 is all blocking
+            assert full == "EmptyPhaseError"
+            assert all(stats.computation == 0.0 for stats in profile.ranks.values())
+        else:
+            assert full.comp_times == {r: profile.ranks[r].computation for r in full.comp_times}
+        window = phase_window(trace)
+        ops = analysis._replay_ops(trace, window)
+        report = _outcome(pop_metrics, trace)
+        if not isinstance(report, str):
+            assert report.comp_times == {r: sum(delta for delta, _, _ in ops[r]) for r in report.comp_times}
+        if name == "threads-rendezvous":
+            assert all(value >= 0.0 for view in trace.index.ranks.values() for value in view.compute)
+            assert all(value >= 0.0 for value in report.comp_times.values())
+            assert report.serialisation_efficiency <= 1.0
+
+
 class TestLinearWork:
     @staticmethod
     def work(trace, monkeypatch):
         counts = Counter()
-        clip, region_at = analysis._clip_spans, tracing._RankView.region_at
+        view_init, region_at = tracing._RankView.__init__, tracing._RankView.region_at
+
+        def counting_view_init(view, events, messages, spans):
+            counts["spans"] += len(spans)
+            view_init(view, events, messages, spans)
 
         def counting_merged_length(spans):
             counts["merged"] += len(spans)
             return merged_length(spans)
-
-        def counting_clip(spans, lo, hi):
-            counts["clipped"] += len(spans)
-            return clip(spans, lo, hi)
 
         def counting_region_at(view, t):
             counts["regions"] += 1
             return region_at(view, t)
 
         with monkeypatch.context() as patch:
-            patch.setattr(analysis, "merged_length", counting_merged_length)
-            patch.setattr(analysis, "_clip_spans", counting_clip)
+            patch.setattr(tracing._RankView, "__init__", counting_view_init)
+            patch.setattr(tracing, "merged_length", counting_merged_length)
             patch.setattr(tracing._RankView, "region_at", counting_region_at)
+            build_profile(trace)
             pop_metrics(trace)
             waits = detect_late_receiver(trace) + detect_late_sender(trace)
         assert counts["regions"] == len(waits)
@@ -450,11 +540,12 @@ class TestLinearWork:
                 len(ref_comm_intervals(sorted(evs, key=lambda e: e.t))) for evs in events_by_rank(trace).values()
             )
             counts = self.work(trace, monkeypatch)
-            # an event clips only the spans open across the gap before it
-            assert counts["clipped"] <= 2 * (events + spans)
-            assert counts["merged"] <= counts["clipped"]
+            assert min(counts["spans"], counts["merged"], counts["regions"]) > 0
+            # the index's per-rank pass starts each blocked span once, and
+            # only the profile's communication merges them, once
+            assert counts["spans"] == counts["merged"] == spans
             assert counts["regions"] <= audit_messages(trace)["matched"]
-            per_unit.append(counts["clipped"] / (events + spans))
+            per_unit.append(sum(counts.values()) / (events + spans))
         assert events >= 100_000
         # eight times the trace, no more work per event or span
         assert per_unit[1] <= 1.01 * per_unit[0]

@@ -152,6 +152,10 @@ class TestRunCommand:
             (None, ["--dt", "nan"]),
             (None, ["--dt", "inf"]),
             (None, ["--scheme", "sdc", "--dt", "0"]),
+            (None, ["--problem", "allen-cahn", "--grid", "16", "--coarse-grid", "8", "--lpatches", "0"]),
+            (None, ["--max-iters", "0"]),
+            (None, ["--latency", "-1"]),
+            (None, ["--latency", "nan"]),
         ],
     )
     def test_bad_input_is_one_usage_error(self, config, args, tmp_path):

@@ -302,6 +302,11 @@ class TestFailureModes:
         with pytest.raises(ValueError, match="sweep counts"):
             cfg = dahlquist_config(2, 0.1, fine_sweeps=0)
             run(cfg)
+        with pytest.raises(ValueError, match="at least one iteration"):
+            run(dahlquist_config(2, 0.1, max_iterations=0))
+        for latency in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="latency must be finite and non-negative"):
+                run(dahlquist_config(2, 0.1, latency=latency))
 
 
 class TestSerialSdc:

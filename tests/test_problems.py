@@ -252,6 +252,13 @@ class TestInitialCondition:
         with pytest.raises(ValueError, match="divisible"):
             ac_initial_condition(3, 0.04, 64, seed=1)
 
+    def test_no_patch_rejected(self):
+        for lpatches in (0, -2):
+            with pytest.raises(ValueError, match="at least one patch"):
+                ac_initial_condition(lpatches, 0.04, 64, seed=1)
+            with pytest.raises(ValueError, match="at least one patch"):
+                AllenCahnProblem(16, lpatches)
+
     def test_radii_come_from_the_documented_generator(self):
         rng = Xorshift64Star(55)
         expected = [rng.uniform(0.5 * 0.04, 3 * 0.04) for _ in range(4)]
