@@ -1,10 +1,12 @@
 """Quadrature tables for collocation time-stepping.
 
-Builds right Gauss-Radau nodes, the node-to-start integration matrix Q,
-and the two sweep preconditioners: the implicit lower-triangular matrix
-obtained from the LU factorization of Q^T, and the explicit Euler matrix
-of node spacings.  Q and the preconditioners are stored for the unit
-interval; a table scales its sweep blocks by dt once per step size.
+Builds right Gauss-Radau nodes from one symmetric tridiagonal eigenvalue
+solve, the node-to-start integration matrix Q, and the two sweep
+preconditioners: the implicit lower-triangular matrix obtained from the
+LU factorization of Q^T, and the explicit Euler matrix of node spacings
+(backward Euler, the alternative implicit one, adds the diagonal).  Q and
+the preconditioners are stored for the unit interval; a table scales its
+sweep blocks by dt once per step size.
 """
 
 from collections import namedtuple
@@ -21,43 +23,11 @@ __all__ = [
     "make_radau_table",
 ]
 
-_NEWTON_TOL = 1e-14
-_NEWTON_MAX_ITER = 100
 ScaledBlocks = namedtuple("ScaledBlocks", "q_prev q_pair qd_lower qd_diag")
 
 
 class NumericFailure(RuntimeError):
     """Raised when a factorization or solve breaks down."""
-
-
-def _legendre_pair(n, x):
-    """Evaluate (P_{n-1}, P_n) at x via the three-term recurrence."""
-    p_prev = np.ones_like(x)
-    p = np.asarray(x, dtype=float)
-    if n == 0:
-        return None, p_prev
-    for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    return p_prev, p
-
-
-def _radau_poly(m, x):
-    """Value and derivative of r(x) = (P_{m-1}(x) - P_m(x)) / (1 - x).
-
-    The interior right-Radau points of an m-point rule are the m-1 roots
-    of r on (-1, 1); the m-th point is x = 1.
-    """
-    x = np.asarray(x, dtype=float)
-    p_prev, p = _legendre_pair(m, x)
-    g = p_prev - p
-    # g'(x) from the Legendre derivative identity
-    # (1 - x^2) P_m' = m (P_{m-1} - x P_m)
-    dp = m * (p_prev - x * p) / (1.0 - x * x)
-    dp_prev = (m - 1) * (_legendre_pair(m - 1, x)[0] - x * p_prev) / (1.0 - x * x) if m > 1 else np.zeros_like(x)
-    dg = dp_prev - dp
-    r = g / (1.0 - x)
-    dr = (dg * (1.0 - x) + g) / (1.0 - x) ** 2
-    return r, dr
 
 
 def radau_nodes(m, t0=0.0, t1=1.0):
@@ -74,49 +44,23 @@ def radau_nodes(m, t0=0.0, t1=1.0):
     -------
     ndarray of shape (m,), strictly increasing, nodes[-1] == t1.
 
-    Interior points are found by bracketing sign changes of the Radau
-    polynomial and polishing with Newton iteration on the Legendre
-    recurrence (tolerance 1e-14, at most 100 steps).
+    On [-1, 1] the m-1 interior points are the roots of
+    (P_{m-1}(x) - P_m(x)) / (1 - x), which are the Gauss points of the
+    weight 1 - x.  Golub & Welsch (Math. Comp. 23, 1969) give them as the
+    eigenvalues of that weight's symmetric tridiagonal Jacobi matrix:
+    diagonal -1/((2n+1)(2n+3)) for n = 0..m-2, off-diagonal
+    sqrt(k(k+1))/(2k+1) for k = 1..m-2.
     """
     if m < 1:
         raise ValueError(f"node count must be >= 1, got {m}")
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    if m == 1:
-        return np.array([float(t1)])
-
-    # bracket the m-1 interior roots on (-1, 1)
-    n_scan = max(64, 16 * m)
-    xs = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, n_scan)
-    vals = _radau_poly(m, xs)[0]
-    sign_flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if len(sign_flip) != m - 1:
-        raise NumericFailure(f"found {len(sign_flip)} Radau brackets, expected {m - 1}")
-
-    roots = []
-    for i in sign_flip:
-        lo, hi = xs[i], xs[i + 1]
-        x = 0.5 * (lo + hi)
-        for _ in range(_NEWTON_MAX_ITER):
-            r, dr = _radau_poly(m, x)
-            step = r / dr
-            x_new = x - step
-            if not lo <= x_new <= hi:
-                # Newton left the bracket; fall back to bisection
-                x_new = 0.5 * (lo + hi)
-            if _radau_poly(m, lo)[0] * _radau_poly(m, x_new)[0] < 0:
-                hi = x_new
-            else:
-                lo = x_new
-            converged = abs(x_new - x) <= _NEWTON_TOL * max(1.0, abs(x_new))
-            x = x_new
-            if converged:
-                break
-        roots.append(x)
-
-    unit = np.array(sorted(roots) + [1.0])
-    unit = 0.5 * (unit + 1.0)  # [-1, 1] -> [0, 1]
-    return t0 + (t1 - t0) * unit
+    n = np.arange(m - 1)
+    k = n[1:]
+    off = np.sqrt(k * (k + 1.0)) / (2 * k + 1)
+    jacobi = np.diag(-1.0 / ((2 * n + 1) * (2 * n + 3))) + np.diag(off, 1) + np.diag(off, -1)
+    interior = 0.5 * (np.linalg.eigvalsh(jacobi) + 1.0)  # [-1, 1] -> [0, 1], ascending
+    return np.append(t0 + (t1 - t0) * interior, float(t1))
 
 
 def build_Q(nodes, t0=0.0):
@@ -165,10 +109,7 @@ def build_QDelta_EE(nodes, t0=0.0):
     m = len(nodes)
     dt = nodes[-1] - t0
     c = (nodes - t0) / dt
-    qde = np.zeros((m, m))
-    for row in range(1, m):
-        qde[row, : row] = np.diff(c)[:row]
-    return qde
+    return np.tril(np.broadcast_to(np.diff(c, append=c[-1]), (m, m)), -1)
 
 
 @dataclass(frozen=True)
@@ -230,10 +171,7 @@ def make_radau_table(m, t0=0.0, t1=1.0, implicit="lu"):
         qd_imp = build_QDelta_LU(q)
     elif implicit == "be":
         c = (nodes - t0) / (t1 - t0)
-        qd_imp = np.zeros((m, m))
-        deltas = np.diff(np.concatenate(([0.0], c)))
-        for row in range(m):
-            qd_imp[row, : row + 1] = deltas[: row + 1]
+        qd_imp = np.tril(np.broadcast_to(np.diff(c, prepend=0.0), (m, m)))
     else:
         raise ValueError(f"unknown implicit preconditioner {implicit!r}")
     return CollocationTable(

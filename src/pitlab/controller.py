@@ -90,8 +90,8 @@ class RunConfig:
     compute_delay: dict = field(default_factory=dict)  # rank -> seconds per fine sweep
 
     def validate(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < float("inf"):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.fine_sweeps < 1 or self.coarse_sweeps < 1:
             raise ValueError("sweep counts must be at least 1")
         if self.num_steps < 1:

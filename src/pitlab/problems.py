@@ -92,6 +92,8 @@ class DahlquistProblem:
     """Scalar test equation u' = lambda_I u + lambda_E u, split IMEX."""
 
     def __init__(self, lambda_implicit=-1.0, lambda_explicit=0.0):
+        if not np.isfinite([lambda_implicit, lambda_explicit]).all():
+            raise ValueError(f"rates must be finite, got {lambda_implicit} and {lambda_explicit}")
         self.lambda_implicit = lambda_implicit
         self.lambda_explicit = lambda_explicit
 
@@ -134,8 +136,8 @@ class AllenCahnProblem:
         _require_pow2(n)
         if lpatches < 1:
             raise ValueError(f"need at least one patch per side, got {lpatches}")
-        if eps <= 0:
-            raise ValueError(f"interface parameter must be positive, got {eps}")
+        if not 0 < eps < float("inf"):
+            raise ValueError(f"interface parameter must be finite and positive, got {eps}")
         self.n = n
         self.lpatches = int(lpatches)
         self.eps = float(eps)
@@ -229,6 +231,8 @@ def ac_initial_condition(lpatches, eps, n, seed, radius=None):
         raise ValueError(f"need at least one patch per side, got {lpatches}")
     if n % lpatches:
         raise ValueError(f"grid size {n} not divisible by patch count {lpatches}")
+    if radius is not None and not 0 < radius < float("inf"):
+        raise ValueError(f"circle radius must be finite and positive, got {radius}")
     rng = Xorshift64Star(seed)
     half = lpatches / 2.0
     h = lpatches / n

@@ -156,6 +156,12 @@ class TestRunCommand:
             (None, ["--max-iters", "0"]),
             (None, ["--latency", "-1"]),
             (None, ["--latency", "nan"]),
+            (None, ["--tol", "nan"]),
+            (None, ["--lambda-implicit", "nan"]),
+            (None, ["--lambda-explicit", "nan"]),
+            (None, ["--problem", "allen-cahn", "--grid", "16", "--coarse-grid", "8", "--dt", "0.001", "--eps", "nan"]),
+            (None, ["--problem", "allen-cahn", "--grid", "16", "--coarse-grid", "8", "--dt", "0.001", "--radius", "nan"]),
+            (None, ["--problem", "allen-cahn", "--grid", "16", "--coarse-grid", "8", "--dt", "0.001", "--radius", "-1"]),
         ],
     )
     def test_bad_input_is_one_usage_error(self, config, args, tmp_path):

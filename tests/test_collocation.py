@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
 from pitlab.collocation import (
     NumericFailure,
@@ -29,11 +30,21 @@ class TestRadauNodes:
         # interior points are the roots of 5x^2 + 2x - 1 mapped to [0, 1]
         assert radau_nodes(3, 0.0, 1.0) == pytest.approx(M3_NODES, abs=1e-13)
 
-    @pytest.mark.parametrize("m", range(1, 10))
+    @pytest.mark.parametrize("m", range(1, 41))
     def test_strictly_increasing_and_right_anchored(self, m):
         nodes = radau_nodes(m, 0.0, 1.0)
         assert np.all(np.diff(nodes) > 0)
         assert nodes[-1] == 1.0
+
+    @pytest.mark.parametrize("m", range(2, 41))
+    def test_interior_nodes_are_roots_of_the_radau_polynomial(self, m):
+        # one Newton step |r/r'| on r = P_{m-1} - P_m from each interior
+        # node, mapped to [-1, 1], must not move it
+        r = np.zeros(m + 1)
+        r[m - 1], r[m] = 1.0, -1.0
+        x = 2.0 * radau_nodes(m, 0.0, 1.0)[:-1] - 1.0
+        correction = np.abs(legendre.legval(x, r) / legendre.legval(x, legendre.legder(r)))
+        assert correction.max() <= 1e-14
 
     def test_scale_covariance(self):
         unit = radau_nodes(4, 0.0, 1.0)
@@ -63,6 +74,13 @@ class TestBuildQ:
             lhs = tab.q @ tab.nodes**k
             rhs = tab.nodes ** (k + 1) / (k + 1)
             assert np.abs(lhs - rhs).max() <= 1e-12
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_last_row_is_exact_to_radau_degree(self, m):
+        # an m-point Radau rule integrates every monomial of degree <= 2m-2 over [0, 1]
+        tab = make_radau_table(m)
+        for k in range(2 * m - 1):
+            assert abs(tab.q[-1] @ tab.nodes**k - 1.0 / (k + 1)) <= 1e-9, k
 
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

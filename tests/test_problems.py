@@ -227,6 +227,11 @@ class TestDahlquist:
         assert problem.implicit_solve(np.array([1.0]), 0.1) == pytest.approx([1.0 / 1.2])
         assert problem.dense_operator()[0, 0] == pytest.approx(-1.5)
 
+    def test_rate_that_is_not_finite_rejected(self):
+        for rates in ((float("nan"), 0.0), (-1.0, float("nan")), (float("-inf"), 0.0), (-1.0, float("inf"))):
+            with pytest.raises(ValueError, match="rates must be finite"):
+                DahlquistProblem(*rates)
+
 
 class TestInitialCondition:
     def test_fixed_radius_profile(self):
@@ -258,6 +263,14 @@ class TestInitialCondition:
                 ac_initial_condition(lpatches, 0.04, 64, seed=1)
             with pytest.raises(ValueError, match="at least one patch"):
                 AllenCahnProblem(16, lpatches)
+
+    def test_bad_radius_or_interface_width_rejected(self):
+        for radius in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="radius must be finite and positive"):
+                ac_initial_condition(1, 0.04, 16, seed=1, radius=radius)
+        for eps in (0.0, -0.04, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="interface parameter must be finite and positive"):
+                AllenCahnProblem(16, 1, eps)
 
     def test_radii_come_from_the_documented_generator(self):
         rng = Xorshift64Star(55)
