@@ -16,9 +16,9 @@ from pitlab.sweeper import LevelState, collocation_solve_direct, imex_sweep, res
 def main():
     print("Right Radau nodes on [0, 1]:")
     for m in (1, 2, 3, 5):
-        print(f"  M={m}: {np.round(radau_nodes(m, 0.0, 1.0), 10)}")
+        print(f"  M={m}: {np.round(radau_nodes(m), 10)}")
 
-    nodes = radau_nodes(2, 0.0, 1.0)
+    nodes = radau_nodes(2)
     q = build_Q(nodes)
     print("\nTwo-node integration matrix Q (rows integrate to each node):")
     print(q)

@@ -4,9 +4,10 @@ Builds right Gauss-Radau nodes from one symmetric tridiagonal eigenvalue
 solve, the node-to-start integration matrix Q, and the two sweep
 preconditioners: the implicit lower-triangular matrix obtained from the
 LU factorization of Q^T, and the explicit Euler matrix of node spacings
-(backward Euler, the alternative implicit one, adds the diagonal).  Q and
-the preconditioners are stored for the unit interval; a table scales its
-sweep blocks by dt once per step size.
+(backward Euler, the alternative implicit one, adds the diagonal).  Q
+integrates the Lagrange basis with a Gauss-Legendre rule from the same kind
+of eigenvalue solve, so it is exact for any node count.  Every table is for
+the unit interval [0, 1]; it scales its sweep blocks by dt once per step size.
 """
 
 from collections import namedtuple
@@ -30,57 +31,57 @@ class NumericFailure(RuntimeError):
     """Raised when a factorization or solve breaks down."""
 
 
-def radau_nodes(m, t0=0.0, t1=1.0):
-    """Right Gauss-Radau points on [t0, t1], last point equal to t1.
+def _jacobi_matrix(diagonal, off):
+    """Symmetric tridiagonal Jacobi matrix of a weight; its eigenvalues are
+    the weight's Gauss points (Golub & Welsch, Math. Comp. 23, 1969)."""
+    return np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
 
-    Parameters
-    ----------
-    m : int
-        Number of nodes, at least 1.
-    t0, t1 : float
-        Interval endpoints, t1 > t0.
 
-    Returns
-    -------
-    ndarray of shape (m,), strictly increasing, nodes[-1] == t1.
+def radau_nodes(m):
+    """m >= 1 right Gauss-Radau points on [0, 1], strictly increasing, last one 1.
 
     On [-1, 1] the m-1 interior points are the roots of
-    (P_{m-1}(x) - P_m(x)) / (1 - x), which are the Gauss points of the
-    weight 1 - x.  Golub & Welsch (Math. Comp. 23, 1969) give them as the
-    eigenvalues of that weight's symmetric tridiagonal Jacobi matrix:
-    diagonal -1/((2n+1)(2n+3)) for n = 0..m-2, off-diagonal
-    sqrt(k(k+1))/(2k+1) for k = 1..m-2.
+    (P_{m-1}(x) - P_m(x)) / (1 - x), the Gauss points of the weight 1 - x,
+    whose Jacobi matrix has diagonal -1/((2n+1)(2n+3)) for n = 0..m-2 and
+    off-diagonal sqrt(k(k+1))/(2k+1) for k = 1..m-2.
     """
     if m < 1:
         raise ValueError(f"node count must be >= 1, got {m}")
-    if not t1 > t0:
-        raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     n = np.arange(m - 1)
     k = n[1:]
-    off = np.sqrt(k * (k + 1.0)) / (2 * k + 1)
-    jacobi = np.diag(-1.0 / ((2 * n + 1) * (2 * n + 3))) + np.diag(off, 1) + np.diag(off, -1)
-    interior = 0.5 * (np.linalg.eigvalsh(jacobi) + 1.0)  # [-1, 1] -> [0, 1], ascending
-    return np.append(t0 + (t1 - t0) * interior, float(t1))
+    jacobi = _jacobi_matrix(-1.0 / ((2 * n + 1) * (2 * n + 3)), np.sqrt(k * (k + 1.0)) / (2 * k + 1))
+    return np.append(0.5 * (np.linalg.eigvalsh(jacobi) + 1.0), 1.0)  # [-1, 1] -> [0, 1], ascending
 
 
-def build_Q(nodes, t0=0.0):
-    """Integration matrix Q for the given nodes, relative to unit step.
+def build_Q(nodes):
+    """Integration matrix Q for distinct nodes c_0 < ... < c_{m-1} in (0, 1].
 
-    Entry (m, j) integrates the j-th Lagrange basis polynomial over
-    [t0, nodes[m]], with times rescaled so the full interval has length
-    one; the sweeper multiplies by the actual step size.
+    Q[i, j] integrates the j-th Lagrange basis polynomial l_j over [0, c_i];
+    the sweeper multiplies by the actual step size.  The Gauss-Legendre rule
+    (x_g, w_g) of m//2 + 1 points integrates the degree m-1 integrand exactly:
+
+        Q[i, j] = c_i/2 * sum_g w_g l_j(c_i (x_g + 1)/2).
+
+    Its points are the eigenvalues of the Legendre Jacobi matrix (diagonal 0,
+    off-diagonal k/sqrt(4k^2 - 1)), its weights the squared first eigenvector
+    components scaled to sum to 2.  l_j(t) = b_j prod_{k != j} (t - c_k), with
+    the barycentric weights b_j (Berrut & Trefethen, SIAM Rev. 46, 2004),
+    multiplies the factors left and right of j: no division, so a quadrature
+    point may meet a node.
     """
     nodes = np.asarray(nodes, dtype=float)
     m = len(nodes)
     if len(set(nodes.tolist())) != m:
         raise ValueError("duplicate quadrature nodes")
-    dt = nodes[-1] - t0
-    c = (nodes - t0) / dt
-    # A = diag(c) V R V^{-1}: row m holds the integrals of the Lagrange
-    # basis from 0 to c_m (V maps monomial to nodal values).
-    v = np.vander(c, increasing=True)
-    w = np.diag(c) @ v @ np.diag(1.0 / np.arange(1, m + 1))
-    return np.linalg.solve(v.T, w.T).T
+    k = np.arange(1, m // 2 + 1)
+    points, vectors = np.linalg.eigh(_jacobi_matrix(np.zeros(len(k) + 1), k / np.sqrt(4.0 * k * k - 1.0)))
+    weights = 2.0 * vectors[0] ** 2 / (vectors[0] ** 2).sum()
+    gaps = np.multiply.outer(nodes, 0.5 * (points + 1.0))[..., None] - nodes  # (i, g, k): t_ig - c_k
+    ones = np.ones(gaps.shape[:-1] + (1,))
+    left = np.cumprod(np.concatenate((ones, gaps[..., :-1]), axis=-1), axis=-1)
+    right = np.cumprod(np.concatenate((ones, gaps[..., :0:-1]), axis=-1), axis=-1)[..., ::-1]
+    spans = (nodes[:, None] - nodes + np.eye(m)).prod(axis=1)  # 1/b_j
+    return 0.5 * nodes[:, None] * (weights @ (left * right / spans))
 
 
 def build_QDelta_LU(q):
@@ -99,7 +100,7 @@ def build_QDelta_LU(q):
     return np.triu(a).T
 
 
-def build_QDelta_EE(nodes, t0=0.0):
+def build_QDelta_EE(nodes):
     """Explicit Euler preconditioner: strictly lower triangular spacings.
 
     Row m carries the node spacings tau_{j+1} - tau_j for j < m on the
@@ -107,20 +108,17 @@ def build_QDelta_EE(nodes, t0=0.0):
     """
     nodes = np.asarray(nodes, dtype=float)
     m = len(nodes)
-    dt = nodes[-1] - t0
-    c = (nodes - t0) / dt
-    return np.tril(np.broadcast_to(np.diff(c, append=c[-1]), (m, m)), -1)
+    return np.tril(np.broadcast_to(np.diff(nodes, append=nodes[-1]), (m, m)), -1)
 
 
 @dataclass(frozen=True)
 class CollocationTable:
-    """Immutable quadrature data for one time interval.
+    """Immutable quadrature data for the unit interval.
 
     Attributes
     ----------
     m : node count
-    t0, t1 : interval endpoints
-    nodes : m ascending times in (t0, t1], nodes[-1] == t1
+    nodes : m ascending times in (0, 1], nodes[-1] == 1
     q : integration matrix for the unit interval
     qd_imp : lower-triangular implicit preconditioner
     qd_exp : strictly lower-triangular explicit preconditioner
@@ -132,8 +130,6 @@ class CollocationTable:
     """
 
     m: int
-    t0: float
-    t1: float
     nodes: np.ndarray
     q: np.ndarray
     qd_imp: np.ndarray
@@ -158,28 +154,19 @@ class CollocationTable:
         return self._scaled[dt]
 
 
-def make_radau_table(m, t0=0.0, t1=1.0, implicit="lu"):
+def make_radau_table(m, implicit="lu"):
     """Assemble a CollocationTable on right Radau points.
 
     implicit selects the implicit preconditioner: "lu" (default) or
     "be" for backward Euler (lower-triangular spacings including the
     diagonal); both keep the same collocation fixed point.
     """
-    nodes = radau_nodes(m, t0, t1)
-    q = build_Q(nodes, t0)
+    nodes = radau_nodes(m)
+    q = build_Q(nodes)
     if implicit == "lu":
         qd_imp = build_QDelta_LU(q)
     elif implicit == "be":
-        c = (nodes - t0) / (t1 - t0)
-        qd_imp = np.tril(np.broadcast_to(np.diff(c, prepend=0.0), (m, m)))
+        qd_imp = np.tril(np.broadcast_to(np.diff(nodes, prepend=0.0), (m, m)))
     else:
         raise ValueError(f"unknown implicit preconditioner {implicit!r}")
-    return CollocationTable(
-        m=m,
-        t0=float(t0),
-        t1=float(t1),
-        nodes=nodes,
-        q=q,
-        qd_imp=qd_imp,
-        qd_exp=build_QDelta_EE(nodes, t0),
-    )
+    return CollocationTable(m=m, nodes=nodes, q=q, qd_imp=qd_imp, qd_exp=build_QDelta_EE(nodes))

@@ -111,7 +111,8 @@ class _Channel:
             raise DeadlockError(what, self.network.last_events())
         self.cond.wait(remaining if pause is None else min(pause, remaining))
 
-    def take(self, tag, timeout):
+    def take(self, tag):
+        timeout = self.network.recv_timeout
         deadline = monotonic_seconds() + timeout
         with self.cond:
             while True:
@@ -133,7 +134,8 @@ class _Channel:
                     pause = msg.available_at - now
                 self._pause(deadline, f"receive of tag {tag} made no progress for {timeout:.1f} s", pause)
 
-    def await_acceptance(self, msg, timeout):
+    def await_acceptance(self, msg):
+        timeout = self.network.recv_timeout
         deadline = monotonic_seconds() + timeout
         with self.cond:
             while msg.accepted_at is None:
@@ -220,7 +222,7 @@ class Endpoint:
         self.unwaited += 1
         return msg
 
-    def wait(self, msg, timeout=None):
+    def wait(self, msg):
         """Block until the transport has accepted the payload; idempotent.
 
         A rendezvous send completes at the hand-shake its receive stamped,
@@ -229,18 +231,16 @@ class Endpoint:
         if msg.waited:
             return
         if len(msg.payload) > self.network.rendezvous_bytes:
-            timeout = self.network.recv_timeout if timeout is None else timeout
-            self.network.channel(self.rank, msg.dest).await_acceptance(msg, timeout)
+            self.network.channel(self.rank, msg.dest).await_acceptance(msg)
             self._record("send-complete", msg.name, len(msg.payload), msg.dest, t=msg.accepted_at)
         msg.waited = True
         self.unwaited -= 1
 
-    def recv(self, source, tag, timeout=None):
+    def recv(self, source, tag):
         """Block until a message with exactly this tag arrives from source."""
         name = tag_name(tag)
         self._record("recv-post", name, 0, source)
-        timeout = self.network.recv_timeout if timeout is None else timeout
-        msg = self.network.channel(source, self.rank).take(tag, timeout)
+        msg = self.network.channel(source, self.rank).take(tag)
         self._record("recv-complete", name, len(msg.payload), source)
         return msg
 

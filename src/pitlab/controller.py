@@ -387,7 +387,7 @@ def dahlquist_config(
 ):
     """Two-level Dahlquist setup (identity space transfer)."""
     problem = DahlquistProblem(lambda_implicit, lambda_explicit)
-    table = make_radau_table(m, 0.0, 1.0, implicit=implicit)
+    table = make_radau_table(m, implicit=implicit)
     pair = LevelPair(
         fine_problem=problem,
         coarse_problem=problem,
@@ -420,7 +420,7 @@ def allen_cahn_config(
     """Two-level Allen-Cahn setup with spectral space coarsening."""
     fine = AllenCahnProblem(n, lpatches, eps)
     coarse = AllenCahnProblem(coarse_n, lpatches, eps)
-    table = make_radau_table(m, 0.0, 1.0, implicit=implicit)
+    table = make_radau_table(m, implicit=implicit)
     field0 = ac_initial_condition(lpatches, eps, n, seed, radius=radius)
     return RunConfig(
         pair=LevelPair(

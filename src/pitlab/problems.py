@@ -9,11 +9,11 @@ All problem evaluations act on the trailing state axes, so a stack of
 node values evaluates in one call.  Initial conditions are sums of
 tanh-profile circles with radii drawn from a small, fully documented
 shift-register generator so any implementation can reproduce the exact
-same fields.
+same fields.  Fields live in memory only, and the diffusion kernels own
+their transforms: there is no file format or general Fourier transform.
 """
 
 import logging
-import struct
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,19 +25,11 @@ __all__ = [
     "DahlquistProblem",
     "AllenCahnProblem",
     "Xorshift64Star",
-    "spectral_transform",
     "ac_initial_condition",
     "measure_radius",
-    "write_field",
-    "read_field",
 ]
 
 log = logging.getLogger(__name__)
-
-
-def _require_pow2(n):
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"grid size must be a power of two, got {n}")
 
 
 @dataclass
@@ -57,35 +49,6 @@ class Field2D:
     @property
     def spacing(self):
         return self.lpatches / self.n
-
-
-def _forward(values):
-    # normalized so a constant field has that constant in the zero mode
-    n = values.shape[0]
-    return np.fft.fft2(values) / (n * n)
-
-
-def _inverse(coeffs):
-    n = coeffs.shape[0]
-    return np.real(np.fft.ifft2(coeffs * (n * n)))
-
-
-def spectral_transform(field, direction):
-    """Forward/inverse Fourier transform of a Field2D.
-
-    Forward returns the complex coefficient grid with wavenumbers
-    2*pi*m/L, m in {-N/2, ..., N/2-1} in standard FFT layout and unit
-    amplitude normalization (a constant c maps to zero-mode c).
-    """
-    if direction == "forward":
-        _require_pow2(field.n)
-        return _forward(field.values)
-    if direction == "inverse":
-        n = field.values.shape[0] if isinstance(field, Field2D) else field.shape[0]
-        coeffs = field.values if isinstance(field, Field2D) else field
-        _require_pow2(n)
-        return Field2D(_inverse(coeffs))
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
 class DahlquistProblem:
@@ -133,7 +96,8 @@ class AllenCahnProblem:
     """
 
     def __init__(self, n, lpatches=1, eps=0.04):
-        _require_pow2(n)
+        if n < 2 or n & (n - 1):
+            raise ValueError(f"grid size must be a power of two, got {n}")
         if lpatches < 1:
             raise ValueError(f"need at least one patch per side, got {lpatches}")
         if not 0 < eps < float("inf"):
@@ -256,22 +220,3 @@ def measure_radius(field):
         warnings.warn("nonpositive phase-field area; returning radius 0", stacklevel=2)
         return 0.0
     return float(np.sqrt(area / np.pi))
-
-
-_HEADER = struct.Struct("<II")
-
-
-def write_field(field, path):
-    """Snapshot as flat binary: u32 N, u32 patches, then N*N f64 row-major (LE)."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(field.n, field.lpatches))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
-
-
-def read_field(path):
-    with open(path, "rb") as fh:
-        n, lpatches = _HEADER.unpack(fh.read(_HEADER.size))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n * n:
-        raise ValueError(f"snapshot holds {data.size} values, expected {n * n}")
-    return Field2D(data.reshape(n, n).copy(), lpatches)

@@ -65,7 +65,7 @@ def backend_runs():
 
 @criterion(1, "quadrature tables match hand-derived values")
 def test_quadrature_tables():
-    nodes2 = radau_nodes(2, 0.0, 1.0)
+    nodes2 = radau_nodes(2)
     q2 = build_Q(nodes2)
     assert np.abs(q2 - np.array([[5 / 12, -1 / 12], [3 / 4, 1 / 4]])).max() <= 1e-13
     qd2 = build_QDelta_LU(q2)
@@ -82,14 +82,15 @@ def test_collocation_order():
     problem = DahlquistProblem(-1.0, 0.0)
     table = make_radau_table(3)
     errors = []
-    for dt in (0.1, 0.05, 0.025, 0.0125):
+    # every error stays well above the rounding floor (the smallest is about 5e-13)
+    for dt in (0.2, 0.1, 0.05, 0.025):
         steps = round(1.0 / dt)
         result = run_sdc_serial(
             problem, table, np.array([1.0]), dt, steps, tolerance=1e-14, max_sweeps=200
         )
         errors.append(abs(result.final_values[-1][0] - np.exp(-1.0)))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
-    assert orders.mean() >= 4.5, f"observed orders {orders}"
+    assert orders.min() >= 4.5, f"observed orders {orders}"
 
 
 @criterion(3, "sweep fixed point independent of the preconditioner")

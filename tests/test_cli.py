@@ -74,6 +74,12 @@ class TestRunCommand:
         assert proc.returncode == 3
         assert "failed" in proc.stderr
 
+    def test_many_nodes_converge(self, tmp_path):
+        # Q stays exact at 64 nodes, where a monomial Vandermonde build diverged
+        proc = pitlab("run", "--num-nodes", "64", "--trace-out", str(tmp_path / "t.jsonl"))
+        assert proc.returncode == 0, proc.stderr
+        assert ITER_LINE.search(proc.stdout).group(1) == "2.500000"
+
     def test_sdc_scheme_runs_serial_baseline(self, tmp_path):
         proc = pitlab(
             "run", "--problem", "dahlquist", "--scheme", "sdc", "--steps", "4",

@@ -169,12 +169,12 @@ class TestBackends:
         assert audit[(1, 2)] == {"sent": 0, "received": 0, "pending": 0}
 
     def test_the_send_handle_is_the_received_message(self):
-        net = Network(2, rendezvous_bytes=4)
+        net = Network(2, rendezvous_bytes=4, recv_timeout=1.0)
         a, b = net.endpoint(0), net.endpoint(1)
         for i, payload in enumerate((b"x", b"beyond threshold"), start=1):
             handle = a.isend(1, tag(iteration=i), payload)
             assert b.recv(0, tag(iteration=i)) is handle
-            a.wait(handle, timeout=1.0)
+            a.wait(handle)
         assert a.unwaited == 0
 
     def test_sends_create_no_event(self, monkeypatch):
@@ -186,13 +186,13 @@ class TestBackends:
                 created.append(self)
 
         monkeypatch.setattr(threading, "Event", CountingEvent)
-        net = Network(2, rendezvous_bytes=4)
+        net = Network(2, rendezvous_bytes=4, recv_timeout=1.0)
         a, b = net.endpoint(0), net.endpoint(1)
         handles = [a.isend(1, tag(iteration=1), b"x"), a.isend(1, tag(iteration=2), b"beyond threshold")]
         for i in (1, 2):
             b.recv(0, tag(iteration=i))
         for handle in handles:
-            a.wait(handle, timeout=1.0)
+            a.wait(handle)
         assert created == []
 
     def test_tag_named_once_per_message_side(self, monkeypatch):
@@ -204,11 +204,11 @@ class TestBackends:
             return tag_name(t)
 
         monkeypatch.setattr(comm, "tag_name", counting_tag_name)
-        net = Network(2, rendezvous_bytes=0)
+        net = Network(2, rendezvous_bytes=0, recv_timeout=1.0)
         a, b = net.endpoint(0, Tracer(0)), net.endpoint(1, Tracer(1))
         handle = a.isend(1, tag(), b"x")
         b.recv(0, tag())
-        a.wait(handle, timeout=1.0)
+        a.wait(handle)
         assert len(calls) == 2
         names = [ev.name for tr in (a.tracer, b.tracer) for ev in tr.events]
         assert names == ["fine/value/1"] * 4
@@ -224,7 +224,7 @@ class TestBlockedWait:
 
     @classmethod
     def wait_blocked(cls, monkeypatch, release):
-        net = Network(2, rendezvous_bytes=4)
+        net = Network(2, rendezvous_bytes=4, recv_timeout=cls.BLOCK_S if release is None else 30.0)
         a = net.endpoint(0)
         reads, outcome = [], {}
         clock = comm.monotonic_seconds
@@ -238,7 +238,7 @@ class TestBlockedWait:
             handle = a.isend(1, tag(), b"beyond threshold")
             reads.clear()
             try:
-                a.wait(handle, timeout=cls.BLOCK_S if release is None else 30.0)
+                a.wait(handle)
             except Exception as exc:  # checked by the test
                 outcome["error"] = exc
 

@@ -13,59 +13,12 @@ from pitlab.problems import (
     Xorshift64Star,
     ac_initial_condition,
     measure_radius,
-    read_field,
-    spectral_transform,
-    write_field,
 )
 
 
 def grid_coords(n, length=1.0):
     x = -length / 2 + (np.arange(n) + 0.5) * (length / n)
     return np.meshgrid(x, x, indexing="ij")
-
-
-class TestSpectralTransform:
-    def test_constant_maps_to_zero_mode(self):
-        field = Field2D(np.full((16, 16), 3.25))
-        coeffs = spectral_transform(field, "forward")
-        assert coeffs[0, 0] == pytest.approx(3.25, abs=1e-13)
-        coeffs[0, 0] = 0.0
-        assert np.abs(coeffs).max() <= 1e-13
-
-    def test_cosine_gives_two_half_modes(self):
-        n = 32
-        x, _ = grid_coords(n)
-        coeffs = spectral_transform(Field2D(np.cos(2 * np.pi * x)), "forward")
-        assert abs(coeffs[1, 0]) == pytest.approx(0.5, abs=1e-12)
-        assert abs(coeffs[-1, 0]) == pytest.approx(0.5, abs=1e-12)
-        coeffs[1, 0] = coeffs[-1, 0] = 0.0
-        assert np.abs(coeffs).max() <= 1e-12
-
-    def test_roundtrip_and_parseval(self):
-        rng = np.random.default_rng(42)
-        values = rng.standard_normal((64, 64))
-        coeffs = spectral_transform(Field2D(values), "forward")
-        back = spectral_transform(coeffs, "inverse")
-        assert np.abs(back.values - values).max() <= 1e-12
-        # Parseval with the 1/N^2 forward normalization
-        grid_sq = np.sum(values**2)
-        mode_sq = np.sum(np.abs(coeffs) ** 2) * values.size
-        assert abs(mode_sq - grid_sq) <= 1e-11 * grid_sq
-
-    def test_linearity(self):
-        rng = np.random.default_rng(3)
-        u, v = rng.standard_normal((2, 32, 32))
-        left = spectral_transform(Field2D(2.0 * u - 0.5 * v), "forward")
-        right = 2.0 * spectral_transform(Field2D(u), "forward") - 0.5 * spectral_transform(
-            Field2D(v), "forward"
-        )
-        assert np.abs(left - right).max() <= 1e-12
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError, match="power of two"):
-            spectral_transform(Field2D(np.zeros((12, 12))), "forward")
-        with pytest.raises(ValueError):
-            spectral_transform(Field2D(np.zeros((16, 16))), "sideways")
 
 
 class TestAllenCahnOperators:
@@ -115,10 +68,9 @@ class TestAllenCahnOperators:
         rng = np.random.default_rng(9)
         rhs = rng.standard_normal((32, 32))
         rhs -= rhs.mean()
-        from pitlab.problems import _forward
-
         out = problem.implicit_solve(rhs, 0.01)
-        assert np.all(np.abs(_forward(out)) <= np.abs(_forward(rhs)) + 1e-15)
+        # unit-amplitude modes: a constant c has the zero mode c
+        assert np.all(np.abs(np.fft.fft2(out) / out.size) <= np.abs(np.fft.fft2(rhs) / rhs.size) + 1e-15)
 
     def test_interface_resolution_diagnostic(self, caplog):
         with caplog.at_level(logging.INFO, logger="pitlab.problems"):
@@ -313,30 +265,3 @@ class TestRadius:
         h = 1.0 / n
         assert measure_radius(Field2D(disc)) == pytest.approx(0.25, abs=2 * h)
 
-
-class TestSnapshots:
-    def test_roundtrip(self, tmp_path):
-        field = ac_initial_condition(2, 0.04, 64, seed=11)
-        path = tmp_path / "field.bin"
-        write_field(field, path)
-        back = read_field(path)
-        assert back.n == 64 and back.lpatches == 2
-        assert np.array_equal(back.values, field.values)
-
-    def test_header_layout(self, tmp_path):
-        field = Field2D(np.arange(16.0).reshape(4, 4), lpatches=1)
-        path = tmp_path / "tiny.bin"
-        write_field(field, path)
-        raw = path.read_bytes()
-        assert len(raw) == 8 + 4 * 4 * 8
-        assert int.from_bytes(raw[0:4], "little") == 4
-        assert int.from_bytes(raw[4:8], "little") == 1
-        assert np.frombuffer(raw[8:], dtype="<f8")[1] == 1.0  # row-major order
-
-    def test_truncated_file_rejected(self, tmp_path):
-        field = Field2D(np.zeros((4, 4)))
-        path = tmp_path / "trunc.bin"
-        write_field(field, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="expected"):
-            read_field(path)
