@@ -170,6 +170,8 @@ def _wait_states(trace, min_wait, pattern):
     """Matches whose waiter posted at `early`, the partner only at `late`,
     and the waiter completed at `done`; the wait is min(late, done) - early
     and is located in the waiter's innermost region at `early`."""
+    if not 0 <= min_wait < float("inf"):
+        raise ValueError(f"min_wait must be finite and non-negative, got {min_wait}")
     index = trace.index
     states = []
     for m in index.matches:
@@ -180,7 +182,7 @@ def _wait_states(trace, min_wait, pattern):
         if late is None or done is None or late <= early:
             continue
         wait = min(late, done) - early
-        if wait >= max(min_wait, 0.0) and wait > 0:
+        if wait >= min_wait and wait > 0:
             region = index.ranks[waiter].region_at(early)
             states.append(WaitState(pattern, m.source, m.dest, wait, f"{region} @ {m.name}"))
     states.sort(key=lambda w: -w.wait_s)

@@ -186,6 +186,8 @@ def _cmd_run(args):
 
 
 def _cmd_analyze(args):
+    if not 0 <= args.min_wait < float("inf"):
+        return _usage_error(f"--min-wait must be finite and non-negative, got {args.min_wait}")
     do_pop = args.pop or not (args.pop or args.wait_states)
     do_wait = args.wait_states or not (args.pop or args.wait_states)
     suffix = "csv" if args.format == "csv" else "txt"

@@ -24,7 +24,7 @@ __all__ = [
     "make_radau_table",
 ]
 
-ScaledBlocks = namedtuple("ScaledBlocks", "q_prev q_pair qd_lower qd_diag")
+ScaledBlocks = namedtuple("ScaledBlocks", "q_prev q_pair qd_cols qd_diag")
 
 
 class NumericFailure(RuntimeError):
@@ -124,9 +124,11 @@ class CollocationTable:
     qd_exp : strictly lower-triangular explicit preconditioner
 
     Derived for a (2, m, ...) right-hand-side stack: the (m, 2m) blocks
-    q_prev = [q - qd_imp | q - qd_exp] and q_pair = [q | q]; per node j,
-    qd_lower[j] = (qd_imp[j, :j], qd_exp[j, :j]), qd_diag[j] = qd_imp[j, j].
-    scaled(dt) gives all four times dt as ScaledBlocks, memoised per step size.
+    q_prev = [q - qd_imp | q - qd_exp] and q_pair = [q | q]; per node j, the
+    (m-j-1, 2) column block qd_cols[j] = [qd_imp[j+1:, j] | qd_exp[j+1:, j]]
+    that carries node j's new values into the rows below it, and
+    qd_diag[j] = qd_imp[j, j].  scaled(dt) gives all four times dt as
+    ScaledBlocks, memoised per step size.
     """
 
     m: int
@@ -138,8 +140,9 @@ class CollocationTable:
     def __post_init__(self):
         # derived here, so that dataclasses.replace derives them again
         q, qdi, qde = self.q, self.qd_imp, self.qd_exp
+        pairs = np.stack((qdi, qde), axis=-1)  # pairs[i, j] = (qdi[i, j], qde[i, j])
         for name, value in (("q_prev", np.hstack((q - qdi, q - qde))), ("q_pair", np.hstack((q, q))),
-                            ("qd_lower", tuple(np.stack((qdi[j, :j], qde[j, :j])) for j in range(self.m))),
+                            ("qd_cols", tuple(pairs[j + 1:, j] for j in range(self.m))),
                             ("qd_diag", tuple(map(float, np.diagonal(qdi)))), ("_scaled", {})):
             object.__setattr__(self, name, value)
 
@@ -147,7 +150,7 @@ class CollocationTable:
         """The four blocks times dt, formed on the first call for each step
         size; every later caller shares them, so the arrays are read-only."""
         if dt not in self._scaled:
-            arrays = [dt * self.q_prev, dt * self.q_pair, *(dt * lower for lower in self.qd_lower)]
+            arrays = [dt * self.q_prev, dt * self.q_pair, *(dt * cols for cols in self.qd_cols)]
             for array in arrays:
                 array.flags.writeable = False
             self._scaled[dt] = ScaledBlocks(*arrays[:2], tuple(arrays[2:]), tuple(dt * d for d in self.qd_diag))

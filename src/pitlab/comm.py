@@ -1,12 +1,14 @@
 """In-process message passing with nonblocking sends and tracing hooks.
 
 Channels connect one sender to one receiver per direction and match
-messages by an exact (level, kind, iteration) tag.  Payloads below the
-rendezvous threshold are buffered eagerly, so the send completes at
-post time; larger payloads complete only once the matching receive is
-posted, which deliberately reproduces the Late Receiver behaviour of an
-MPI library without asynchronous progress.  An optional fixed latency
-delays delivery for analyzer experiments.
+messages by an exact (level, kind, iteration) tag.  A network builds a
+channel on the first send or receive over its pair, so a run pays only
+for the pairs it uses.  Payloads below the rendezvous threshold are
+buffered eagerly, so the send completes at post time; larger payloads
+complete only once the matching receive is posted, which deliberately
+reproduces the Late Receiver behaviour of an MPI library without
+asynchronous progress.  An optional fixed latency delays delivery for
+analyzer experiments.
 
 Each message is one record: isend returns the Message as the send's
 handle and recv delivers the same object.  Every send-post/send-complete
@@ -154,11 +156,8 @@ class Network:
         self.recv_timeout = recv_timeout
         self.abort_reason = None
         self._channels = {}
+        self._channels_lock = threading.Lock()
         self._tracers = {}
-        for src in range(num_ranks):
-            for dst in range(num_ranks):
-                if src != dst:
-                    self._channels[(src, dst)] = _Channel(self)
 
     def endpoint(self, rank, tracer=None):
         if tracer is not None:
@@ -166,14 +165,23 @@ class Network:
         return Endpoint(self, rank, tracer)
 
     def channel(self, src, dst):
+        """The src->dst channel, built on first use; racing first uses share it."""
         try:
             return self._channels[(src, dst)]
         except KeyError:
-            raise ValueError(f"no channel {src}->{dst}") from None
+            if src == dst or src not in range(self.num_ranks) or dst not in range(self.num_ranks):
+                raise ValueError(f"no channel {src}->{dst}") from None
+            with self._channels_lock:
+                return self._channels.setdefault((src, dst), _Channel(self))
+
+    def _built_channels(self):
+        with self._channels_lock:
+            return list(self._channels.items())
 
     def abort(self, reason):
+        # a channel built after this snapshot sees abort_reason before it waits
         self.abort_reason = reason
-        for ch in self._channels.values():
+        for _, ch in self._built_channels():
             with ch.cond:
                 ch.cond.notify_all()
 
@@ -181,9 +189,10 @@ class Network:
         return {rank: tracer.last_event_name() for rank, tracer in self._tracers.items()}
 
     def audit(self):
-        """Per-channel send/receive counts and outstanding message count."""
+        """Send/receive counts and outstanding message count of every
+        channel built so far; a pair that never communicated has none."""
         report = {}
-        for (src, dst), ch in self._channels.items():
+        for (src, dst), ch in self._built_channels():
             with ch.cond:
                 report[(src, dst)] = {
                     "sent": ch.sent,
@@ -204,7 +213,7 @@ class Endpoint:
 
     def _record(self, kind, name, nbytes, peer, t=None):
         if self.tracer is not None:
-            self.tracer.record_comm(kind, name, nbytes, peer, t=t)
+            self.tracer.record_comm(kind, name, nbytes, peer, t)
 
     def isend(self, dest, tag, payload):
         """Post a send; returns its Message, which must be waited exactly once.
@@ -281,7 +290,7 @@ def pack_array(arr):
 def unpack_array(payload):
     """A fresh, writable array from pack_array's bytes (any bytes-like payload)."""
     # a v1.0 header starts with 6 magic bytes, 2 version bytes and its length
-    end = 10 + int.from_bytes(payload[8:10], "little")
+    end = 10 + payload[8] + (payload[9] << 8) if len(payload) >= 10 else 10
     dtype, shape, fortran_order, count, size = _npy_layout(bytes(payload[:end]))
     if len(payload) != size:
         raise ValueError(f"payload is {len(payload)} bytes, its header describes {size}")

@@ -102,6 +102,8 @@ class RunConfig:
             raise ValueError(f"need at least one iteration, got {self.max_iterations}")
         if not 0 <= self.latency < float("inf"):
             raise ValueError(f"latency must be finite and non-negative, got {self.latency}")
+        if not self.rendezvous_bytes >= 0:
+            raise ValueError(f"rendezvous threshold must be non-negative, got {self.rendezvous_bytes}")
 
 
 @dataclass

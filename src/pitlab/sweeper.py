@@ -5,8 +5,9 @@ the stiff right-hand side treated implicitly (diagonal solve supplied by
 the problem) and the remaining part explicitly.  The residual measures
 how far the node values are from solving the collocation system.  A
 level's node values are one (M, ...) array, its right-hand sides one
-(2, M, ...) stack, implicit part first; every node quadrature goes
-through node_integrals, the stack's with the table's (M, 2M) blocks.
+(2, M, ...) stack, implicit part first.  The quadratures of a whole stack
+go through node_integrals with the table's (M, 2M) blocks; a sweep adds
+each node's new values to the rows below it with one (M-j-1, 2) block.
 """
 
 from dataclasses import dataclass
@@ -96,35 +97,35 @@ def imex_sweep(state, tab, problem):
             + dt sum_{j<m} [qdI_mj fI(u_j^new) + qdE_mj fE(u_j^new)]
             + dt sum_j [(q - qdI)_mj fI(u_j^old) + (q - qdE)_mj fE(u_j^old)]
 
-    with the diagonal implicit part resolved by problem.implicit_solve;
-    the new-value sum is one contraction over the view f[:, :m].  The
-    caches in f are refreshed node by node as values update.  The solve
-    itself gives the implicit part: with d = dt qdI_mm nonzero,
+    with the diagonal implicit part resolved by problem.implicit_solve.
+    As node j updates, its caches in f are refreshed and its new values
+    enter the rows below it in one product, qd_cols[j] times f[:, j].
+    The solve itself gives the implicit part: with d = dt qdI_mm nonzero,
     fI(u_m) = (u_m - rhs_m)/d, so fI is not evaluated again.  A node
     whose diagonal is zero (an explicit preconditioner) evaluates it.
     """
     f, u = state.f, state.u
-    q_prev, _, qd_lower, qd_diag = tab.scaled(state.dt)
+    q_prev, _, qd_cols, qd_diag = tab.scaled(state.dt)
     # u0, tau and the integral terms from the previous iterate, per node
     rhs = node_integrals(q_prev, f.reshape(-1, *state.u0.shape))
     rhs += state.u0
     if state.tau is not None:
         rhs += state.tau
-    for row, (lower, factor) in enumerate(zip(qd_lower, qd_diag)):
+    rhs_flat, f_flat = rhs.reshape(len(u), -1), f.reshape(2, len(u), -1)
+    for row, (cols, factor) in enumerate(zip(qd_cols, qd_diag)):
         rhs_row, f_imp = rhs[row], f[0, row]
-        if row:
-            rhs_row += np.einsum("kj,kj...->...", lower, f[:, :row])
         try:
             u_new = problem.implicit_solve(rhs_row, factor)
         except Exception as exc:
             raise SolveFailure(f"implicit solve failed at node {row}: {exc}", node=row) from exc
         u[row] = u_new
         if factor:
-            np.subtract(u_new, rhs_row, out=f_imp)
-            f_imp /= factor
+            np.divide(u_new - rhs_row, factor, out=f_imp)
         else:
             f_imp[...] = problem.eval_implicit(u_new)
         f[1, row] = problem.eval_explicit(u_new)
+        if len(cols):
+            rhs_flat[row + 1:] += np.matmul(cols, f_flat[:, row])
     return state
 
 
@@ -140,7 +141,7 @@ def residual(state, tab):
         defect += state.tau
     defect -= state.u
     # the real part of a real defect is the defect itself
-    return float(np.max(np.abs(defect, out=defect.real)))
+    return float(np.abs(defect, out=defect.real).max())
 
 
 def collocation_solve_direct(u0, tab, problem, dt):

@@ -135,9 +135,7 @@ class Tracer:
         # to the true hand-shake moment (same shared clock)
         if kind not in COMM_KINDS:
             raise ValueError(f"unknown comm event kind {kind!r}")
-        self.events.append(
-            TraceEvent(self.rank, kind, name, self.clock() if t is None else t, bytes=nbytes, peer=peer)
-        )
+        self.events.append(TraceEvent(self.rank, kind, name, self.clock() if t is None else t, nbytes, peer))
 
     def last_event_name(self):
         return f"{self.events[-1].kind} {self.events[-1].name}" if self.events else "<no events>"
@@ -168,9 +166,10 @@ class _Region:
 def merge_tracers(tracers):
     """Merge per-rank buffers into one trace sorted by (t, rank), stably."""
     events = []
-    for tracer in tracers:
+    # concatenated in rank order, so a stable sort by time alone breaks ties by rank
+    for tracer in sorted(tracers, key=operator.attrgetter("rank")):
         events.extend(tracer.finalize())
-    events.sort(key=operator.attrgetter("t", "rank"))
+    events.sort(key=operator.attrgetter("t"))
     return Trace(events=events, num_ranks=len(tracers))
 
 

@@ -130,6 +130,12 @@ class TestLateReceiver:
     def test_min_wait_filter(self):
         assert detect_late_receiver(fig5_trace(), min_wait=5.0) == []
 
+    @pytest.mark.parametrize("detect", [detect_late_receiver, detect_late_sender])
+    @pytest.mark.parametrize("min_wait", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_unusable_min_wait_is_refused(self, detect, min_wait):
+        with pytest.raises(ValueError, match="min_wait"):
+            detect(fig5_trace(), min_wait=min_wait)
+
     def test_unmatched_messages_audited(self):
         trace = make_trace(
             [

@@ -168,6 +168,7 @@ class TestRunCommand:
             (None, ["--problem", "allen-cahn", "--grid", "16", "--coarse-grid", "8", "--dt", "0.001", "--eps", "nan"]),
             (None, ["--problem", "allen-cahn", "--grid", "16", "--coarse-grid", "8", "--dt", "0.001", "--radius", "nan"]),
             (None, ["--problem", "allen-cahn", "--grid", "16", "--coarse-grid", "8", "--dt", "0.001", "--radius", "-1"]),
+            (None, ["--rendezvous-bytes", "-7"]),
         ],
     )
     def test_bad_input_is_one_usage_error(self, config, args, tmp_path):
@@ -218,6 +219,17 @@ class TestAnalyzeCommand:
         assert proc.returncode == 0, proc.stderr
         lines = (tmp_path / "waitstates.csv").read_text().splitlines()
         assert lines[1].startswith("late-receiver,0,1,3.000000")
+
+    @pytest.mark.parametrize("min_wait", ["nan", "inf", "-inf", "-1"])
+    def test_unusable_min_wait_is_a_usage_error(self, tmp_path, min_wait):
+        # NaN used to empty the report silently: no wait compares >= NaN
+        path = tmp_path / "fig5.trc.jsonl"
+        write_trace(fig5_trace(), path)
+        proc = pitlab("analyze", "--trace", str(path), "--wait-states", f"--min-wait={min_wait}",
+                      "--out-dir", str(tmp_path))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr and "--min-wait" in proc.stderr
+        assert not (tmp_path / "waitstates.csv").exists()
 
     def test_structural_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.trc.jsonl"

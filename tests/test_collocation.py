@@ -140,12 +140,12 @@ class TestTable:
 
 def unit_blocks(tab):
     """The table's unit-interval blocks in scaled()'s order, one list entry per array or number."""
-    return [tab.q_prev, tab.q_pair, *tab.qd_lower, *tab.qd_diag]
+    return [tab.q_prev, tab.q_pair, *tab.qd_cols, *tab.qd_diag]
 
 
 def scaled_blocks(tab, dt):
     blocks = tab.scaled(dt)
-    return [blocks.q_prev, blocks.q_pair, *blocks.qd_lower, *blocks.qd_diag]
+    return [blocks.q_prev, blocks.q_pair, *blocks.qd_cols, *blocks.qd_diag]
 
 
 class TestScaledBlocks:
@@ -158,6 +158,16 @@ class TestScaledBlocks:
         for got, block in zip(scaled, unit):
             assert np.array_equal(got, dt * block)
         assert all(type(d) is float for d in tab.scaled(dt).qd_diag)
+
+    @pytest.mark.parametrize("implicit", ["lu", "be"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    def test_column_blocks_hold_each_nodes_entries_below_the_diagonal(self, m, implicit):
+        tab = make_radau_table(m, implicit=implicit)
+        assert len(tab.qd_cols) == m
+        for j, cols in enumerate(tab.qd_cols):
+            assert cols.shape == (m - j - 1, 2)
+            assert np.array_equal(cols[:, 0], tab.qd_imp[j + 1:, j])
+            assert np.array_equal(cols[:, 1], tab.qd_exp[j + 1:, j])
 
     def test_formed_once_per_step_size(self):
         tab = make_radau_table(3)
@@ -176,7 +186,7 @@ class TestScaledBlocks:
 
     def test_blocks_are_read_only(self):
         blocks = make_radau_table(3).scaled(0.1)
-        for array in (blocks.q_prev, blocks.q_pair, *blocks.qd_lower):
+        for array in (blocks.q_prev, blocks.q_pair, *blocks.qd_cols):
             with pytest.raises(ValueError):
                 array[...] = 0.0
         with pytest.raises(TypeError):

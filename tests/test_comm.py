@@ -18,6 +18,7 @@ from pitlab.comm import (
     unpack_array,
     unpack_status,
 )
+from pitlab.controller import dahlquist_config, run
 from pitlab.trace import Tracer
 
 
@@ -166,7 +167,8 @@ class TestBackends:
         b.recv(0, tag())
         audit = net.audit()
         assert audit[(0, 1)] == {"sent": 1, "received": 1, "pending": 0}
-        assert audit[(1, 2)] == {"sent": 0, "received": 0, "pending": 0}
+        # channels are built on first use: a pair that never talked has none
+        assert (1, 2) not in audit
 
     def test_the_send_handle_is_the_received_message(self):
         net = Network(2, rendezvous_bytes=4, recv_timeout=1.0)
@@ -212,6 +214,62 @@ class TestBackends:
         assert len(calls) == 2
         names = [ev.name for tr in (a.tracer, b.tracer) for ev in tr.events]
         assert names == ["fine/value/1"] * 4
+
+
+class TestChannelsOnFirstUse:
+    def test_a_new_network_holds_no_channel(self):
+        assert len(Network(10_000).audit()) == 0
+
+    def test_serial_pfasst_run_builds_only_its_forward_channels(self):
+        result = run(dahlquist_config(32, 0.1), mode="serial")
+        assert set(result.comm_audit["channels"]) == {(p, p + 1) for p in range(31)}
+
+    @pytest.mark.parametrize("src, dst", [(0, 3), (3, 0), (-1, 0), (0, -1), (1, 1), ("0", 1)])
+    def test_pair_outside_the_network_is_refused(self, src, dst):
+        net = Network(3)
+        with pytest.raises(ValueError, match="no channel"):
+            net.channel(src, dst)
+        assert net.audit() == {}
+
+    def test_racing_first_uses_share_one_channel(self, monkeypatch):
+        # a slow constructor lets the other threads arrive while one builds
+        class SlowChannel(comm._Channel):
+            def __init__(self, network):
+                time.sleep(0.002)
+                super().__init__(network)
+
+        monkeypatch.setattr(comm, "_Channel", SlowChannel)
+        net = Network(6)
+        pairs = [(src, dst) for src in range(6) for dst in range(6) if src != dst]
+        workers = 4  # more threads than a 2-core machine has cores
+        barrier, got = threading.Barrier(workers), [[] for _ in range(workers)]
+
+        def first_uses(mine):
+            for pair in pairs:
+                barrier.wait(timeout=10.0)
+                mine.append(net.channel(*pair))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_uses, args=(mine,)) for mine in got]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert all(len(mine) == len(pairs) for mine in got)
+        for pair, *channels in zip(pairs, *got):
+            assert all(ch is channels[0] for ch in channels), pair
+        assert len(net.audit()) == len(pairs)
+
+    def test_abort_reaches_a_channel_built_after_it(self):
+        net = Network(2, recv_timeout=30.0)
+        net.abort("worker 0 failed")
+        with pytest.raises(RunAborted, match="worker 0 failed"):
+            net.endpoint(1).recv(0, tag())
 
 
 class TestBlockedWait:
@@ -326,6 +384,11 @@ class TestWireFormat:
         payload = pack_array(sample(np.float64, (5, 5)))
         with pytest.raises(ValueError):
             unpack_array(payload[:-cut])
+
+    @pytest.mark.parametrize("length", [0, 5, 9])
+    def test_payload_shorter_than_the_prefix_is_refused(self, length):
+        with pytest.raises(ValueError):
+            unpack_array(pack_array(np.zeros(3))[:length])
 
     def test_trailing_bytes_are_refused(self):
         payload = pack_array(sample(np.float64, (5, 5)))

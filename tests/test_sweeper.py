@@ -300,15 +300,18 @@ class TestSolveIdentity:
 
 
 class TestFftBudget:
-    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("implicit", ["lu", "be"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("make", [allen_cahn_state, dahlquist_state])
-    def test_lu_sweep_solves_and_evaluates_once_per_node(self, m, make):
+    def test_sweep_solves_and_evaluates_once_per_node(self, m, make, implicit):
         # the implicit part comes from the solve: a sweep that evaluates
         # it again pays a second forward/inverse transform per node
         problem, state = make(m=m)
         counting = CountingProblem(problem)
-        imex_sweep(state, make_radau_table(m), counting)
-        assert counting.calls == Counter(implicit_solve=m, eval_explicit=m)
+        for _ in range(2):
+            counting.calls.clear()
+            imex_sweep(state, make_radau_table(m, implicit=implicit), counting)
+            assert counting.calls == Counter(implicit_solve=m, eval_explicit=m)
 
 
 class TestStackedRhs:
@@ -338,9 +341,29 @@ class TestStackedRhs:
     @pytest.mark.parametrize("case", ["dahlquist-lu", "dahlquist-zero-diagonal", "dahlquist-complex",
                                       "allen-cahn-64-tau"])
     def test_sweep_and_residual_match_the_per_term_loops(self, case):
+        self.assert_matches_the_per_term_loops(*self.oracle_case(case))
+
+    @pytest.mark.parametrize("tau", [False, True], ids=["no-tau", "tau"])
+    @pytest.mark.parametrize("preconditioner", ["lu", "be", "all-explicit"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("make, lipschitz", [
+        (lambda m: dahlquist_state(m=m), 2.5), (lambda m: allen_cahn_state(n=16, m=m), 4.0 / 0.04**2),
+    ], ids=["dahlquist", "allen-cahn-16"])
+    def test_column_updates_match_the_per_term_loops(self, make, lipschitz, m, preconditioner, tau):
+        # each node's new values reach the rows below it one column block
+        # at a time, whatever the node count and the preconditioner
+        tab = make_radau_table(m, implicit="lu" if preconditioner == "all-explicit" else preconditioner)
+        if preconditioner == "all-explicit":
+            tab = dataclasses.replace(tab, qd_imp=tab.qd_exp)
+        problem, state = make(m)
+        if tau:
+            state.tau = 1e-3 * np.random.default_rng(m).standard_normal(state.u.shape)
+        self.assert_matches_the_per_term_loops(problem, state, tab, lipschitz)
+
+    @staticmethod
+    def assert_matches_the_per_term_loops(problem, state, tab, lipschitz):
         # the stacked quadratures sum in another order: allow a few
         # rounding errors of the dtype on the scale of the terms summed
-        problem, state, tab, lipschitz = self.oracle_case(case)
         eps = np.finfo(state.u.dtype).eps
         weight = (np.abs(tab.q) + np.abs(tab.qd_imp) + np.abs(tab.qd_exp)).sum(axis=1).max()
         # f_imp = (u - rhs) / (dt qdI_mm) scales a difference up

@@ -328,8 +328,9 @@ class TestMerge:
         c1.advance(2.0)
         t0.record_region("REGION -- PREDICT -- 0", "exit")
         t1.record_region("REGION -- PREDICT -- 1", "exit")
-        merged = merge_tracers([t0, t1])
-        assert [(e.t, e.rank) for e in merged.events] == [(0.0, 0), (0.0, 1), (1.0, 0), (2.0, 1)]
+        for tracers in ([t0, t1], [t1, t0]):
+            merged = merge_tracers(tracers)
+            assert [(e.t, e.rank) for e in merged.events] == [(0.0, 0), (0.0, 1), (1.0, 0), (2.0, 1)]
 
 
 class TestProfile:
