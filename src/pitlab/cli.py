@@ -6,11 +6,13 @@ efficiency and wait-state reports; `sweep` drives a benchmark config
 through the workflow harness; `report` re-renders result tables.
 
 Exit codes: 0 success, 2 usage error, 3 divergence or non-convergence,
-4 structural analysis error.  `sweep` exits 2 on a config error, which
-it reports before any run starts (a run directory left by an earlier
-sweep is one), and 1 when some run is not done; `report` exits 2 on a
-missing or empty input, a row with more or fewer cells than the header,
-or an unknown sort column.
+4 structural analysis error or a trace that does not parse.  A trace
+file or output directory that cannot be opened or made is a usage
+error; `run` makes the trace's directory before it integrates.  `sweep`
+exits 2 on a config error, which it reports before any run starts (a
+run directory left by an earlier sweep is one), and 1 when some run is
+not done; `report` exits 2 on a missing or empty input, a row with more
+or fewer cells than the header, or an unknown sort column.
 
 Each run option is declared once, as its flag.  A config file
 (`--config`) holds `key = value` lines whose keys are the long flag
@@ -159,6 +161,16 @@ def _cmd_run(args):
         cfg = _run_config(args)
     except ValueError as exc:
         return _usage_error(exc)
+    if args.trace_out:
+        path = Path(args.trace_out)
+    else:
+        workers = 1 if args.scheme == "sdc" else cfg.num_steps
+        name = f"{args.problem}-{args.scheme}-{args.mode}-p{workers}.trc.jsonl"
+        path = Path(os.environ.get("PITLAB_TRACE_DIR", ".")) / name
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)  # before the run, so an unusable path fails at once
+    except OSError as exc:
+        return _usage_error(exc)
     try:
         if args.scheme == "sdc":
             result = run_sdc_serial(
@@ -170,15 +182,10 @@ def _cmd_run(args):
     except ConvergenceFailure as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-
-    if args.trace_out:
-        path = Path(args.trace_out)
-    else:
-        workers = 1 if args.scheme == "sdc" else cfg.num_steps
-        name = f"{args.problem}-{args.scheme}-{args.mode}-p{workers}.trc.jsonl"
-        path = Path(os.environ.get("PITLAB_TRACE_DIR", ".")) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_trace(result.trace, path)
+    try:
+        write_trace(result.trace, path)
+    except OSError as exc:
+        return _usage_error(exc)
     for line in format_summary(result):
         print(line)
     print(f"Trace written to {path}")
@@ -219,6 +226,8 @@ def _cmd_analyze(args):
     except (TraceParseError, StructuralError, CausalityError, EmptyPhaseError, ReplayError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
+    except OSError as exc:
+        return _usage_error(exc)
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ their transforms: there is no file format or general Fourier transform.
 """
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -105,6 +106,12 @@ class AllenCahnProblem:
         self.n = n
         self.lpatches = int(lpatches)
         self.eps = float(eps)
+        try:
+            self._reaction = -(2.0 / self.eps**2)  # the reaction's coefficient -2/eps^2
+        except (OverflowError, ZeroDivisionError):
+            self._reaction = 0.0
+        if not (math.isfinite(self._reaction) and self._reaction):
+            raise ValueError(f"interface parameter {eps} makes -2/eps^2 overflow or vanish")
         h = self.lpatches / n
         k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
         k_half = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
@@ -133,7 +140,7 @@ class AllenCahnProblem:
 
     def eval_explicit(self, u):
         # -(2/eps^2) * u * (1 - u) * (1 - 2u) in its order, in two arrays
-        out = -(2.0 / self.eps**2) * u
+        out = self._reaction * u
         scratch = 1.0 - u
         out *= scratch
         out *= np.subtract(1.0, np.multiply(2.0, u, out=scratch), out=scratch)

@@ -234,36 +234,58 @@ def read_trace(path):
     `json.loads` accepts it (one JSON value, with only JSON whitespace
     around it) and the value is a record of one of the six kinds with a
     string name, an int rank, an int or float time, and int bytes and
-    peer unless absent or null."""
+    peer unless absent or null.  A file that is not UTF-8 raises
+    TraceParseError naming the file and its first undecodable line.
+
+    The events keep one string object per distinct kind and name: a
+    record's strings are replaced by the first equal ones this call read,
+    so a trace of many events and few names holds each name once."""
     events = []
-    with open(path) as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-            if type(header) is not dict or header.get("format") != FORMAT_NAME:
-                raise ValueError(f"not a {FORMAT_NAME} file")
-            num_ranks, version = header.get("num_ranks"), header.get("version")
-            if not (type(version) is int and version == FORMAT_VERSION and type(num_ranks) is int and num_ranks > 0):
-                raise ValueError(f"want version {FORMAT_VERSION} and a positive int num_ranks, got {header}")
-        except ValueError as exc:
-            raise TraceParseError(f"line 1: bad header: {exc}") from None
-        for lineno, line in enumerate(fh, start=2):
-            if line.isspace():
-                continue
+    shared = {}.setdefault  # this call's first object of each distinct string
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header_line = fh.readline()
             try:
-                text = line.strip(JSON_WHITESPACE)
-                rec, end = _raw_decode(text)
-                if end != len(text):
-                    raise json.JSONDecodeError("Extra data", text, end)
-                rank, kind, name, t = rec["rank"], rec["kind"], rec["name"], rec["t"]
-                nbytes, peer = rec.get("bytes"), rec.get("peer")
-                if not (kind in KINDS and type(name) is str and type(rank) is int and type(t) in _NUMBER
-                        and type(nbytes) in _INT_OR_NULL and type(peer) in _INT_OR_NULL):
-                    raise ValueError("want one of the six kinds, a str name, an int rank, bytes and peer, number t")
-                events.append(TraceEvent(rank, kind, name, float(t), nbytes, peer))
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                raise TraceParseError(f"line {lineno}: {exc}") from None
+                header = json.loads(header_line)
+                if type(header) is not dict or header.get("format") != FORMAT_NAME:
+                    raise ValueError(f"not a {FORMAT_NAME} file")
+                num_ranks, version = header.get("num_ranks"), header.get("version")
+                if not (type(version) is int and version == FORMAT_VERSION and type(num_ranks) is int and num_ranks > 0):
+                    raise ValueError(f"want version {FORMAT_VERSION} and a positive int num_ranks, got {header}")
+            except ValueError as exc:
+                raise TraceParseError(f"line 1: bad header: {exc}") from None
+            for lineno, line in enumerate(fh, start=2):
+                if line.isspace():
+                    continue
+                try:
+                    text = line.strip(JSON_WHITESPACE)
+                    rec, end = _raw_decode(text)
+                    if end != len(text):
+                        raise json.JSONDecodeError("Extra data", text, end)
+                    rank, kind, name, t = rec["rank"], rec["kind"], rec["name"], rec["t"]
+                    nbytes, peer = rec.get("bytes"), rec.get("peer")
+                    if not (kind in KINDS and type(name) is str and type(rank) is int and type(t) in _NUMBER
+                            and type(nbytes) in _INT_OR_NULL and type(peer) in _INT_OR_NULL):
+                        raise ValueError("want one of the six kinds, a str name, an int rank, bytes and peer, number t")
+                    events.append(TraceEvent(rank, shared(kind, kind), shared(name, name), float(t), nbytes, peer))
+                except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                    raise TraceParseError(f"line {lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # text mode decodes ahead of the line it returns, so find the line again
+        raise TraceParseError(f"line {_first_undecodable_line(path)}: {path} is not UTF-8: {exc.reason}") from None
     return Trace(events=events, num_ranks=num_ranks)
+
+
+def _first_undecodable_line(path):
+    """The number of a file's first line that is not UTF-8, counting lines
+    as text mode does; an undecodable byte reads as a lone surrogate, which
+    no UTF-8 text holds and which does not encode back."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return lineno
 
 
 @dataclass

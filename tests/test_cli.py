@@ -166,6 +166,9 @@ class TestRunCommand:
             (None, ["--lambda-implicit", "nan"]),
             (None, ["--lambda-explicit", "nan"]),
             (None, ["--problem", "allen-cahn", "--grid", "16", "--coarse-grid", "8", "--dt", "0.001", "--eps", "nan"]),
+            # -2/eps^2 overflows, or eps^2 underflows to 0
+            (None, ["--problem", "allen-cahn", "--grid", "16", "--coarse-grid", "8", "--dt", "0.001", "--eps", "1e300"]),
+            (None, ["--problem", "allen-cahn", "--grid", "16", "--coarse-grid", "8", "--dt", "0.001", "--eps", "1e-200"]),
             (None, ["--problem", "allen-cahn", "--grid", "16", "--coarse-grid", "8", "--dt", "0.001", "--radius", "nan"]),
             (None, ["--problem", "allen-cahn", "--grid", "16", "--coarse-grid", "8", "--dt", "0.001", "--radius", "-1"]),
             (None, ["--rendezvous-bytes", "-7"]),
@@ -181,6 +184,13 @@ class TestRunCommand:
         assert "Traceback" not in proc.stderr
         assert len([line for line in proc.stderr.splitlines() if "error" in line]) == 1, proc.stderr
         assert not (tmp_path / "t.jsonl").exists()
+
+    def test_uncreatable_trace_directory_is_a_usage_error_before_the_run(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        proc = pitlab("run", "--trace-out", str(tmp_path / "file" / "sub" / "t.jsonl"))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stdout == ""  # no summary: the run never started
+        assert proc.stderr.splitlines() == [proc.stderr.strip()] and proc.stderr.startswith("usage error: ")
 
     def test_help_shows_each_default(self):
         proc = pitlab("run", "--help")
@@ -230,6 +240,25 @@ class TestAnalyzeCommand:
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert "Traceback" not in proc.stderr and "--min-wait" in proc.stderr
         assert not (tmp_path / "waitstates.csv").exists()
+
+    @pytest.mark.parametrize("target", ["missing.trc.jsonl", "."], ids=["missing", "directory"])
+    def test_unopenable_trace_is_a_usage_error(self, tmp_path, target):
+        proc = pitlab("analyze", "--trace", str(tmp_path / target), "--out-dir", str(tmp_path))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stderr.splitlines() == [proc.stderr.strip()] and proc.stderr.startswith("usage error: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("line", [0, 5], ids=["header", "event"])
+    def test_non_utf8_trace_exits_4_naming_file_and_line(self, tmp_path, line):
+        path = tmp_path / "latin.trc.jsonl"
+        write_trace(pop_hand_trace(), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line] = lines[line].replace(b'"', b'"\xff', 1)
+        path.write_bytes(b"".join(lines))
+        proc = pitlab("analyze", "--trace", str(path), "--out-dir", str(tmp_path))
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith(f"analysis error: line {line + 1}: {path} is not UTF-8")
 
     def test_structural_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.trc.jsonl"

@@ -224,6 +224,18 @@ class TestInitialCondition:
             with pytest.raises(ValueError, match="interface parameter must be finite and positive"):
                 AllenCahnProblem(16, 1, eps)
 
+    def test_interface_width_whose_reaction_coefficient_overflows_rejected(self):
+        # eps**2 overflows, underflows to 0, or 2/eps**2 overflows to inf
+        for eps in (1e300, 1e-200, 1e-160):
+            with pytest.raises(ValueError, match="makes -2/eps\\^2 overflow or vanish"):
+                AllenCahnProblem(16, 1, eps)
+
+    @pytest.mark.parametrize("eps", [0.04, 0.3, 1e154, 1e-100])
+    def test_reaction_is_the_reference_formula_bit_for_bit(self, eps):
+        problem = AllenCahnProblem(16, 1, eps)
+        u = np.random.default_rng(3).uniform(-0.2, 1.2, (2, 16, 16))
+        assert np.array_equal(problem.eval_explicit(u), ref_eval_explicit(problem, u))
+
     def test_radii_come_from_the_documented_generator(self):
         rng = Xorshift64Star(55)
         expected = [rng.uniform(0.5 * 0.04, 3 * 0.04) for _ in range(4)]

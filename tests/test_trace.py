@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,16 @@ class TestFileRoundtrip:
         path = tmp_path / "hdr.trc.jsonl"
         path.write_text('{"something": "else"}\n')
         with pytest.raises(TraceParseError, match="line 1"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("line", [1, 2, 1500], ids=["header", "first-event", "past-the-first-chunk"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "latin.trc.jsonl"
+        write_trace(synthetic_trace(6, 24, 3), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = lines[line - 1].replace(b'"', b'"\xff', 1)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(TraceParseError, match=rf"^line {line}: {re.escape(str(path))} is not UTF-8"):
             read_trace(path)
 
 
@@ -284,6 +295,30 @@ class TestWriterReaderOracle:
         with pytest.raises(TraceParseError) as new:
             read_trace(path)
         assert str(new.value).split(":")[0] == str(ref.value).split(":")[0]
+
+
+class TestSharedStrings:
+    """A read-back trace holds one object per distinct kind and name."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: synthetic_trace(6, 24, 3), lambda: run(dahlquist_config(8, 0.1), mode="serial").trace],
+        ids=["synthetic", "dahlquist-p8"],
+    )
+    def test_one_object_per_distinct_string(self, build, tmp_path):
+        trace = build()
+        path = write_trace(trace, tmp_path / "t.trc.jsonl")
+        back = read_trace(path)
+        assert back.events == trace.events
+        for field in ("kind", "name"):
+            values = [getattr(event, field) for event in back.events]
+            assert len({id(value) for value in values}) == len(set(values)) > 1, field
+
+    def test_two_reads_share_no_name(self, tmp_path):
+        path = write_trace(run(dahlquist_config(8, 0.1), mode="serial").trace, tmp_path / "t.trc.jsonl")
+        first, second = read_trace(path), read_trace(path)
+        assert first.events == second.events
+        assert not {id(event.name) for event in first.events} & {id(event.name) for event in second.events}
 
 
 TYPED_RECORD = {"rank": "0", "kind": '"send-post"', "name": '"x"', "t": "0.5", "bytes": "8", "peer": "1"}
