@@ -14,14 +14,19 @@ one record per message and, per rank, the events in time order, each
 one's message and compute time, the blocked spans and the region-stack
 changes.  The efficiency report and the replay take a rank's
 computation from those per-event compute times and from nothing else.
-The replay sweeps each rank forward once; a receive holds the message whose
-send-post releases it, and its rank is parked until that send-post is
-replayed, so the analysis is linear in the number of events.
+The replay reads each rank's event, compute and message columns in place
+between the window's bounds and sweeps each rank forward once; a receive
+completion waits for the message whose send-post releases it, and its
+rank is parked until that send-post is replayed, so the analysis is
+linear in the number of events.  A trace the profile refuses (unbalanced
+regions, a non-finite time) gets no efficiency report either.
 """
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 
 from .trace import Trace, TraceEvent
 
@@ -132,8 +137,10 @@ def pop_metrics(trace, full_run=False):
     phase makespan T: load balance mean(c)/max(c), communication efficiency
     max(c)/T, parallel efficiency mean(c)/T; the ideal replay makespan
     splits communication efficiency into serialisation max(c)/T_ideal
-    and transfer T_ideal/T.
+    and transfer T_ideal/T.  A trace with a structural error raises
+    StructuralError, as `build_profile` does.
     """
+    trace.index.check()
     violations = causality_violations(trace)
     if violations:
         raise CausalityError(f"{violations} matched messages complete before their send posts")
@@ -145,7 +152,7 @@ def pop_metrics(trace, full_run=False):
             continue
         starts.append(view.times[a])
         ends.append(view.times[b - 1])
-        comp[rank] = sum(view.compute[a + 1:b])  # the window's first event computes nothing
+        comp[rank] = sum(islice(view.compute, a + 1, b))  # the window's first event computes nothing
     if not comp:
         raise EmptyPhaseError("no rank has events in the selected phase")
     c_max = max(comp.values())
@@ -201,46 +208,37 @@ def detect_late_sender(trace, min_wait=0.0):
     return _wait_states(trace, min_wait, "late-sender")
 
 
-def _replay_ops(trace, window):
-    """Per-rank (compute delta, event, message) ops: each event in the
-    window with its compute from the index, 0.0 for the window's first.
-    A receive whose send-post is outside the window has no dependency:
-    no message."""
-    ranks = {}
-    for rank, view in trace.index.ranks.items():
-        a, b = view.window(*window) if window else (0, len(view.events))
-        ops = []
-        for delta, ev, m in zip(view.compute[a:b], view.events[a:b], view.messages[a:b]):
-            if window and m is not None and ev.kind in ("recv-post", "recv-complete"):
-                m = m if window[0] <= m.send_post <= window[1] else None
-            ops.append((delta if ops else 0.0, ev, m))
-        ranks[rank] = ops
-    return ranks
-
-
 def _replay(trace, window):
-    """The ideal-network replay of the window: each rank's ops and the
-    time each op replays at, in the rank's order.
+    """The ideal-network replay of the window: per rank, the index range
+    [a, b) of its events in the window and the time each replays at.
 
-    A worklist of ranks: a rank runs until a receive completion whose
-    message's send-post has not been replayed yet, is parked under that
-    message and is woken when the send-post is replayed, so every op is
-    visited once and once more per park, at most once per message.
+    The replay reads the index in place: event i of a rank advances its
+    clock by the index's compute time (0.0 for the window's first event),
+    and a receive completion waits for its message's send-post unless that
+    send-post lies outside the window.  A worklist of ranks: a rank runs
+    until a receive completion whose message's send-post has not been
+    replayed yet, is parked under that message and is woken when the
+    send-post is replayed, so every event is visited once and once more
+    per park, at most once per message.
     """
-    ranks = _replay_ops(trace, window)
-    times = {rank: [] for rank in ranks}
-    clocks = dict.fromkeys(ranks, 0.0)
+    views = trace.index.ranks
+    lo, hi = window or (-math.inf, math.inf)
+    bounds = {rank: view.window(lo, hi) for rank, view in views.items()}
+    times = {rank: array("d") for rank in views}  # the replayed times, in the rank's order
+    clocks = dict.fromkeys(views, 0.0)
     send_post_times = {}  # message -> its send-post's replayed time
     parked = {}  # message -> the rank whose receive completion waits for its send-post
-    ready = list(ranks)
+    ready = list(views)
     while ready:
         rank = ready.pop()
-        ops, replayed, clock = ranks[rank], times[rank], clocks[rank]
-        for i in range(len(replayed), len(ops)):
-            delta, ev, m = ops[i]
-            kind = ev.kind
+        view, replayed, clock = views[rank], times[rank], clocks[rank]
+        events, compute, messages = view.events, view.compute, view.messages
+        a, b = bounds[rank]
+        for i in range(a + len(replayed), b):
+            kind = events[i].kind
             if kind == "recv-complete":
-                if m is not None:
+                m = messages[i]
+                if m is not None and lo <= m.send_post <= hi:
                     sent = send_post_times.get(m)
                     if sent is None:
                         parked[m] = rank  # its send-post not replayed yet
@@ -248,17 +246,20 @@ def _replay(trace, window):
                     if sent > clock:
                         clock = sent
             elif kind != "send-complete":  # a send completes at once: no sender blocking
-                clock += delta
-                if kind == "send-post" and m is not None:
-                    send_post_times[m] = clock
-                    if m in parked:
-                        ready.append(parked.pop(m))
+                if i != a:
+                    clock += compute[i]
+                if kind == "send-post":
+                    m = messages[i]
+                    if m is not None:
+                        send_post_times[m] = clock
+                        if m in parked:
+                            ready.append(parked.pop(m))
             replayed.append(clock)
         clocks[rank] = clock
-    stuck = {rank: len(ops) - len(times[rank]) for rank, ops in ranks.items() if len(times[rank]) < len(ops)}
+    stuck = {rank: b - a - len(times[rank]) for rank, (a, b) in bounds.items() if a + len(times[rank]) < b}
     if stuck:
         raise ReplayError(f"cyclic message dependency; undelivered ops per rank: {stuck}")
-    return ranks, times
+    return bounds, times
 
 
 def replay_trace(trace, window=None):
@@ -268,11 +269,12 @@ def replay_trace(trace, window=None):
     never block, and each receive completes as soon as both it and its
     own matching send are posted.  Ranks start at time zero.
     """
-    ranks, times = _replay(trace, window)
+    bounds, times = _replay(trace, window)
+    views = trace.index.ranks
     new_events = [
         TraceEvent(rank, ev.kind, ev.name, t, ev.bytes, ev.peer)
-        for rank, ops in ranks.items()
-        for (_, ev, _), t in zip(ops, times[rank])
+        for rank, (a, b) in bounds.items()
+        for ev, t in zip(islice(views[rank].events, a, b), times[rank])
     ]
     new_events.sort(key=lambda ev: (ev.t, ev.rank))
     return Trace(events=new_events, num_ranks=trace.num_ranks)

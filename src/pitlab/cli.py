@@ -8,7 +8,8 @@ through the workflow harness; `report` re-renders result tables.
 Exit codes: 0 success, 2 usage error, 3 divergence or non-convergence,
 4 structural analysis error or a trace that does not parse.  A trace
 file or output directory that cannot be opened or made is a usage
-error; `run` makes the trace's directory before it integrates.  `sweep`
+error; `run` refuses a trace path that is a directory and makes the
+trace's directory before it integrates.  `sweep`
 exits 2 on a config error, which it reports before any run starts (a
 run directory left by an earlier sweep is one), and 1 when some run is
 not done; `report` exits 2 on a missing or empty input, a row with more
@@ -167,8 +168,10 @@ def _cmd_run(args):
         workers = 1 if args.scheme == "sdc" else cfg.num_steps
         name = f"{args.problem}-{args.scheme}-{args.mode}-p{workers}.trc.jsonl"
         path = Path(os.environ.get("PITLAB_TRACE_DIR", ".")) / name
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)  # before the run, so an unusable path fails at once
+    try:  # before the run, so an unusable path fails at once
+        if path.is_dir():
+            return _usage_error(f"trace path {path} is a directory")
+        path.parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _usage_error(exc)
     try:

@@ -8,16 +8,21 @@ the trace and is built once, on first use: one record per message from
 one FIFO pairing, and per rank its events in time order, their messages,
 the blocked spans read off those records, and one walk for each event's
 compute time (the gap since the rank's previous event, 0.0 while a
-blocked span is open across it) and the region stack.  The profile and
-every analysis step read it; computation is defined there alone.
+blocked span is open across it) and the region stack.  The pairing pass
+buckets the events by rank, so the build keeps no per-event list over the
+whole trace, and each rank's time, compute and region-time columns are
+`array('d')`.  The profile and every analysis step read it; computation
+is defined there alone, and a non-finite event time is a structural error.
 """
 
 import bisect
 import json
 import math
 import operator
+from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import islice
 
 from .comm import monotonic_seconds
 
@@ -356,10 +361,12 @@ def match_messages(trace):
     completion of a side completes it once that side has posted it.
     Returns the messages both sides posted (keys by first send-post; a
     completion may be missing), those only the sender or only the receiver
-    posted, and each event's message (None for a region or a stray completion)."""
+    posted, and per rank (0 to num_ranks - 1, then others as they appear)
+    its events in trace order and each one's message (None for a region or
+    a stray completion)."""
     fifos = {}  # key -> [messages, sends posted, sends completed, receives posted, receives completed]
     sent = []  # the FIFOs in order of their first send-post
-    owners = []
+    ranks = {rank: ([], []) for rank in range(trace.num_ranks)}  # rank -> (events, messages)
     for ev in trace.events:
         kind, m = ev.kind, None
         if kind == "send-post":
@@ -392,43 +399,53 @@ def match_messages(trace):
                 m = fifo[0][fifo[4]]
                 fifo[4] += 1
                 m.recv_complete = ev.t
-        owners.append(m)
+        events, messages = ranks.get(ev.rank) or ranks.setdefault(ev.rank, ([], []))
+        events.append(ev)
+        messages.append(m)
     matches = [m for fifo in sent for m in fifo[0][:min(fifo[1], fifo[3])]]
     unmatched_sends = [m for fifo in fifos.values() for m in fifo[0][fifo[3]:fifo[1]]]
     unmatched_recvs = [m for fifo in fifos.values() for m in fifo[0][fifo[1]:fifo[3]]]
-    return matches, unmatched_sends, unmatched_recvs, owners
+    return matches, unmatched_sends, unmatched_recvs, ranks
 
 
 class _RankView:
     """One rank's events in time order with what the profile and the
-    analysis look up, from one walk: each event's compute and the region stack."""
+    analysis look up, from one walk: each event's compute and the region
+    stack.  The time columns are `array('d')`, one machine double per entry."""
 
     def __init__(self, events, messages, spans):
         self.events = events
-        self.times = [ev.t for ev in events]
         self.messages = messages  # each comm event's message if both sides posted it, else None
-        self.spans = spans = sorted(spans)  # blocked (post, completion) spans of the rank's messages, by start
-        self.compute = []  # per event: the gap since the previous event, 0.0 while a blocked span is open across it
-        self.region_times, self.region_tops = [], []  # when the region stack changes, and its new top
+        spans.sort()
+        self.spans = spans  # blocked (post, completion) spans of the rank's messages, by start
+        self.times = times = array("d")
+        self.compute = compute = array("d")  # per event: the gap since the previous event, 0.0 while a blocked span is open across it
+        self.region_times, self.region_tops = array("d"), []  # when the region stack changes, and its new top
         self.regions = {}  # name -> RegionStats, in first-exit order
         self.predict_end = None  # last predictor exit
         self.error = None  # first structural error
         stack = []  # [name, enter time, time spent in child regions]
-        next_span, open_until = 0, -math.inf  # the latest end of the spans started before the event
+        inf = math.inf
+        next_span, open_until = 0, -inf  # the latest end of the spans started before the event
         prev_t = events[0].t if events else 0.0
         for ev in events:
-            while next_span < len(spans) and spans[next_span][0] < ev.t:
+            t = ev.t
+            if not -inf < t < inf:
+                self.error = self.error or f"non-finite time t={t} in {ev.kind} {ev.name!r}"
+            while next_span < len(spans) and spans[next_span][0] < t:
                 open_until = max(open_until, spans[next_span][1])
                 next_span += 1
             # a span's ends are this rank's event times: one still open after prev_t covers the whole gap
-            self.compute.append(0.0 if open_until > prev_t else ev.t - prev_t)
-            prev_t = ev.t
-            if ev.kind == "region-enter":
-                stack.append([ev.name, ev.t, 0.0])
-            elif ev.kind == "region-exit":
+            compute.append(0.0 if open_until > prev_t else t - prev_t)
+            times.append(t)
+            prev_t = t
+            kind = ev.kind
+            if kind == "region-enter":
+                stack.append([ev.name, t, 0.0])
+            elif kind == "region-exit":
                 if stack and stack[-1][0] == ev.name:
                     name, t_enter, child_time = stack.pop()
-                    inclusive = ev.t - t_enter
+                    inclusive = t - t_enter
                     reg = self.regions.get(name) or self.regions.setdefault(name, RegionStats())
                     reg.count += 1
                     reg.inclusive += inclusive
@@ -436,14 +453,14 @@ class _RankView:
                     if stack:
                         stack[-1][2] += inclusive
                 else:
-                    self.error = self.error or f"unbalanced exit of {ev.name!r} at t={ev.t}"
+                    self.error = self.error or f"unbalanced exit of {ev.name!r} at t={t}"
                     if stack:
                         stack.pop()
                 if " -- PREDICT -- " in ev.name:
-                    self.predict_end = ev.t
+                    self.predict_end = t
             else:
                 continue
-            self.region_times.append(ev.t)
+            self.region_times.append(t)
             self.region_tops.append(stack[-1][0] if stack else "<untracked>")
         if stack and not self.error:
             self.error = "regions never exited: " + ", ".join(frame[0] for frame in stack)
@@ -458,39 +475,45 @@ class _RankView:
         return self.region_tops[i - 1] if i else "<untracked>"
 
 
+_time = operator.attrgetter("t")
+
+
 class _TraceIndex:
     """The single pass over a trace that the profile and every analysis
     step read: one _Match per message, and one view per rank with its
-    messages and its blocked spans read off them."""
+    messages and its blocked spans read off them.  A rank whose events
+    are out of time order is sorted stably by time."""
 
     def __init__(self, trace):
-        self.matches, self.unmatched_sends, self.unmatched_recvs, owners = match_messages(trace)
-        events = trace.events
-        times = [ev.t for ev in events]
-        positions = {r: [] for r in range(trace.num_ranks)}
-        for pos, ev in enumerate(events):
-            positions.setdefault(ev.rank, []).append(pos)
+        self.matches, self.unmatched_sends, self.unmatched_recvs, ranks = match_messages(trace)
         unmatched = self.unmatched_sends + self.unmatched_recvs
-        spans = {rank: [] for rank in positions}  # each side's (post, completion), on its own rank
+        spans = {rank: [] for rank in ranks}  # each side's (post, completion), on its own rank
         for m in self.matches + unmatched:
             for rank, post, done in ((m.source, m.send_post, m.send_complete), (m.dest, m.recv_post, m.recv_complete)):
                 if done is not None:
                     spans[rank].append((post, done))
-        if unmatched:
-            unmatched = set(unmatched)
-            owners = [None if m in unmatched else m for m in owners]
+        unmatched = set(unmatched)
         self.ranks = {}
-        for rank, order in positions.items():
-            order.sort(key=times.__getitem__)
-            self.ranks[rank] = _RankView([events[pos] for pos in order], [owners[pos] for pos in order], spans[rank])
+        for rank, (events, messages) in ranks.items():
+            if not all(map(operator.le, map(_time, events), map(_time, islice(events, 1, None)))):
+                order = sorted(range(len(events)), key=lambda i: events[i].t)
+                events, messages = [events[i] for i in order], [messages[i] for i in order]
+            if unmatched:
+                messages = [None if m in unmatched else m for m in messages]
+            self.ranks[rank] = _RankView(events, messages, spans[rank])
+
+    def check(self):
+        """Raise StructuralError with the first rank's structural error, if any."""
+        for rank, view in self.ranks.items():
+            if view.error:
+                raise StructuralError(f"rank {rank}: {view.error}")
 
 
 def build_profile(trace):
     """Aggregate a structurally valid trace into a Profile, from its index."""
     profile = Profile()
+    trace.index.check()
     for rank, view in trace.index.ranks.items():
-        if view.error:
-            raise StructuralError(f"rank {rank}: {view.error}")
         stats = profile.ranks[rank] = RankStats()
         if not view.events:
             continue

@@ -3,19 +3,24 @@ earlier two-pass message pairing that the trace index is checked against,
 and the earlier sweep layer and Allen-Cahn kernels that the stacked
 right-hand side and the pass-by-pass transforms are checked against,
 and the serial SDC stepping that spread a fresh state for each step;
-also a runner for code that needs a fresh interpreter."""
+also a runner for code that needs a fresh interpreter, the read-back
+Dahlquist P=32 trace and a tracemalloc probe of one call."""
 
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from pitlab.controller import dahlquist_config, run
 from pitlab.sweeper import LevelState, SolveFailure, imex_sweep, node_integrals, residual
-from pitlab.trace import Trace, TraceEvent, build_profile, parse_region_name
+from pitlab.trace import Trace, TraceEvent, build_profile, parse_region_name, write_trace
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -33,6 +38,29 @@ def run_python(code, **env):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=full, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+@pytest.fixture(scope="session")
+def p32_trace_path(tmp_path_factory):
+    """A written Dahlquist P=32 serial-model trace (15,392 events), the
+    large analysis input; each test reads its own copy back."""
+    path = tmp_path_factory.mktemp("p32") / "p32.trc.jsonl"
+    write_trace(run(dahlquist_config(32, 0.1), mode="serial").trace, path)
+    return path
+
+
+def allocations(call):
+    """(result, bytes still allocated after the call, peak bytes during
+    it), both above what was allocated before, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept - before, peak - before
 
 
 def ev(rank, kind, name, t, nbytes=None, peer=None):

@@ -12,7 +12,9 @@ to its last event in the window.
 The reference pairs each receive completion with its own match, as the
 indexed replay does.  Its ops carry the index of a match where the
 indexed ops carry the message record, so ops are compared by the
-message's key and send-post time.
+message's key and send-post time.  The indexed ops are the replay's
+inputs as `index_replay_ops` reads them off the index columns, the way
+`analysis._replay` walks them in place.
 """
 
 import statistics
@@ -21,6 +23,7 @@ from collections import Counter
 import pytest
 
 from conftest import (
+    allocations,
     ev,
     events_by_rank,
     fig5_trace,
@@ -31,7 +34,7 @@ from conftest import (
     ref_match_messages,
     synthetic_trace,
 )
-from pitlab import analysis, trace as tracing
+from pitlab import trace as tracing
 from pitlab.analysis import (
     CausalityError,
     EmptyPhaseError,
@@ -48,7 +51,7 @@ from pitlab.analysis import (
     replay_trace,
 )
 from pitlab.controller import dahlquist_config, run
-from pitlab.trace import Trace, TraceEvent, build_profile, merged_length
+from pitlab.trace import Trace, TraceEvent, build_profile, merged_length, read_trace
 
 
 def ref_phase_window(trace, full_run=False):
@@ -115,6 +118,24 @@ def ref_replay_ops(trace, window):
                     match_idx = None
             ops.append((delta, ev, match_idx))
             prev_t = ev.t
+        ranks[rank] = ops
+    return ranks
+
+
+def index_replay_ops(trace, window):
+    """Per rank, (compute delta, event, message) for each event the replay
+    reads in the window, from the index columns as `analysis._replay`
+    reads them: the event's compute, 0.0 for the window's first event, and
+    a receive's message only if its send-post lies in the window."""
+    ranks = {}
+    for rank, view in trace.index.ranks.items():
+        a, b = view.window(*window) if window else (0, len(view.events))
+        ops = []
+        for i in range(a, b):
+            event, m = view.events[i], view.messages[i]
+            if window and m is not None and event.kind in ("recv-post", "recv-complete"):
+                m = m if window[0] <= m.send_post <= window[1] else None
+            ops.append((view.compute[i] if i > a else 0.0, event, m))
         ranks[rank] = ops
     return ranks
 
@@ -250,10 +271,10 @@ def _op_messages(ranks, message):
     }
 
 
-def _reports(trace, pop, window, wait_states, replay, ideal, message):
+def _reports(trace, pop, window, wait_states, replay_ops, replay, ideal, message):
     outputs = {
         "wait_states": wait_states(trace),
-        "ops": _op_messages(analysis._replay_ops(trace, None), message),
+        "ops": _op_messages(replay_ops(trace, None), message),
         "replay": replay(trace).events,
         "ideal": ideal(trace),
     }
@@ -262,24 +283,22 @@ def _reports(trace, pop, window, wait_states, replay, ideal, message):
         lo_hi = _outcome(window, trace, full_run)
         outputs[("window", full_run)] = lo_hi
         if isinstance(lo_hi, tuple):
-            outputs[("ops", full_run)] = _op_messages(analysis._replay_ops(trace, lo_hi), message)
+            outputs[("ops", full_run)] = _op_messages(replay_ops(trace, lo_hi), message)
             outputs[("replay", full_run)] = replay(trace, window=lo_hi).events
             outputs[("ideal", full_run)] = ideal(trace, window=lo_hi)
     return outputs
 
 
-def assert_matches_reference(trace, monkeypatch):
+def assert_matches_reference(trace):
     new = _reports(
         trace, pop_metrics, phase_window, lambda t: (detect_late_receiver(t), detect_late_sender(t)),
-        replay_trace, ideal_replay, _message_key,
+        index_replay_ops, replay_trace, ideal_replay, _message_key,
     )
     ref_matches = ref_match_messages(trace)[0]
-    with monkeypatch.context() as patch:
-        patch.setattr(analysis, "_replay_ops", ref_replay_ops)
-        old = _reports(
-            trace, ref_pop_metrics, ref_phase_window, ref_wait_states, ref_replay_trace, ref_ideal_replay,
-            lambda idx: _message_key(ref_matches[idx]),
-        )
+    old = _reports(
+        trace, ref_pop_metrics, ref_phase_window, ref_wait_states, ref_replay_ops, ref_replay_trace,
+        ref_ideal_replay, lambda idx: _message_key(ref_matches[idx]),
+    )
     assert new.keys() == old.keys()
     for key in old:
         assert new[key] == old[key], key
@@ -293,24 +312,24 @@ class TestMatchesTheRescanningAnalysis:
     @pytest.mark.parametrize(
         "build", [pop_hand_trace, fig5_trace, lambda: ping_pong_trace(5, 6)], ids=["hand", "fig5", "ping-pong"]
     )
-    def test_fixtures(self, build, monkeypatch):
-        assert_matches_reference(build(), monkeypatch)
+    def test_fixtures(self, build):
+        assert_matches_reference(build())
 
     @pytest.mark.parametrize("shape", [(2, 1, 1), (3, 2, 2), (4, 6, 3), (6, 5, 4)])
-    def test_synthetic_traces(self, shape, monkeypatch):
+    def test_synthetic_traces(self, shape):
         trace = synthetic_trace(*shape)
         receivers, senders = ref_wait_states(trace)
         if shape[0] > 2:
             assert receivers and senders  # both searches have work to do
-        assert_matches_reference(trace, monkeypatch)
+        assert_matches_reference(trace)
 
     @pytest.mark.parametrize(
         "mode, kwargs",
         [("serial", {}), ("parallel", {}), ("parallel", {"rendezvous_bytes": 0})],
         ids=["serial", "threads", "threads-rendezvous"],
     )
-    def test_dahlquist_runs(self, mode, kwargs, monkeypatch):
-        assert_matches_reference(_dahlquist_trace(mode, 8, **kwargs), monkeypatch)
+    def test_dahlquist_runs(self, mode, kwargs):
+        assert_matches_reference(_dahlquist_trace(mode, 8, **kwargs))
 
     def test_cyclic_dependency_raises_as_before(self):
         # each rank's send comes after its own receive of the other's send
@@ -493,7 +512,7 @@ class TestOneDefinitionOfCompute:
         else:
             assert full.comp_times == {r: profile.ranks[r].computation for r in full.comp_times}
         window = phase_window(trace)
-        ops = analysis._replay_ops(trace, window)
+        ops = index_replay_ops(trace, window)
         report = _outcome(pop_metrics, trace)
         if not isinstance(report, str):
             assert report.comp_times == {r: sum(delta for delta, _, _ in ops[r]) for r in report.comp_times}
@@ -553,22 +572,20 @@ class TestLinearWork:
     def test_replay_visits_each_op_once_plus_once_per_park(self, monkeypatch):
         # A rank resumes once at the start and once per park, and each
         # park visits its op once more: visits - ops = resumptions - ranks.
-        replay_ops = analysis._replay_ops
+        # The replay looks up each visited op's event once.
         counts = Counter()
 
-        class CountingOps(list):
+        class CountingEvents(list):
             def __getitem__(self, i):
                 counts["visits"] += 1
                 return super().__getitem__(i)
 
-        def counting_replay_ops(trace, window):
-            return {rank: CountingOps(ops) for rank, ops in replay_ops(trace, window).items()}
-
         for trace in (synthetic_trace(8, 20, 3), ping_pong_trace(8, 50), pop_hand_trace(), fig5_trace()):
-            ops = sum(len(rank_ops) for rank_ops in replay_ops(trace, None).values())
+            ops = sum(len(rank_ops) for rank_ops in index_replay_ops(trace, None).values())
             counts.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(analysis, "_replay_ops", counting_replay_ops)
+                for view in trace.index.ranks.values():
+                    patch.setattr(view, "events", CountingEvents(view.events))
                 replayed = replay_trace(trace)
             resumptions = counts["visits"] - ops + trace.num_ranks
             assert Counter((e.rank, e.kind, e.name) for e in replayed.events) == Counter(
@@ -590,3 +607,15 @@ class TestReplayIdempotent:
         assert [(e.rank, e.kind, e.name) for e in second.events] == [(e.rank, e.kind, e.name) for e in first.events]
         assert max(abs(a.t - b.t) for a, b in zip(first.events, second.events)) <= 1e-12
         assert ideal_replay(first) == pytest.approx(ideal_replay(second), abs=1e-12)
+
+
+class TestReplayMemory:
+    def test_ideal_replay_allocates_little_per_event(self, p32_trace_path):
+        # the replay reads the index in place: no op tuple per event, and
+        # each replayed time is one double in an array
+        trace = read_trace(p32_trace_path)
+        trace.index
+        for window in (None, phase_window(trace)):
+            makespan, _, peak = allocations(lambda: ideal_replay(trace, window))
+            assert makespan > 0
+            assert peak <= 32 * len(trace.events)

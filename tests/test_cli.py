@@ -2,13 +2,14 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import pytest
 
 from conftest import fig5_trace, pop_hand_trace
 from pitlab.comm import DEFAULT_RENDEZVOUS_BYTES
 from pitlab.controller import allen_cahn_config, dahlquist_config, format_summary, run_sdc_serial
-from pitlab.trace import read_trace, write_trace
+from pitlab.trace import Trace, read_trace, write_trace
 
 TIME_LINE = re.compile(r"^Time to solution: ([-+0-9.eE]+) sec\.$", re.M)
 ITER_LINE = re.compile(r"^Mean number of iterations: ([-+0-9.eE]+)$", re.M)
@@ -192,6 +193,22 @@ class TestRunCommand:
         assert proc.stdout == ""  # no summary: the run never started
         assert proc.stderr.splitlines() == [proc.stderr.strip()] and proc.stderr.startswith("usage error: ")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--steps", "2"],
+            # a run that diverges (exit 3) shows that the path is refused before the run
+            ["--problem", "dahlquist", "--steps", "2", "--workers", "2", "--dt", "0.5",
+             "--lambda-implicit", "0", "--lambda-explicit", "40"],
+        ],
+        ids=["converging", "diverging"],
+    )
+    def test_existing_directory_as_trace_out_is_a_usage_error_before_the_run(self, tmp_path, args):
+        proc = pitlab("run", *args, "--trace-out", str(tmp_path))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert not TIME_LINE.search(proc.stdout)  # the run never started
+        assert proc.stderr.splitlines() == [f"usage error: trace path {tmp_path} is a directory"]
+
     def test_help_shows_each_default(self):
         proc = pitlab("run", "--help")
         assert proc.returncode == 0
@@ -313,6 +330,18 @@ class TestAnalyzeCommand:
         assert proc.returncode == 4, proc.stderr
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
         assert proc.stderr.startswith("analysis error: line 1: bad header: ")
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_event_time_exits_4(self, tmp_path, t):
+        hand = pop_hand_trace()
+        i = next(i for i, e in enumerate(hand.events) if e.rank == 1 and e.kind == "region-exit")
+        events = hand.events[:i] + [replace(hand.events[i], t=t)] + hand.events[i + 1:]
+        path = write_trace(Trace(events=events, num_ranks=hand.num_ranks), tmp_path / "bad.trc.jsonl")
+        assert ('"t": NaN' if t != t else '"t": Infinity') in path.read_text()
+        proc = pitlab("analyze", "--trace", str(path), "--out-dir", str(tmp_path))
+        assert proc.returncode == 4, proc.stdout + proc.stderr
+        assert proc.stderr.startswith(f"analysis error: rank 1: non-finite time t={t} in region-exit ")
+        assert "POP report" not in proc.stdout and not (tmp_path / "pop.csv").exists()
 
     def test_unbalanced_trace_is_structural_error(self, tmp_path):
         path = tmp_path / "unbalanced.trc.jsonl"

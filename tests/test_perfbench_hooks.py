@@ -5,7 +5,8 @@
 of them (`Endpoint.isend`, `analysis.ideal_replay`, `_Worker.run_all`, ...)
 must fail here, not only when the benchmark runs.  The benchmark builds
 its config before it patches, so a call site bound while the config is
-built would lose its spans without any error.
+built would lose its spans without any error; and the replay must stay
+inside the `analysis.ideal_replay` span of every POP report.
 """
 
 import importlib.util
@@ -14,6 +15,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from conftest import pop_hand_trace, synthetic_trace
+from pitlab import analysis
 from pitlab.controller import dahlquist_config, run
 from pitlab.trace import Tracer
 from pitlab.transfer import IdentityResampler
@@ -67,3 +70,23 @@ def test_wrappers_patched_after_the_config_is_built_see_every_call(monkeypatch):
     after_stop = result.iterations[0] + sum(max(0, b - a) for a, b in zip(result.iterations, result.iterations[1:]))
     assert counts["restrict"] == cfg.num_steps + 2 * iterations + after_stop
     assert counts["prolong"] == cfg.num_steps + iterations
+
+
+def test_each_pop_report_replays_inside_one_ideal_replay_span(monkeypatch):
+    spans = load_spans(monkeypatch)
+    recorder = spans.SpanRecorder()
+    traces = [pop_hand_trace(), synthetic_trace(4, 6, 3), run(dahlquist_config(4, 0.1), "serial").trace]
+    original = analysis.ideal_replay
+    with recorder.patched(layers=("analysis",)):
+        assert analysis.ideal_replay is not original
+        for trace in traces:
+            for full_run in (False, True):
+                recorder.call("analysis.pop_metrics", analysis.pop_metrics, trace, full_run=full_run)
+    assert analysis.ideal_replay is original
+    (_, taken), = recorder.take()
+    names = [span[0] for span in taken]
+    assert names.count("analysis.pop_metrics") == 2 * len(traces)
+    # one replay span per report, nested in that report's span
+    replays = [span for span in taken if span[0] == "analysis.ideal_replay"]
+    assert [names[span[-1]] for span in replays] == ["analysis.pop_metrics"] * 2 * len(traces)
+    assert len({span[-1] for span in replays}) == len(replays)

@@ -7,15 +7,22 @@ included, and raise the same structural errors.  The index's one FIFO
 pairing must give the matches, unmatched counts and per-rank blocked
 spans of the earlier two passes, `ref_match_messages` over the trace and
 `ref_comm_intervals` over each rank.  One `pitlab analyze` must build
-the index once: one message matching and one view per rank.
+the index once: one message matching and one view per rank.  Each
+rank's time, compute and region-time columns are `array('d')` equal to
+the lists `ref_columns` builds; the build holds little beyond what the
+index keeps; and a non-finite event time is a structural error.
 """
 
 import gc
+import math
 import weakref
+from array import array
+from dataclasses import replace
 
 import pytest
 
 from conftest import (
+    allocations,
     ev,
     events_by_rank,
     fig5_trace,
@@ -34,8 +41,10 @@ from pitlab.trace import (
     RankStats,
     RegionStats,
     StructuralError,
+    Trace,
     build_profile,
     merged_length,
+    read_trace,
     write_trace,
 )
 
@@ -207,24 +216,25 @@ def _times_and_key(m):
     return m.source, m.dest, m.name, m.send_post, m.send_complete, m.recv_post, m.recv_complete
 
 
+TRACES = {
+    "hand": pop_hand_trace,
+    "fig5": fig5_trace,
+    "ping-pong": lambda: ping_pong_trace(5, 6),
+    "shape0": lambda: synthetic_trace(2, 1, 1),
+    "shape1": lambda: synthetic_trace(3, 2, 2),
+    "shape2": lambda: synthetic_trace(4, 6, 3),
+    "shape3": lambda: synthetic_trace(6, 5, 4),
+    "serial": lambda: _dahlquist_trace("serial"),
+    "threads": lambda: _dahlquist_trace("parallel"),
+    "threads-rendezvous": lambda: _dahlquist_trace("parallel", rendezvous_bytes=0),
+}
+
+
 class TestOnePairing:
     @pytest.mark.parametrize(
         "build",
-        [
-            pop_hand_trace,
-            fig5_trace,
-            lambda: ping_pong_trace(5, 6),
-            lambda: synthetic_trace(2, 1, 1),
-            lambda: synthetic_trace(3, 2, 2),
-            lambda: synthetic_trace(4, 6, 3),
-            lambda: synthetic_trace(6, 5, 4),
-            lambda: _dahlquist_trace("serial"),
-            lambda: _dahlquist_trace("parallel"),
-            lambda: _dahlquist_trace("parallel", rendezvous_bytes=0),
-        ]
-        + [lambda name=name: make_trace(UNPAIRED[name], 2) for name in UNPAIRED],
-        ids=["hand", "fig5", "ping-pong", "shape0", "shape1", "shape2", "shape3", "serial", "threads",
-             "threads-rendezvous"] + list(UNPAIRED),
+        list(TRACES.values()) + [lambda name=name: make_trace(UNPAIRED[name], 2) for name in UNPAIRED],
+        ids=list(TRACES) + list(UNPAIRED),
     )
     def test_equals_the_two_pass_pairing(self, build):
         trace = build()
@@ -282,3 +292,76 @@ class TestTraceLifetime:
             assert alive() is None
         finally:
             gc.enable()
+
+
+def ref_columns(events):
+    """One rank's events in time order (stably) and its time, compute and
+    region-time columns as lists: an event's compute is the gap since the
+    rank's previous event, 0.0 if one of its blocked spans overlaps that gap."""
+    events = sorted(events, key=lambda e: e.t)
+    spans = ref_comm_intervals(events)
+    times = [e.t for e in events]
+    compute = [
+        0.0 if any(start < t and end > prev for start, end in spans) else t - prev
+        for prev, t in zip(times[:1] + times, times)
+    ]
+    region_times = [e.t for e in events if e.kind in ("region-enter", "region-exit")]
+    return events, times, compute, region_times
+
+
+def _reversed(trace):
+    """The trace's events latest first, ties kept in order: every rank is
+    out of time order, and a stable sort by time restores the trace."""
+    return Trace(events=sorted(trace.events, key=lambda e: -e.t), num_ranks=trace.num_ranks)
+
+
+class TestTypedColumns:
+    @pytest.mark.parametrize("name", list(TRACES))
+    def test_columns_are_doubles_equal_to_the_lists(self, name):
+        trace = TRACES[name]()
+        for rank, events in events_by_rank(trace).items():
+            view = trace.index.ranks[rank]
+            ordered, times, compute, region_times = ref_columns(events)
+            assert [type(view.times), type(view.compute), type(view.region_times)] == [array] * 3
+            assert view.times.typecode == view.compute.typecode == view.region_times.typecode == "d"
+            assert view.events == ordered
+            assert view.times.tolist() == times
+            assert view.compute.tolist() == compute
+            assert view.region_times.tolist() == region_times
+
+    def test_a_rank_out_of_time_order_is_sorted_stably(self):
+        # messages pair in trace order, so only the event order is compared
+        trace = _reversed(synthetic_trace(4, 6, 3))
+        for rank, events in events_by_rank(trace).items():
+            view = trace.index.ranks[rank]
+            ordered, times, _, region_times = ref_columns(events)
+            assert list(map(id, view.events)) == list(map(id, ordered))
+            assert (view.times.tolist(), view.region_times.tolist()) == (times, region_times)
+            assert all(m is None for e, m in zip(view.events, view.messages) if e.kind.startswith("region"))
+
+
+class TestIndexMemory:
+    def test_build_peak_is_near_what_the_index_keeps(self, p32_trace_path):
+        trace = read_trace(p32_trace_path)
+        assert len(trace.events) == 15_392
+        _, kept, peak = allocations(lambda: trace.index)
+        # no list over the whole trace while it builds: positions, times, sorted copies
+        assert peak <= 1.25 * kept
+
+
+class TestNonFiniteTime:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_is_a_structural_error(self, t):
+        hand = pop_hand_trace()
+        i = next(i for i, e in enumerate(hand.events) if e.rank == 1 and e.kind == "region-exit")
+        events = hand.events[:i] + [replace(hand.events[i], t=t)] + hand.events[i + 1:]
+        trace = Trace(events=events, num_ranks=hand.num_ranks)
+        view = trace.index.ranks[1]
+        assert view.error.startswith(f"non-finite time t={t} in region-exit ")
+        assert [rank for rank, v in trace.index.ranks.items() if v.error] == [1]
+        with pytest.raises(StructuralError, match=f"^rank 1: non-finite time t={t} "):
+            build_profile(trace)
+        with pytest.raises(StructuralError, match=f"^rank 1: non-finite time t={t} "):
+            pop_metrics(trace)
+        with pytest.raises(StructuralError, match=f"^rank 1: non-finite time t={t} "):
+            pop_metrics(trace, full_run=True)
