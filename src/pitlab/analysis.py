@@ -18,8 +18,9 @@ The replay reads each rank's event, compute and message columns in place
 between the window's bounds and sweeps each rank forward once; a receive
 completion waits for the message whose send-post releases it, and its
 rank is parked until that send-post is replayed, so the analysis is
-linear in the number of events.  A trace the profile refuses (unbalanced
-regions, a non-finite time) gets no efficiency report either.
+linear in the number of events.  Building the index refuses a
+structurally broken trace (unbalanced regions, a non-finite time), so
+every step here raises StructuralError on it.
 """
 
 import csv
@@ -137,10 +138,8 @@ def pop_metrics(trace, full_run=False):
     phase makespan T: load balance mean(c)/max(c), communication efficiency
     max(c)/T, parallel efficiency mean(c)/T; the ideal replay makespan
     splits communication efficiency into serialisation max(c)/T_ideal
-    and transfer T_ideal/T.  A trace with a structural error raises
-    StructuralError, as `build_profile` does.
+    and transfer T_ideal/T.
     """
-    trace.index.check()
     violations = causality_violations(trace)
     if violations:
         raise CausalityError(f"{violations} matched messages complete before their send posts")

@@ -126,11 +126,15 @@ def _usage_error(message):
     return EXIT_USAGE
 
 
+def _workers(args):
+    # PFASST runs one step per worker; the sdc baseline is time-serial
+    return 1 if args.scheme == "sdc" else args.steps
+
+
 def _run_config(args):
     """The RunConfig both schemes integrate; raises ValueError on rejected
     values, as do the factories and RunConfig.validate()."""
-    # PFASST runs one step per worker; the sdc baseline is time-serial
-    workers = 1 if args.scheme == "sdc" else args.steps
+    workers = _workers(args)
     if args.workers not in (None, workers):
         raise ValueError(
             f"--workers must be {workers} with --scheme {args.scheme} --steps {args.steps}, got {args.workers}"
@@ -165,8 +169,7 @@ def _cmd_run(args):
     if args.trace_out:
         path = Path(args.trace_out)
     else:
-        workers = 1 if args.scheme == "sdc" else cfg.num_steps
-        name = f"{args.problem}-{args.scheme}-{args.mode}-p{workers}.trc.jsonl"
+        name = f"{args.problem}-{args.scheme}-{args.mode}-p{_workers(args)}.trc.jsonl"
         path = Path(os.environ.get("PITLAB_TRACE_DIR", ".")) / name
     try:  # before the run, so an unusable path fails at once
         if path.is_dir():
@@ -205,7 +208,7 @@ def _cmd_analyze(args):
         trace = read_trace(args.trace)
         out_dir = Path(args.out_dir) if args.out_dir else Path(args.trace).parent
         out_dir.mkdir(parents=True, exist_ok=True)
-        profile = build_profile(trace)  # also validates nesting and pairing structure
+        profile = build_profile(trace)  # builds the index, which refuses a broken trace for every step below
         audit = analysis.audit_messages(trace)
         print(
             "messages: {send_posts} sent, {recv_posts} received, "

@@ -4,15 +4,16 @@ Each worker rank owns one tracer and appends region and communication
 events with monotonic timestamps; buffers are merged only after the run.
 Traces are stored as line-oriented JSON (one event per line behind a
 single header line) so tests can diff them.  A trace's index lives with
-the trace and is built once, on first use: one record per message from
-one FIFO pairing, and per rank its events in time order, their messages,
-the blocked spans read off those records, and one walk for each event's
-compute time (the gap since the rank's previous event, 0.0 while a
-blocked span is open across it) and the region stack.  The pairing pass
-buckets the events by rank, so the build keeps no per-event list over the
-whole trace, and each rank's time, compute and region-time columns are
-`array('d')`.  The profile and every analysis step read it; computation
-is defined there alone, and a non-finite event time is a structural error.
+the trace and is built once, on first use; it alone decides the trace's
+order and validity.  It buckets the events by rank, sorts a rank out of
+time order stably by time, pairs the messages in each rank's time order
+(one record per message from one FIFO pairing), and walks each rank once
+for each event's compute time (the gap since the rank's previous event,
+0.0 while a blocked span is open across it) and the region stack.  The
+build keeps no per-event list over the whole trace, and each rank's time,
+compute and region-time columns are `array('d')`.  The profile and every
+analysis step read the index; computation is defined there alone, and a
+trace with an unbalanced region or a non-finite event time fails to build.
 """
 
 import bisect
@@ -355,63 +356,70 @@ class _Match:
     recv_complete: float | None = None
 
 
-def match_messages(trace):
-    """One _Match per message, FIFO per (source, dest, name): the k-th post
-    of a side posts that side of the key's k-th message, the k-th
-    completion of a side completes it once that side has posted it.
-    Returns the messages both sides posted (keys by first send-post; a
-    completion may be missing), those only the sender or only the receiver
-    posted, and per rank (0 to num_ranks - 1, then others as they appear)
-    its events in trace order and each one's message (None for a region or
-    a stray completion)."""
+def match_messages(ranks):
+    """One _Match per message, FIFO per (source, dest, name), from each
+    rank's events in time order: the k-th post of a side posts that side
+    of the key's k-th message, the k-th completion of a side completes it
+    once that side has posted it.  Each side of a key lives on one rank,
+    so the pairing holds for any interleaving of the ranks.  Returns the
+    messages both sides posted (keys by first send-post, by time and then
+    source rank; a completion may be missing), those only the sender or
+    only the receiver posted, and per rank each event's message (None for
+    a region or a stray completion) and the rank's blocked spans, one
+    (post, completion) per completed side."""
     fifos = {}  # key -> [messages, sends posted, sends completed, receives posted, receives completed]
-    sent = []  # the FIFOs in order of their first send-post
-    ranks = {rank: ([], []) for rank in range(trace.num_ranks)}  # rank -> (events, messages)
-    for ev in trace.events:
-        kind, m = ev.kind, None
-        if kind == "send-post":
-            key = (ev.rank, ev.peer, ev.name)
-            fifo = fifos.get(key) or fifos.setdefault(key, [[], 0, 0, 0, 0])
-            if not fifo[1]:
-                sent.append(fifo)
-            if fifo[1] == len(fifo[0]):
-                fifo[0].append(_Match(*key))
-            m = fifo[0][fifo[1]]
-            fifo[1] += 1
-            m.send_post = ev.t
-        elif kind == "recv-post":
-            key = (ev.peer, ev.rank, ev.name)
-            fifo = fifos.get(key) or fifos.setdefault(key, [[], 0, 0, 0, 0])
-            if fifo[3] == len(fifo[0]):
-                fifo[0].append(_Match(*key))
-            m = fifo[0][fifo[3]]
-            fifo[3] += 1
-            m.recv_post = ev.t
-        elif kind == "send-complete":
-            fifo = fifos.get((ev.rank, ev.peer, ev.name))
-            if fifo and fifo[2] < fifo[1]:
-                m = fifo[0][fifo[2]]
-                fifo[2] += 1
-                m.send_complete = ev.t
-        elif kind == "recv-complete":
-            fifo = fifos.get((ev.peer, ev.rank, ev.name))
-            if fifo and fifo[4] < fifo[3]:
-                m = fifo[0][fifo[4]]
-                fifo[4] += 1
-                m.recv_complete = ev.t
-        events, messages = ranks.get(ev.rank) or ranks.setdefault(ev.rank, ([], []))
-        events.append(ev)
-        messages.append(m)
+    sent = []  # the FIFOs with a send-post
+    columns = {}  # rank -> (messages, spans)
+    for rank, events in ranks.items():
+        messages, spans = columns[rank] = [], []
+        for ev in events:
+            kind, m = ev.kind, None
+            if kind == "send-post":
+                key = (rank, ev.peer, ev.name)
+                fifo = fifos.get(key) or fifos.setdefault(key, [[], 0, 0, 0, 0])
+                if not fifo[1]:
+                    sent.append(fifo)
+                if fifo[1] == len(fifo[0]):
+                    fifo[0].append(_Match(*key))
+                m = fifo[0][fifo[1]]
+                fifo[1] += 1
+                m.send_post = ev.t
+            elif kind == "recv-post":
+                key = (ev.peer, rank, ev.name)
+                fifo = fifos.get(key) or fifos.setdefault(key, [[], 0, 0, 0, 0])
+                if fifo[3] == len(fifo[0]):
+                    fifo[0].append(_Match(*key))
+                m = fifo[0][fifo[3]]
+                fifo[3] += 1
+                m.recv_post = ev.t
+            elif kind == "send-complete":
+                fifo = fifos.get((rank, ev.peer, ev.name))
+                if fifo and fifo[2] < fifo[1]:
+                    m = fifo[0][fifo[2]]
+                    fifo[2] += 1
+                    m.send_complete = ev.t
+                    spans.append((m.send_post, ev.t))
+            elif kind == "recv-complete":
+                fifo = fifos.get((ev.peer, rank, ev.name))
+                if fifo and fifo[4] < fifo[3]:
+                    m = fifo[0][fifo[4]]
+                    fifo[4] += 1
+                    m.recv_complete = ev.t
+                    spans.append((m.recv_post, ev.t))
+            messages.append(m)
+    sent.sort(key=lambda fifo: (fifo[0][0].send_post, fifo[0][0].source))  # stable: a rank's keys stay in its order
     matches = [m for fifo in sent for m in fifo[0][:min(fifo[1], fifo[3])]]
     unmatched_sends = [m for fifo in fifos.values() for m in fifo[0][fifo[3]:fifo[1]]]
     unmatched_recvs = [m for fifo in fifos.values() for m in fifo[0][fifo[1]:fifo[3]]]
-    return matches, unmatched_sends, unmatched_recvs, ranks
+    return matches, unmatched_sends, unmatched_recvs, columns
 
 
 class _RankView:
     """One rank's events in time order with what the profile and the
     analysis look up, from one walk: each event's compute and the region
-    stack.  The time columns are `array('d')`, one machine double per entry."""
+    stack.  The walk raises StructuralError at the rank's first non-finite
+    time, unbalanced exit or region never exited.  The time columns are
+    `array('d')`, one machine double per entry."""
 
     def __init__(self, events, messages, spans):
         self.events = events
@@ -423,7 +431,6 @@ class _RankView:
         self.region_times, self.region_tops = array("d"), []  # when the region stack changes, and its new top
         self.regions = {}  # name -> RegionStats, in first-exit order
         self.predict_end = None  # last predictor exit
-        self.error = None  # first structural error
         stack = []  # [name, enter time, time spent in child regions]
         inf = math.inf
         next_span, open_until = 0, -inf  # the latest end of the spans started before the event
@@ -431,7 +438,7 @@ class _RankView:
         for ev in events:
             t = ev.t
             if not -inf < t < inf:
-                self.error = self.error or f"non-finite time t={t} in {ev.kind} {ev.name!r}"
+                raise StructuralError(f"rank {ev.rank}: non-finite time t={t} in {ev.kind} {ev.name!r}")
             while next_span < len(spans) and spans[next_span][0] < t:
                 open_until = max(open_until, spans[next_span][1])
                 next_span += 1
@@ -443,27 +450,25 @@ class _RankView:
             if kind == "region-enter":
                 stack.append([ev.name, t, 0.0])
             elif kind == "region-exit":
-                if stack and stack[-1][0] == ev.name:
-                    name, t_enter, child_time = stack.pop()
-                    inclusive = t - t_enter
-                    reg = self.regions.get(name) or self.regions.setdefault(name, RegionStats())
-                    reg.count += 1
-                    reg.inclusive += inclusive
-                    reg.exclusive += inclusive - child_time
-                    if stack:
-                        stack[-1][2] += inclusive
-                else:
-                    self.error = self.error or f"unbalanced exit of {ev.name!r} at t={t}"
-                    if stack:
-                        stack.pop()
+                if not stack or stack[-1][0] != ev.name:
+                    raise StructuralError(f"rank {ev.rank}: unbalanced exit of {ev.name!r} at t={t}")
+                name, t_enter, child_time = stack.pop()
+                inclusive = t - t_enter
+                reg = self.regions.get(name) or self.regions.setdefault(name, RegionStats())
+                reg.count += 1
+                reg.inclusive += inclusive
+                reg.exclusive += inclusive - child_time
+                if stack:
+                    stack[-1][2] += inclusive
                 if " -- PREDICT -- " in ev.name:
                     self.predict_end = t
             else:
                 continue
             self.region_times.append(t)
             self.region_tops.append(stack[-1][0] if stack else "<untracked>")
-        if stack and not self.error:
-            self.error = "regions never exited: " + ", ".join(frame[0] for frame in stack)
+        if stack:
+            names = ", ".join(frame[0] for frame in stack)
+            raise StructuralError(f"rank {events[0].rank}: regions never exited: {names}")
 
     def window(self, lo, hi):
         """Index range [a, b) of the events with lo <= t <= hi."""
@@ -480,39 +485,33 @@ _time = operator.attrgetter("t")
 
 class _TraceIndex:
     """The single pass over a trace that the profile and every analysis
-    step read: one _Match per message, and one view per rank with its
-    messages and its blocked spans read off them.  A rank whose events
-    are out of time order is sorted stably by time."""
+    step read, and the one place that decides a trace's order and
+    validity.  It buckets the events by rank (0 to num_ranks - 1, then
+    others as they appear), sorts a rank stably by time if it is out of
+    order, pairs the messages in each rank's time order, and builds one
+    view per rank; a structurally broken trace raises StructuralError
+    here, so every step that reads the index refuses it."""
 
     def __init__(self, trace):
-        self.matches, self.unmatched_sends, self.unmatched_recvs, ranks = match_messages(trace)
-        unmatched = self.unmatched_sends + self.unmatched_recvs
-        spans = {rank: [] for rank in ranks}  # each side's (post, completion), on its own rank
-        for m in self.matches + unmatched:
-            for rank, post, done in ((m.source, m.send_post, m.send_complete), (m.dest, m.recv_post, m.recv_complete)):
-                if done is not None:
-                    spans[rank].append((post, done))
-        unmatched = set(unmatched)
-        self.ranks = {}
-        for rank, (events, messages) in ranks.items():
+        ranks = {rank: [] for rank in range(trace.num_ranks)}
+        for ev in trace.events:
+            (ranks.get(ev.rank) or ranks.setdefault(ev.rank, [])).append(ev)
+        for events in ranks.values():
             if not all(map(operator.le, map(_time, events), map(_time, islice(events, 1, None)))):
-                order = sorted(range(len(events)), key=lambda i: events[i].t)
-                events, messages = [events[i] for i in order], [messages[i] for i in order]
+                events.sort(key=_time)
+        self.matches, self.unmatched_sends, self.unmatched_recvs, columns = match_messages(ranks)
+        unmatched = set(self.unmatched_sends + self.unmatched_recvs)
+        self.ranks = {}
+        for rank, events in ranks.items():
+            messages, spans = columns[rank]
             if unmatched:
                 messages = [None if m in unmatched else m for m in messages]
-            self.ranks[rank] = _RankView(events, messages, spans[rank])
-
-    def check(self):
-        """Raise StructuralError with the first rank's structural error, if any."""
-        for rank, view in self.ranks.items():
-            if view.error:
-                raise StructuralError(f"rank {rank}: {view.error}")
+            self.ranks[rank] = _RankView(events, messages, spans)
 
 
 def build_profile(trace):
     """Aggregate a structurally valid trace into a Profile, from its index."""
     profile = Profile()
-    trace.index.check()
     for rank, view in trace.index.ranks.items():
         stats = profile.ranks[rank] = RankStats()
         if not view.events:

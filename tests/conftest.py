@@ -209,8 +209,11 @@ def ref_match_messages(trace):
     Returns (matches, unmatched_sends, unmatched_recvs); matches may have
     a missing completion if the trace was cut short.  Each match records
     where its two post events and its receive completion sit in
-    trace.events.
+    trace.events.  It pairs in trace order, so each rank's events must be
+    in time order.
     """
+    for events in events_by_rank(trace).values():
+        assert all(a.t <= b.t for a, b in zip(events, events[1:])), "a rank is out of time order"
     sends = {}  # (source, dest, name) -> [posts in order, how many of them have completed]
     recvs = {}
     for pos, ev in enumerate(trace.events):

@@ -10,11 +10,16 @@ spans of the earlier two passes, `ref_match_messages` over the trace and
 the index once: one message matching and one view per rank.  Each
 rank's time, compute and region-time columns are `array('d')` equal to
 the lists `ref_columns` builds; the build holds little beyond what the
-index keeps; and a non-finite event time is a structural error.
+index keeps.  The index pairs each rank in its time order, so a trace
+read latest first or with its ranks interleaved at random analyses
+exactly as the time-ordered trace.  A structural error (a malformed
+region nesting, a non-finite event time) is raised by every public
+step, since each one reads the index.
 """
 
 import gc
 import math
+import random
 import weakref
 from array import array
 from dataclasses import replace
@@ -34,7 +39,18 @@ from conftest import (
     synthetic_trace,
 )
 from pitlab import cli, trace as tracing
-from pitlab.analysis import pop_metrics
+from pitlab.analysis import (
+    CausalityError,
+    EmptyPhaseError,
+    audit_messages,
+    causality_violations,
+    detect_late_receiver,
+    detect_late_sender,
+    ideal_replay,
+    phase_window,
+    pop_metrics,
+    replay_trace,
+)
 from pitlab.controller import dahlquist_config, run
 from pitlab.trace import (
     Profile,
@@ -115,6 +131,20 @@ MALFORMED = {
     "first-rank-wins": [ev(0, "region-enter", FINE % 0, 0.0), ev(1, "region-exit", FINE % 1, 1.0)],
 }
 
+# every public step that reads a trace's index
+ENTRY_POINTS = {
+    "build_profile": build_profile,
+    "audit_messages": audit_messages,
+    "causality_violations": causality_violations,
+    "phase_window": phase_window,
+    "pop_metrics": pop_metrics,
+    "pop_metrics-full_run": lambda trace: pop_metrics(trace, full_run=True),
+    "detect_late_receiver": detect_late_receiver,
+    "detect_late_sender": detect_late_sender,
+    "ideal_replay": ideal_replay,
+    "replay_trace": replay_trace,
+}
+
 
 def _dahlquist_trace(mode, **kwargs):
     return run(dahlquist_config(8, 0.1, **kwargs), mode=mode).trace
@@ -163,6 +193,14 @@ class TestProfileFromTheIndex:
         message = outcome(ref_build_profile, trace)
         assert isinstance(message, str)
         assert outcome(build_profile, trace) == message
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_every_entry_point_refuses_it(self, name, entry):
+        message = outcome(ref_build_profile, make_trace(MALFORMED[name], 2))
+        with pytest.raises(StructuralError) as refused:
+            ENTRY_POINTS[entry](make_trace(MALFORMED[name], 2))
+        assert str(refused.value) == message
 
     def test_profile_does_not_share_the_index(self):
         trace = pop_hand_trace()
@@ -214,6 +252,10 @@ UNPAIRED = {
 
 def _times_and_key(m):
     return m.source, m.dest, m.name, m.send_post, m.send_complete, m.recv_post, m.recv_complete
+
+
+def _message_keys(messages):
+    return [None if m is None else _times_and_key(m) for m in messages]
 
 
 TRACES = {
@@ -330,14 +372,65 @@ class TestTypedColumns:
             assert view.region_times.tolist() == region_times
 
     def test_a_rank_out_of_time_order_is_sorted_stably(self):
-        # messages pair in trace order, so only the event order is compared
-        trace = _reversed(synthetic_trace(4, 6, 3))
+        in_order = synthetic_trace(4, 6, 3)
+        trace = _reversed(in_order)
         for rank, events in events_by_rank(trace).items():
             view = trace.index.ranks[rank]
             ordered, times, _, region_times = ref_columns(events)
             assert list(map(id, view.events)) == list(map(id, ordered))
             assert (view.times.tolist(), view.region_times.tolist()) == (times, region_times)
+            assert _message_keys(view.messages) == _message_keys(in_order.index.ranks[rank].messages)
             assert all(m is None for e, m in zip(view.events, view.messages) if e.kind.startswith("region"))
+
+
+def _interleaved(trace, seed):
+    """The ranks' events interleaved at random, each rank's kept in its
+    trace order: every rank stays in time order, the trace does not."""
+    rng = random.Random(seed)
+    keyed = [
+        (key, e)
+        for events in events_by_rank(trace).values()
+        for key, e in zip(sorted(rng.random() for _ in events), events)
+    ]
+    keyed.sort(key=lambda pair: pair[0])
+    return Trace(events=[e for _, e in keyed], num_ranks=trace.num_ranks)
+
+
+def _analyses(trace):
+    """What every public step reports on a trace, lists in their order."""
+    reports = {
+        "profile": as_lists(build_profile(trace)),
+        "audit": audit_messages(trace),
+        "wait-states": (detect_late_receiver(trace), detect_late_sender(trace)),
+        "replay": replay_trace(trace).events,
+    }
+    for full_run in (False, True):
+        try:
+            reports[("pop", full_run)] = pop_metrics(trace, full_run=full_run)
+        except (CausalityError, EmptyPhaseError) as exc:
+            reports[("pop", full_run)] = repr(exc)
+    return reports
+
+
+PERMUTED = {
+    name: TRACES[name] for name in ("hand", "fig5", "ping-pong", "shape0", "shape1", "shape2", "shape3", "serial")
+}
+PERMUTED["serial-p4-m5"] = lambda: run(dahlquist_config(4, 0.1, m=5), mode="serial").trace
+PERMUTED["serial-p12"] = lambda: run(dahlquist_config(12, 0.1), mode="serial").trace
+
+
+class TestAnyOrderOfTheRanks:
+    """The index pairs each rank's events in that rank's time order, so
+    the analyses of a trace do not depend on how its ranks interleave or
+    on whether a rank is out of time order."""
+
+    @pytest.mark.parametrize("name", list(PERMUTED))
+    def test_a_permuted_trace_analyses_alike(self, name):
+        trace = PERMUTED[name]()
+        expected = _analyses(trace)
+        for permuted in [_reversed(trace)] + [_interleaved(trace, seed) for seed in range(4)]:
+            assert permuted.events != trace.events
+            assert _analyses(permuted) == expected
 
 
 class TestIndexMemory:
@@ -350,18 +443,12 @@ class TestIndexMemory:
 
 
 class TestNonFiniteTime:
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    def test_is_a_structural_error(self, t):
+    def test_is_a_structural_error(self, t, entry):
         hand = pop_hand_trace()
         i = next(i for i, e in enumerate(hand.events) if e.rank == 1 and e.kind == "region-exit")
         events = hand.events[:i] + [replace(hand.events[i], t=t)] + hand.events[i + 1:]
         trace = Trace(events=events, num_ranks=hand.num_ranks)
-        view = trace.index.ranks[1]
-        assert view.error.startswith(f"non-finite time t={t} in region-exit ")
-        assert [rank for rank, v in trace.index.ranks.items() if v.error] == [1]
-        with pytest.raises(StructuralError, match=f"^rank 1: non-finite time t={t} "):
-            build_profile(trace)
-        with pytest.raises(StructuralError, match=f"^rank 1: non-finite time t={t} "):
-            pop_metrics(trace)
-        with pytest.raises(StructuralError, match=f"^rank 1: non-finite time t={t} "):
-            pop_metrics(trace, full_run=True)
+        with pytest.raises(StructuralError, match=f"^rank 1: non-finite time t={t} in region-exit "):
+            ENTRY_POINTS[entry](trace)
