@@ -47,7 +47,7 @@ columns = steps, workers, mode, timing_pat, niter_pat
 
 TEMPLATE = """\
 {python} -m pitlab run --problem dahlquist --steps #STEPS# --workers #WORKERS# \
- --dt 0.1 --mode #MODE# --trace-out trace.jsonl > run.out
+ --dt 0.1 --mode #MODE# --trace-out trace.trc > run.out
 touch ready
 """
 

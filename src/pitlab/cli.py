@@ -1,12 +1,15 @@
 """Command line front end: run, analyze, sweep, report.
 
-`run` integrates a problem and writes the event trace plus the two
-summary lines the harness scrapes; `analyze` turns a trace into POP
-efficiency and wait-state reports; `sweep` drives a benchmark config
+`run` integrates a problem and writes the event trace (trace format v2,
+see `pitlab.trace`), by default to `<problem>-<scheme>-<mode>-p<N>.trc`
+in $PITLAB_TRACE_DIR or the current directory, plus the two summary
+lines the harness scrapes; `analyze` turns a trace into POP efficiency
+and wait-state reports; `sweep` drives a benchmark config
 through the workflow harness; `report` re-renders result tables.
 
 Exit codes: 0 success, 2 usage error, 3 divergence or non-convergence,
-4 structural analysis error or a trace that does not parse.  A trace
+4 structural analysis error or a trace that does not parse (a trace an
+older pitlab wrote in format 1 among them: record the run again).  A trace
 file or output directory that cannot be opened or made is a usage
 error; `run` refuses a trace path that is a directory and makes the
 trace's directory before it integrates.  `sweep`
@@ -83,7 +86,8 @@ def build_parser():
     opt("--backend", choices=sorted(BACKEND_RENDEZVOUS_BYTES), help="transport; overrides --rendezvous-bytes")
     opt("--rendezvous-bytes", type=int, default=DEFAULT_RENDEZVOUS_BYTES, help="largest eager message")
     opt("--latency", type=float, default=0.0, help="message delivery delay in seconds")
-    opt("--trace-out", help="trace path; else a name in $PITLAB_TRACE_DIR or the current directory")
+    opt("--trace-out",
+        help="trace path; else <problem>-<scheme>-<mode>-p<N>.trc in $PITLAB_TRACE_DIR or the current directory")
 
     p_an = sub.add_parser("analyze", help="POP metrics and wait states from a trace")
     p_an.add_argument("--trace", required=True)
@@ -169,7 +173,7 @@ def _cmd_run(args):
     if args.trace_out:
         path = Path(args.trace_out)
     else:
-        name = f"{args.problem}-{args.scheme}-{args.mode}-p{_workers(args)}.trc.jsonl"
+        name = f"{args.problem}-{args.scheme}-{args.mode}-p{_workers(args)}.trc"
         path = Path(os.environ.get("PITLAB_TRACE_DIR", ".")) / name
     try:  # before the run, so an unusable path fails at once
         if path.is_dir():

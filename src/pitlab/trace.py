@@ -2,8 +2,9 @@
 
 Each worker rank owns one tracer and appends region and communication
 events with monotonic timestamps; buffers are merged only after the run.
-Traces are stored as line-oriented JSON (one event per line behind a
-single header line) so tests can diff them.  A trace's index lives with
+A trace file (format v2) is one JSON header line that names each
+distinct region or message name once, then one tab-separated line per
+event that refers to its name by id.  A trace's index lives with
 the trace and is built once, on first use; it alone decides the trace's
 order and validity.  It buckets the events by rank, sorts a rank out of
 time order stably by time, pairs the messages in each rank's time order
@@ -20,6 +21,7 @@ import bisect
 import json
 import math
 import operator
+import re
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -47,14 +49,14 @@ PHASES = ("PREDICT", "IT_FINE", "IT_DOWN", "IT_COARSE", "IT_UP", "IT_CHECK")
 
 COMM_KINDS = ("send-post", "send-complete", "recv-post", "recv-complete")
 KINDS = ("region-enter", "region-exit") + COMM_KINDS
-_NUMBER, _INT_OR_NULL = (float, int), (int, type(None))  # the types a record's fields may have; a bool is neither
+_INT_OR_NONE = (int, type(None))  # a bool is neither
 
 FORMAT_NAME = "pitlab-trace"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 WRITE_CHUNK = 1000  # lines per write
-JSON_WHITESPACE = " \t\n\r"  # what json.loads skips around a value
-_raw_decode = json.JSONDecoder().raw_decode
+_INT_CELL = re.compile("0|-?[1-9][0-9]*").fullmatch  # a strict decimal int, as str(int) writes it
+_float_repr = float.__repr__  # repr(np.float64(0.1)) is 'np.float64(0.1)' under numpy 2
 
 
 class StructuralError(RuntimeError):
@@ -179,119 +181,106 @@ def merge_tracers(tracers):
     return Trace(events=events, num_ranks=len(tracers))
 
 
-def _record(ev):
-    record = {"rank": ev.rank, "kind": ev.kind, "name": ev.name, "t": ev.t}
-    if ev.bytes is not None:
-        record["bytes"] = ev.bytes
-    if ev.peer is not None:
-        record["peer"] = ev.peer
-    return record
-
-
-class _Quoted(dict):
-    """`json.dumps` of each distinct string, computed on first use."""
-
-    def __missing__(self, text):
-        quoted = self[text] = json.dumps(text)
-        return quoted
-
-
 def write_trace(trace, path):
-    """Write the trace as one header line and one JSON record per event.
-
-    An event whose kind and name are strings, whose rank, bytes and peer
-    are exact ints (bytes and peer may be absent) and whose time is a
-    finite float has its line formatted here, byte for byte as
-    `json.dumps` formats the record: strings escaped once per distinct
-    value, `repr` for the time.  Any other event (a bool, NaN or inf, a
-    subclass, a name that is not a string) goes through `json.dumps`.
-    Lines go out in chunks of WRITE_CHUNK.
-    """
-    quoted = _Quoted()
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION, "num_ranks": trace.num_ranks}) + "\n")
-        lines = []
-        for ev in trace.events:
-            kind, name, t, nbytes, peer = ev.kind, ev.name, ev.t, ev.bytes, ev.peer
-            if (
-                type(ev.rank) is int and type(kind) is str and type(name) is str
-                and type(t) is float and math.isfinite(t)
-                and (nbytes is None or type(nbytes) is int) and (peer is None or type(peer) is int)
-            ):
-                line = f'{{"rank": {ev.rank}, "kind": {quoted[kind]}, "name": {quoted[name]}, "t": {t!r}'
-                if nbytes is not None:
-                    line += f', "bytes": {nbytes}'
-                if peer is not None:
-                    line += f', "peer": {peer}'
-                lines.append(line + "}\n")
-            else:
-                lines.append(json.dumps(_record(ev)) + "\n")
-            if len(lines) == WRITE_CHUNK:
-                fh.write("".join(lines))
-                lines.clear()
-        fh.write("".join(lines))
+    r"""Write the trace as format v2: a JSON header line of format, version,
+    num_ranks and `names`, each distinct name once in first-use order, then
+    per event a line `rank\tkind\tname-id\trepr(t)\tbytes\tpeer`, with an
+    empty cell for an absent bytes or peer, in chunks of WRITE_CHUNK lines.
+    It takes a positive int num_ranks and events whose rank is an int,
+    bytes and peer an int or None (a bool is no int), kind one of KINDS,
+    name a str and time any float (NaN, inf, np.float64).  At the first
+    event it cannot write it raises ValueError naming the event's index and
+    field, before it opens the file, so a refused trace leaves no file."""
+    events = trace.events
+    if not (type(trace.num_ranks) is int and trace.num_ranks > 0):
+        raise ValueError(f"num_ranks {trace.num_ranks!r} is not a positive int")
+    ids = {}  # name -> its id's cell text
+    for i, ev in enumerate(events):
+        ok = (type(ev.rank) is int, ev.kind in KINDS, type(ev.name) is str, isinstance(ev.t, float),
+              type(ev.bytes) in _INT_OR_NONE, type(ev.peer) in _INT_OR_NONE)
+        if False in ok:
+            field = ("rank", "kind", "name", "t", "bytes", "peer")[ok.index(False)]
+            raise ValueError(f"event {i}: cannot write {field} {getattr(ev, field)!r}")
+        if ev.name not in ids:
+            ids[ev.name] = str(len(ids))
+    cells = _Cache(str, {None: ""})  # its keys are exact ints and None, so True never meets 1
+    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "num_ranks": trace.num_ranks, "names": list(ids)}
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(header) + "\n")
+        for start in range(0, len(events), WRITE_CHUNK):
+            fh.write("".join([
+                f"{cells[ev.rank]}\t{ev.kind}\t{ids[ev.name]}\t{_float_repr(ev.t)}\t{cells[ev.bytes]}\t{cells[ev.peer]}\n"
+                for ev in events[start:start + WRITE_CHUNK]
+            ]))
     return path
 
 
-def read_trace(path):
-    """Read a trace file line by line; a bad line raises TraceParseError
-    naming it.  The header is an object of this format and version with a
-    positive int num_ranks (a bool is no int).  A line is accepted when
-    `json.loads` accepts it (one JSON value, with only JSON whitespace
-    around it) and the value is a record of one of the six kinds with a
-    string name, an int rank, an int or float time, and int bytes and
-    peer unless absent or null.  A file that is not UTF-8 raises
-    TraceParseError naming the file and its first undecodable line.
+class _Cache(dict):
+    """A dict that computes a missing key's value as make(key) and keeps it."""
 
-    The events keep one string object per distinct kind and name: a
-    record's strings are replaced by the first equal ones this call read,
-    so a trace of many events and few names holds each name once."""
-    events = []
-    shared = {}.setdefault  # this call's first object of each distinct string
+    def __init__(self, make, table=()):
+        super().__init__(table)
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _int_cell(cell):
+    if not _INT_CELL(cell):
+        raise ValueError(f"bad int cell {cell!r}")
+    return int(cell)
+
+
+def read_trace(path):
+    """Read a format v2 trace file; a bad line raises TraceParseError naming
+    it.  The header is a JSON object of this format and version with a
+    positive int num_ranks and `names` a list of distinct strs; any other,
+    a version 1 header too, is refused.  An event line ends in a newline
+    and has six tab-separated cells: a rank, one of the six kinds, an index
+    into `names`, a time that `float` takes without stripping whitespace or
+    `_` (ASCII only), and a bytes and a peer that may be empty; rank, bytes
+    and peer are strict decimal ints, as `str(int)` writes them.  A file
+    that is not UTF-8 names its first undecodable line.  Each event's name
+    is the header's object, so the events hold one per distinct name."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            header_line = fh.readline()
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            header = fh.readline()  # outside the try: a UnicodeDecodeError is a ValueError
             try:
-                header = json.loads(header_line)
+                header = json.loads(header)
                 if type(header) is not dict or header.get("format") != FORMAT_NAME:
                     raise ValueError(f"not a {FORMAT_NAME} file")
-                num_ranks, version = header.get("num_ranks"), header.get("version")
-                if not (type(version) is int and version == FORMAT_VERSION and type(num_ranks) is int and num_ranks > 0):
-                    raise ValueError(f"want version {FORMAT_VERSION} and a positive int num_ranks, got {header}")
+                version, num_ranks, names = header.get("version"), header.get("num_ranks"), header.get("names")
+                if not (type(version) is int and version == FORMAT_VERSION):
+                    raise ValueError(f"version {version!r}; pitlab reads version {FORMAT_VERSION}, so record the run again")
+                if not (type(num_ranks) is int and num_ranks > 0 and type(names) is list
+                        and all(type(name) is str for name in names) and len(set(names)) == len(names)):
+                    raise ValueError("want a positive int num_ranks and a list of distinct str names")
             except ValueError as exc:
                 raise TraceParseError(f"line 1: bad header: {exc}") from None
+            kinds, name_ids = dict(zip(KINDS, KINDS)), {str(i): name for i, name in enumerate(names)}
+            ranks, optional = _Cache(_int_cell), _Cache(_int_cell, {"": None})
+            events, lineno, line = [], 1, "\n"
             for lineno, line in enumerate(fh, start=2):
-                if line.isspace():
-                    continue
                 try:
-                    text = line.strip(JSON_WHITESPACE)
-                    rec, end = _raw_decode(text)
-                    if end != len(text):
-                        raise json.JSONDecodeError("Extra data", text, end)
-                    rank, kind, name, t = rec["rank"], rec["kind"], rec["name"], rec["t"]
-                    nbytes, peer = rec.get("bytes"), rec.get("peer")
-                    if not (kind in KINDS and type(name) is str and type(rank) is int and type(t) in _NUMBER
-                            and type(nbytes) in _INT_OR_NULL and type(peer) in _INT_OR_NULL):
-                        raise ValueError("want one of the six kinds, a str name, an int rank, bytes and peer, number t")
-                    events.append(TraceEvent(rank, shared(kind, kind), shared(name, name), float(t), nbytes, peer))
-                except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                    rank, kind, name, t, nbytes, peer = line[:-1].split("\t")
+                    if not t.isascii() or "_" in t or t.strip() != t:  # what float() alone would take
+                        raise ValueError(f"bad time cell {t!r}")
+                    events.append(TraceEvent(ranks[rank], kinds[kind], name_ids[name], float(t), optional[nbytes], optional[peer]))
+                except ValueError as exc:
                     raise TraceParseError(f"line {lineno}: {exc}") from None
+                except KeyError as exc:
+                    raise TraceParseError(f"line {lineno}: unknown kind or name id {exc}") from None
+            if not line.endswith("\n"):
+                raise TraceParseError(f"line {lineno}: no newline at its end")
     except UnicodeDecodeError as exc:
         # text mode decodes ahead of the line it returns, so find the line again
-        raise TraceParseError(f"line {_first_undecodable_line(path)}: {path} is not UTF-8: {exc.reason}") from None
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+            # an undecodable byte reads as a lone surrogate, which no UTF-8 text holds
+            lineno = next(n for n, text in enumerate(fh, 1) if re.search("[\udc80-\udcff]", text))
+        raise TraceParseError(f"line {lineno}: {path} is not UTF-8: {exc.reason}") from None
     return Trace(events=events, num_ranks=num_ranks)
-
-
-def _first_undecodable_line(path):
-    """The number of a file's first line that is not UTF-8, counting lines
-    as text mode does; an undecodable byte reads as a lone surrogate, which
-    no UTF-8 text holds and which does not encode back."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                return lineno
 
 
 @dataclass

@@ -44,7 +44,7 @@ def run_python(code, **env):
 def p32_trace_path(tmp_path_factory):
     """A written Dahlquist P=32 serial-model trace (15,392 events), the
     large analysis input; each test reads its own copy back."""
-    path = tmp_path_factory.mktemp("p32") / "p32.trc.jsonl"
+    path = tmp_path_factory.mktemp("p32") / "p32.trc"
     write_trace(run(dahlquist_config(32, 0.1), mode="serial").trace, path)
     return path
 

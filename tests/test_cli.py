@@ -1,3 +1,4 @@
+import json
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pitlab.trace import Trace, read_trace, write_trace
 
 TIME_LINE = re.compile(r"^Time to solution: ([-+0-9.eE]+) sec\.$", re.M)
 ITER_LINE = re.compile(r"^Mean number of iterations: ([-+0-9.eE]+)$", re.M)
+DELETE = object()  # a header change that removes the field
 
 
 def pitlab(*args, cwd=None, env=None):
@@ -27,7 +29,7 @@ def pitlab(*args, cwd=None, env=None):
 
 class TestRunCommand:
     def test_dahlquist_run_prints_summary_and_writes_trace(self, tmp_path):
-        trace_path = tmp_path / "run.trc.jsonl"
+        trace_path = tmp_path / "run.trc"
         proc = pitlab(
             "run", "--problem", "dahlquist", "--steps", "4", "--workers", "4",
             "--dt", "0.1", "--trace-out", str(trace_path),
@@ -48,7 +50,7 @@ class TestRunCommand:
             "--dt", "0.1", "--mode", "serial", env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "traces" / "dahlquist-pfasst-serial-p2.trc.jsonl").exists()
+        assert (tmp_path / "traces" / "dahlquist-pfasst-serial-p2.trc").exists()
 
     def test_seed_reproducibility(self, tmp_path):
         outs = []
@@ -56,7 +58,7 @@ class TestRunCommand:
             proc = pitlab(
                 "run", "--problem", "allen-cahn", "--steps", "2", "--workers", "2",
                 "--dt", "1e-3", "--grid", "32", "--coarse-grid", "8", "--seed", "9",
-                "--radius", "0.2", "--trace-out", str(tmp_path / f"t{i}.jsonl"),
+                "--radius", "0.2", "--trace-out", str(tmp_path / f"t{i}.trc"),
             )
             assert proc.returncode == 0, proc.stderr
             outs.append(ITER_LINE.search(proc.stdout).group(1))
@@ -70,21 +72,21 @@ class TestRunCommand:
         proc = pitlab(
             "run", "--problem", "dahlquist", "--steps", "2", "--workers", "2",
             "--dt", "0.5", "--lambda-implicit", "0", "--lambda-explicit", "40",
-            "--trace-out", str(tmp_path / "t.jsonl"),
+            "--trace-out", str(tmp_path / "t.trc"),
         )
         assert proc.returncode == 3
         assert "failed" in proc.stderr
 
     def test_many_nodes_converge(self, tmp_path):
         # Q stays exact at 64 nodes, where a monomial Vandermonde build diverged
-        proc = pitlab("run", "--num-nodes", "64", "--trace-out", str(tmp_path / "t.jsonl"))
+        proc = pitlab("run", "--num-nodes", "64", "--trace-out", str(tmp_path / "t.trc"))
         assert proc.returncode == 0, proc.stderr
         assert ITER_LINE.search(proc.stdout).group(1) == "2.500000"
 
     def test_sdc_scheme_runs_serial_baseline(self, tmp_path):
         proc = pitlab(
             "run", "--problem", "dahlquist", "--scheme", "sdc", "--steps", "4",
-            "--dt", "0.1", "--trace-out", str(tmp_path / "t.jsonl"),
+            "--dt", "0.1", "--trace-out", str(tmp_path / "t.trc"),
         )
         assert proc.returncode == 0, proc.stderr
         assert TIME_LINE.search(proc.stdout)
@@ -96,26 +98,26 @@ class TestRunCommand:
             "lambda_implicit = -3\nfine-sweeps = 2\n"
         )
         proc = pitlab(
-            "run", "--config", str(cfg), "--trace-out", str(tmp_path / "a.jsonl")
+            "run", "--config", str(cfg), "--trace-out", str(tmp_path / "a.trc")
         )
         assert proc.returncode == 0, proc.stderr
-        trace = read_trace(tmp_path / "a.jsonl")
+        trace = read_trace(tmp_path / "a.trc")
         assert trace.num_ranks == 2
         # a negative value and a hyphenated key act as the flags they name
         flags = pitlab(
             "run", "--steps", "2", "--workers", "2", "--dt", "0.1", "--mode", "serial",
-            "--lambda-implicit", "-3", "--fine-sweeps", "2", "--trace-out", str(tmp_path / "c.jsonl"),
+            "--lambda-implicit", "-3", "--fine-sweeps", "2", "--trace-out", str(tmp_path / "c.trc"),
         )
         assert flags.returncode == 0, flags.stderr
         assert ITER_LINE.search(proc.stdout).group(0) == ITER_LINE.search(flags.stdout).group(0)
-        assert len(trace.events) == len(read_trace(tmp_path / "c.jsonl").events)
+        assert len(trace.events) == len(read_trace(tmp_path / "c.trc").events)
         # explicit flag overrides the file
         proc = pitlab(
             "run", "--config", str(cfg), "--steps", "3", "--workers", "3",
-            "--trace-out", str(tmp_path / "b.jsonl"),
+            "--trace-out", str(tmp_path / "b.trc"),
         )
         assert proc.returncode == 0, proc.stderr
-        assert read_trace(tmp_path / "b.jsonl").num_ranks == 3
+        assert read_trace(tmp_path / "b.trc").num_ranks == 3
 
     @pytest.mark.parametrize(
         "args, factory",
@@ -129,7 +131,7 @@ class TestRunCommand:
         ids=["dahlquist", "allen-cahn"],
     )
     def test_sdc_scheme_matches_the_library_call(self, args, factory, tmp_path):
-        proc = pitlab("run", "--scheme", "sdc", *args, "--trace-out", str(tmp_path / "t.jsonl"))
+        proc = pitlab("run", "--scheme", "sdc", *args, "--trace-out", str(tmp_path / "t.trc"))
         assert proc.returncode == 0, proc.stderr
         cfg = factory()
         result = run_sdc_serial(
@@ -180,15 +182,15 @@ class TestRunCommand:
             (tmp_path / "run.cfg").write_text(config + "\n")
             args = ["--config", "{tmp}/run.cfg"]
         args = [arg.format(tmp=tmp_path) for arg in args]
-        proc = pitlab("run", *args, "--trace-out", str(tmp_path / "t.jsonl"))
+        proc = pitlab("run", *args, "--trace-out", str(tmp_path / "t.trc"))
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert "Traceback" not in proc.stderr
         assert len([line for line in proc.stderr.splitlines() if "error" in line]) == 1, proc.stderr
-        assert not (tmp_path / "t.jsonl").exists()
+        assert not (tmp_path / "t.trc").exists()
 
     def test_uncreatable_trace_directory_is_a_usage_error_before_the_run(self, tmp_path):
         (tmp_path / "file").write_text("")
-        proc = pitlab("run", "--trace-out", str(tmp_path / "file" / "sub" / "t.jsonl"))
+        proc = pitlab("run", "--trace-out", str(tmp_path / "file" / "sub" / "t.trc"))
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert proc.stdout == ""  # no summary: the run never started
         assert proc.stderr.splitlines() == [proc.stderr.strip()] and proc.stderr.startswith("usage error: ")
@@ -222,7 +224,7 @@ class TestRunCommand:
 
 class TestAnalyzeCommand:
     def test_pop_csv_from_hand_trace(self, tmp_path):
-        path = tmp_path / "hand.trc.jsonl"
+        path = tmp_path / "hand.trc"
         write_trace(pop_hand_trace(), path)
         proc = pitlab("analyze", "--trace", str(path), "--pop", "--out-dir", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
@@ -231,7 +233,7 @@ class TestAnalyzeCommand:
         assert "messages:" in proc.stdout
 
     def test_profile_summary_from_hand_trace(self, tmp_path):
-        path = tmp_path / "hand.trc.jsonl"
+        path = tmp_path / "hand.trc"
         write_trace(pop_hand_trace(), path)
         proc = pitlab("analyze", "--trace", str(path), "--pop", "--out-dir", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
@@ -240,7 +242,7 @@ class TestAnalyzeCommand:
         assert proc.stdout.index("messages:") < proc.stdout.index("IT_FINE") < proc.stdout.index("POP report")
 
     def test_wait_states_from_fig5_trace(self, tmp_path):
-        path = tmp_path / "fig5.trc.jsonl"
+        path = tmp_path / "fig5.trc"
         write_trace(fig5_trace(), path)
         proc = pitlab("analyze", "--trace", str(path), "--wait-states", "--out-dir", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
@@ -250,7 +252,7 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("min_wait", ["nan", "inf", "-inf", "-1"])
     def test_unusable_min_wait_is_a_usage_error(self, tmp_path, min_wait):
         # NaN used to empty the report silently: no wait compares >= NaN
-        path = tmp_path / "fig5.trc.jsonl"
+        path = tmp_path / "fig5.trc"
         write_trace(fig5_trace(), path)
         proc = pitlab("analyze", "--trace", str(path), "--wait-states", f"--min-wait={min_wait}",
                       "--out-dir", str(tmp_path))
@@ -258,7 +260,7 @@ class TestAnalyzeCommand:
         assert "Traceback" not in proc.stderr and "--min-wait" in proc.stderr
         assert not (tmp_path / "waitstates.csv").exists()
 
-    @pytest.mark.parametrize("target", ["missing.trc.jsonl", "."], ids=["missing", "directory"])
+    @pytest.mark.parametrize("target", ["missing.trc", "."], ids=["missing", "directory"])
     def test_unopenable_trace_is_a_usage_error(self, tmp_path, target):
         proc = pitlab("analyze", "--trace", str(tmp_path / target), "--out-dir", str(tmp_path))
         assert proc.returncode == 2, proc.stdout + proc.stderr
@@ -267,10 +269,10 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("line", [0, 5], ids=["header", "event"])
     def test_non_utf8_trace_exits_4_naming_file_and_line(self, tmp_path, line):
-        path = tmp_path / "latin.trc.jsonl"
+        path = tmp_path / "latin.trc"
         write_trace(pop_hand_trace(), path)
         lines = path.read_bytes().splitlines(keepends=True)
-        lines[line] = lines[line].replace(b'"', b'"\xff', 1)
+        lines[line] = b"\xff" + lines[line]
         path.write_bytes(b"".join(lines))
         proc = pitlab("analyze", "--trace", str(path), "--out-dir", str(tmp_path))
         assert proc.returncode == 4, proc.stderr
@@ -278,28 +280,25 @@ class TestAnalyzeCommand:
         assert proc.stderr.startswith(f"analysis error: line {line + 1}: {path} is not UTF-8")
 
     def test_structural_error_exit_code(self, tmp_path):
-        bad = tmp_path / "bad.trc.jsonl"
+        bad = tmp_path / "bad.trc"
         bad.write_text("this is not a trace\n")
         proc = pitlab("analyze", "--trace", str(bad), "--pop")
         assert proc.returncode == 4
         assert "analysis error" in proc.stderr
 
     @pytest.mark.parametrize(
-        "kind, old, new",
-        [
-            ("region-exit", '"name": "REGION -- IT_FINE -- 1"', '"name": 1'),
-            ("send-post", '"bytes": 64', '"bytes": "8"'),
-            ("send-complete", '"kind": "send-complete"', '"kind": "bogus"'),
-        ],
-        ids=["int-name", "string-bytes", "unknown-kind"],
+        "kind, cell, new",
+        [("region-exit", 2, "99"), ("send-post", 4, "8.0"), ("send-complete", 1, "bogus")],
+        ids=["unknown-name-id", "float-bytes", "unknown-kind"],
     )
-    def test_badly_typed_record_exits_4(self, tmp_path, kind, old, new):
-        path = tmp_path / "typed.trc.jsonl"
+    def test_badly_typed_record_exits_4(self, tmp_path, kind, cell, new):
+        path = tmp_path / "typed.trc"
         write_trace(pop_hand_trace(), path)
         lines = path.read_text().splitlines(keepends=True)
-        i = next(i for i, line in enumerate(lines) if f'"kind": "{kind}"' in line)
-        assert old in lines[i]
-        lines[i] = lines[i].replace(old, new)
+        i = next(i for i, line in enumerate(lines) if f"\t{kind}\t" in line)
+        cells = lines[i].split("\t")
+        cells[cell] = new
+        lines[i] = "\t".join(cells)
         path.write_text("".join(lines))
         proc = pitlab("analyze", "--trace", str(path), "--out-dir", str(tmp_path))
         assert proc.returncode == 4, proc.stderr
@@ -307,25 +306,22 @@ class TestAnalyzeCommand:
         assert proc.stderr.startswith(f"analysis error: line {i + 1}: ")
 
     @pytest.mark.parametrize(
-        "header",
+        "change",
         [
-            "[1]",
-            '{"format": "pitlab-trace", "version": 1, "num_ranks": 2.7}',
-            '{"format": "pitlab-trace", "version": 1, "num_ranks": true}',
-            '{"format": "pitlab-trace", "version": 1, "num_ranks": "4"}',
-            '{"format": "pitlab-trace", "version": 1, "num_ranks": 0}',
-            '{"format": "pitlab-trace", "version": 2, "num_ranks": 2}',
-            '{"format": "pitlab-trace", "version": true, "num_ranks": 2}',
-            '{"format": "pitlab-trace", "num_ranks": 2}',
+            None, {"num_ranks": 2.7}, {"num_ranks": True}, {"num_ranks": "4"}, {"num_ranks": 0}, {"version": 1},
+            {"version": True}, {"version": DELETE}, {"names": "names"}, {"names": [1]},
         ],
-        ids=["list", "float-ranks", "bool-ranks", "string-ranks", "zero-ranks", "version-2", "bool-version",
-             "no-version"],
+        ids=["list", "float-ranks", "bool-ranks", "string-ranks", "zero-ranks", "version-1", "bool-version",
+             "no-version", "names-text", "int-name"],
     )
-    def test_bad_header_exits_4(self, tmp_path, header):
-        path = tmp_path / "header.trc.jsonl"
+    def test_bad_header_exits_4(self, tmp_path, change):
+        path = tmp_path / "header.trc"
         write_trace(pop_hand_trace(), path)
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text(header + "\n" + "".join(lines[1:]))
+        header, *lines = path.read_text().splitlines(keepends=True)
+        fields = json.loads(header)
+        for key, value in (change or {}).items():
+            fields.pop(key) if value is DELETE else fields.update({key: value})
+        path.write_text(json.dumps(fields if change else [1]) + "\n" + "".join(lines))
         proc = pitlab("analyze", "--trace", str(path), "--out-dir", str(tmp_path))
         assert proc.returncode == 4, proc.stderr
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
@@ -336,18 +332,18 @@ class TestAnalyzeCommand:
         hand = pop_hand_trace()
         i = next(i for i, e in enumerate(hand.events) if e.rank == 1 and e.kind == "region-exit")
         events = hand.events[:i] + [replace(hand.events[i], t=t)] + hand.events[i + 1:]
-        path = write_trace(Trace(events=events, num_ranks=hand.num_ranks), tmp_path / "bad.trc.jsonl")
-        assert ('"t": NaN' if t != t else '"t": Infinity') in path.read_text()
+        path = write_trace(Trace(events=events, num_ranks=hand.num_ranks), tmp_path / "bad.trc")
+        assert ("\tnan\t" if t != t else "\tinf\t") in path.read_text()
         proc = pitlab("analyze", "--trace", str(path), "--out-dir", str(tmp_path))
         assert proc.returncode == 4, proc.stdout + proc.stderr
         assert proc.stderr.startswith(f"analysis error: rank 1: non-finite time t={t} in region-exit ")
         assert "POP report" not in proc.stdout and not (tmp_path / "pop.csv").exists()
 
     def test_unbalanced_trace_is_structural_error(self, tmp_path):
-        path = tmp_path / "unbalanced.trc.jsonl"
+        path = tmp_path / "unbalanced.trc"
         path.write_text(
-            '{"format": "pitlab-trace", "version": 1, "num_ranks": 1}\n'
-            '{"rank": 0, "kind": "region-enter", "name": "REGION -- IT_FINE -- 0", "t": 0.0}\n'
+            '{"format": "pitlab-trace", "version": 2, "num_ranks": 1, "names": ["REGION -- IT_FINE -- 0"]}\n'
+            "0\tregion-enter\t0\t0.0\t\t\n"
         )
         proc = pitlab("analyze", "--trace", str(path), "--pop")
         assert proc.returncode == 4

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import ev, fig5_trace, make_trace, pop_hand_trace, synthetic_trace
 from pitlab.controller import dahlquist_config, run
 from pitlab.trace import (
     FORMAT_NAME,
+    KINDS,
     PHASES,
     StructuralError,
     Trace,
@@ -100,21 +102,21 @@ class TestFileRoundtrip:
             ],
             2,
         )
-        path = tmp_path / "t.trc.jsonl"
+        path = tmp_path / "t.trc"
         write_trace(trace, path)
         back = read_trace(path)
         assert back.num_ranks == 2
         assert back.events == trace.events
 
     def test_empty_trace_is_header_only(self, tmp_path):
-        path = tmp_path / "empty.trc.jsonl"
+        path = tmp_path / "empty.trc"
         write_trace(Trace(events=[], num_ranks=3), path)
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         assert read_trace(path).events == []
 
     def test_malformed_line_reports_number(self, tmp_path):
-        path = tmp_path / "bad.trc.jsonl"
+        path = tmp_path / "bad.trc"
         write_trace(make_trace([ev(0, "region-enter", "x", 0.0)], 1), path)
         with open(path, "a") as fh:
             fh.write("not json\n")
@@ -122,72 +124,39 @@ class TestFileRoundtrip:
             read_trace(path)
 
     def test_bad_header(self, tmp_path):
-        path = tmp_path / "hdr.trc.jsonl"
+        path = tmp_path / "hdr.trc"
         path.write_text('{"something": "else"}\n')
         with pytest.raises(TraceParseError, match="line 1"):
             read_trace(path)
 
     @pytest.mark.parametrize("line", [1, 2, 1500], ids=["header", "first-event", "past-the-first-chunk"])
     def test_non_utf8_byte_names_file_and_line(self, tmp_path, line):
-        path = tmp_path / "latin.trc.jsonl"
+        path = tmp_path / "latin.trc"
         write_trace(synthetic_trace(6, 24, 3), path)
         lines = path.read_bytes().splitlines(keepends=True)
-        lines[line - 1] = lines[line - 1].replace(b'"', b'"\xff', 1)
+        lines[line - 1] = b"\xff" + lines[line - 1]
         path.write_bytes(b"".join(lines))
         with pytest.raises(TraceParseError, match=rf"^line {line}: {re.escape(str(path))} is not UTF-8"):
             read_trace(path)
 
 
 def ref_write_trace(trace, path):
-    """The writer the preformatted one replaced: one json.dumps per event."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"format": FORMAT_NAME, "version": 1, "num_ranks": trace.num_ranks}) + "\n")
+    """Format v2 written the plain way: json.dumps for the header, one
+    write per event, each name's id looked up in the header's list."""
+    names = list(dict.fromkeys(e.name for e in trace.events))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        header = {"format": FORMAT_NAME, "version": 2, "num_ranks": trace.num_ranks, "names": names}
+        fh.write(json.dumps(header) + "\n")
         for e in trace.events:
-            record = {"rank": e.rank, "kind": e.kind, "name": e.name, "t": e.t}
-            if e.bytes is not None:
-                record["bytes"] = e.bytes
-            if e.peer is not None:
-                record["peer"] = e.peer
-            fh.write(json.dumps(record) + "\n")
+            cells = [e.rank, e.kind, names.index(e.name), float.__repr__(e.t), e.bytes, e.peer]
+            fh.write("\t".join("" if cell is None else str(cell) for cell in cells) + "\n")
     return path
 
 
-def ref_read_trace(path):
-    """The reader the raw-decode one replaced: one json.loads per line."""
-    events = []
-    with open(path) as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-            if header.get("format") != FORMAT_NAME:
-                raise ValueError(f"not a {FORMAT_NAME} file")
-            num_ranks = int(header["num_ranks"])
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise TraceParseError(f"line 1: bad header: {exc}") from None
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                events.append(
-                    TraceEvent(
-                        rank=int(rec["rank"]),
-                        kind=rec["kind"],
-                        name=rec["name"],
-                        t=float(rec["t"]),
-                        bytes=rec.get("bytes"),
-                        peer=rec.get("peer"),
-                    )
-                )
-            except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-                raise TraceParseError(f"line {lineno}: {exc}") from None
-    return Trace(events=events, num_ranks=num_ranks)
-
-
 def escapes_trace():
-    """Names that need escapes, non-finite and subclassed times, bools,
-    a large int and names that are not strings: the values the writer
-    hands to json.dumps."""
+    """Names that need escapes, non-finite, subnormal and subclassed
+    times, a large int, and the values the writer refuses: bools, names
+    that are not strings, an int time and an unknown kind."""
     events = [
         ev(0, "region-enter", 'say "hi" \\ back\tslash\n', 0.1),
         ev(0, "region-exit", "Zeit \u00fcber \u2192 \U0001f600 \x7f \x00", 1e300),
@@ -203,19 +172,20 @@ def escapes_trace():
         ev(-3, "region-exit", "", 5e-324),
         ev(2, "region-enter", 1, 3.0),
         ev(2, "region-exit", True, 3.5),  # equal to 1 as a dict key
+        ev(2, "region-enter", "int time", 4),
+        ev(2, "bogus", "unknown kind", 4.5),
+        ev(2, "region-exit", "zero", 5.0, 1, None),
     ]
     return Trace(events=events, num_ranks=3)
 
 
 def _typed(event):
-    """Whether the reader takes the event's record: a string name and int
-    rank, bytes and peer (or none), where a bool is not an int."""
-    return type(event.name) is str and all(
-        type(value) is int for value in (event.rank, event.bytes, event.peer) if value is not None
+    """Whether the writer takes the event: an int rank, bytes and peer (or
+    none), where a bool is not an int, a str name, a known kind, a float time."""
+    return (
+        type(event.name) is str and event.kind in KINDS and isinstance(event.t, float)
+        and all(type(value) is int for value in (event.rank, event.bytes, event.peer) if value is not None)
     )
-
-
-GOOD = '{"rank": 0, "kind": "region-enter", "name": "x", "t": 0.5}'
 
 
 class TestWriterReaderOracle:
@@ -230,71 +200,31 @@ class TestWriterReaderOracle:
         ],
         ids=["hand", "fig5", "synthetic", "dahlquist", "escapes"],
     )
-    def test_files_and_events_equal_the_reference(self, build, tmp_path):
+    def test_typed_events_round_trip_and_untyped_ones_leave_no_file(self, build, tmp_path):
         trace = build()
-        new, ref = tmp_path / "new.trc.jsonl", tmp_path / "ref.trc.jsonl"
-        write_trace(trace, new)
-        ref_write_trace(trace, ref)
+        typed = [event for event in trace.events if _typed(event)]
+        assert len(trace.events) - len(typed) == (7 if build is escapes_trace else 0)
+        new, ref = tmp_path / "new.trc", tmp_path / "ref.trc"
+        write_trace(Trace(events=typed, num_ranks=trace.num_ranks), new)
+        ref_write_trace(Trace(events=typed, num_ranks=trace.num_ranks), ref)
         assert new.read_bytes() == ref.read_bytes()
-        # the reader takes the typed records as the reference does, and
-        # names the line of each record with a bool or a non-string name
-        header, *lines = new.read_text().rstrip("\n").split("\n")
-        typed = [_typed(event) for event in trace.events]
-        assert typed.count(False) == (5 if build is escapes_trace else 0)
-        good = tmp_path / "good.trc.jsonl"
-        good.write_text("".join(f"{line}\n" for line, ok in zip([header] + lines, [True] + typed) if ok))
-        back = read_trace(good)
+        back = read_trace(new)
         assert back.num_ranks == trace.num_ranks
-        assert repr(back.events) == repr(ref_read_trace(good).events)  # repr: NaN != NaN
-        for i, ok in enumerate(typed):
-            if not ok:
-                before = [line for line, kept in zip(lines[:i], typed) if kept]
-                bad = tmp_path / "bad.trc.jsonl"
-                bad.write_text("".join(f"{line}\n" for line in [header, *before, lines[i]]))
-                with pytest.raises(TraceParseError, match=rf"^line {len(before) + 2}: "):
-                    read_trace(bad)
+        assert repr(back.events) == repr([replace(e, t=float(e.t)) for e in typed])  # repr: NaN != NaN
+        assert all(type(e.t) is float for e in back.events)
+        for i, event in enumerate(trace.events):
+            if not _typed(event):
+                bad = tmp_path / "bad.trc"
+                before = [e for e in trace.events[:i] if _typed(e)]
+                with pytest.raises(ValueError, match=rf"^event {len(before)}: cannot write "):
+                    write_trace(Trace(events=before + [event], num_ranks=trace.num_ranks), bad)
+                assert not bad.exists()
 
-    @pytest.mark.parametrize(
-        "body",
-        [
-            f"{GOOD}\n \t\n\x0b\n{GOOD} \t\r\n\r{GOOD}\n",
-            f"{GOOD}\n{GOOD}",
-        ],
-        ids=["whitespace", "no-final-newline"],
-    )
-    def test_accepts_what_json_loads_accepts(self, body, tmp_path):
-        path = tmp_path / "t.trc.jsonl"
-        path.write_text('{"format": "pitlab-trace", "version": 1, "num_ranks": 1}\n' + body)
-        assert read_trace(path).events == ref_read_trace(path).events != []
-
-    @pytest.mark.parametrize(
-        "body",
-        [
-            f"{GOOD}\n{GOOD}{GOOD}\n",
-            f'{GOOD}\n{{"rank": 0, "kind": "region-enter",\n"name": "x", "t": 0.5}}\n',
-            f'{{"rank": 0, "kind": "a",\n"name": "x", "t": 0.5}}\n{GOOD}{GOOD}\n',
-            f"{GOOD}\n{GOOD} x\n",
-            f"{GOOD}\n\x0b{GOOD}\n",
-            f"{GOOD}\n{GOOD}\x0c\n",
-            f"{GOOD}\n\ufeff{GOOD}\n",
-            f'{GOOD}\n{{"rank": 0, "kind": "region-enter", "t": 0.5}}\n',
-            f'{GOOD}\n{{"rank": "zero", "kind": "region-enter", "name": "x", "t": 0.5}}\n',
-            f'{GOOD}\n{{"rank": 0, "kind": "region-enter", "name": "x", "t": [0.5]}}\n',
-            f"{GOOD}\n[0, 1]\n",
-        ],
-        ids=[
-            "two-records", "split-record", "split-then-two", "trailing-garbage", "leading-vt",
-            "trailing-ff", "bom", "missing-key", "wrong-type", "list-time", "not-an-object",
-        ],
-    )
-    def test_rejects_the_line_json_loads_rejects(self, body, tmp_path):
-        path = tmp_path / "bad.trc.jsonl"
-        path.write_text('{"format": "pitlab-trace", "version": 1, "num_ranks": 1}\n' + body)
-        with pytest.raises(TraceParseError) as ref:
-            ref_read_trace(path)
-        with pytest.raises(TraceParseError) as new:
-            read_trace(path)
-        assert str(new.value).split(":")[0] == str(ref.value).split(":")[0]
+    @pytest.mark.parametrize("num_ranks", [0, True, 2.0], ids=["zero", "bool", "float"])
+    def test_unreadable_num_ranks_is_refused(self, num_ranks, tmp_path):
+        with pytest.raises(ValueError, match="num_ranks"):
+            write_trace(Trace(events=[], num_ranks=num_ranks), tmp_path / "t.trc")
+        assert not (tmp_path / "t.trc").exists()
 
 
 class TestSharedStrings:
@@ -321,36 +251,104 @@ class TestSharedStrings:
         assert not {id(event.name) for event in first.events} & {id(event.name) for event in second.events}
 
 
-TYPED_RECORD = {"rank": "0", "kind": '"send-post"', "name": '"x"', "t": "0.5", "bytes": "8", "peer": "1"}
+class TestFileSize:
+    def test_an_event_line_holds_no_name(self, p32_trace_path):
+        # a line is rank (2 digits), kind (13 at most), name id (3 digits
+        # for 316 names), time (18: 17 significant digits and the point),
+        # bytes (3), peer (2) and six separators, 47 bytes at most; the
+        # header adds under one byte per event
+        events = len(read_trace(p32_trace_path).events)
+        assert events == 15_392
+        assert p32_trace_path.stat().st_size <= 48 * events
+
+
+HEADER = '{"format": "pitlab-trace", "version": 2, "num_ranks": 2, "names": ["x", "y"]}\n'
+GOOD = "0\tregion-enter\t0\t0.5\t\t\n"
+CELLS = {"rank": 0, "kind": 1, "name": 2, "t": 3, "bytes": 4, "peer": 5}
+TYPED = ["1", "send-post", "1", "0.75", "8", "0"]
 
 
 class TestTypedRecords:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("kind", '"bogus"'), ("kind", "1"), ("name", "1"), ("name", "true"), ("name", "null"),
-            ("rank", "true"), ("rank", "1.0"), ("rank", '"1"'), ("t", "false"), ("t", '"0.5"'),
-            ("bytes", "true"), ("bytes", '"8"'), ("bytes", "8.0"), ("peer", "false"), ("peer", "[1]"),
+            ("kind", "bogus"), ("kind", "0"), ("kind", " send-post"),
+            ("name", "2"), ("name", "-1"), ("name", "x"), ("name", "01"), ("name", "+1"), ("name", ""),
+            *[(field, value) for field in ("rank", "bytes", "peer") for value in ("1.0", "true", "+1", "1_0", " 1")],
+            ("rank", ""), ("rank", "01"), ("rank", "-0"), ("rank", "\u0661"),
+            ("t", "x"), ("t", "1_0"), ("t", " 0.5"), ("t", "0.5 "), ("t", ""), ("t", "\u0661.5"), ("t", "0x1p-1"),
         ],
     )
-    def test_a_badly_typed_field_names_its_line(self, field, value, tmp_path):
-        record = dict(TYPED_RECORD, **{field: value})
-        path = tmp_path / "typed.trc.jsonl"
-        line = "{" + ", ".join(f'"{key}": {text}' for key, text in record.items()) + "}"
-        path.write_text(f'{{"format": "pitlab-trace", "version": 1, "num_ranks": 2}}\n{GOOD}\n{line}\n')
+    def test_a_bad_cell_names_its_line(self, field, value, tmp_path):
+        cells = list(TYPED)
+        cells[CELLS[field]] = value
+        path = tmp_path / "typed.trc"
+        path.write_text(HEADER + GOOD + "\t".join(cells) + "\n", encoding="utf-8")
         with pytest.raises(TraceParseError, match="^line 3: "):
             read_trace(path)
 
-    def test_int_time_and_null_bytes_and_peer_are_taken(self, tmp_path):
-        path = tmp_path / "typed.trc.jsonl"
-        path.write_text(
-            '{"format": "pitlab-trace", "version": 1, "num_ranks": 1}\n'
-            '{"rank": 0, "kind": "recv-post", "name": "x", "t": 2, "bytes": null, "peer": null}\n'
-            + "{" + ", ".join(f'"{key}": {text}' for key, text in TYPED_RECORD.items()) + "}\n"
-        )
+    def test_int_time_and_empty_bytes_and_peer_are_taken(self, tmp_path):
+        path = tmp_path / "typed.trc"
+        path.write_text(HEADER + "0\trecv-post\t0\t2\t\t\n" + "\t".join(TYPED) + "\n")
         first, second = read_trace(path).events
         assert (first.t, type(first.t), first.bytes, first.peer) == (2.0, float, None, None)
-        assert second == TraceEvent(0, "send-post", "x", 0.5, 8, 1)
+        assert second == TraceEvent(1, "send-post", "y", 0.75, 8, 0)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            f"{GOOD}0\tregion-enter\t0\t0.5\t\n",
+            f"{GOOD}0\tregion-enter\t0\t0.5\t\t\t\n",
+            f"{GOOD}\n",
+            f"{GOOD}{GOOD[:-1]}{GOOD}",
+            f"{GOOD}{GOOD[:-1]}\r\n",
+            f"{GOOD}\ufeff{GOOD}",
+            f"{GOOD}{GOOD[:-1]}",
+            GOOD + "\t".join(TYPED),
+            f'{GOOD}{{"rank": 0, "kind": "region-enter", "name": "x", "t": 0.5}}\n',
+        ],
+        ids=["five-cells", "seven-cells", "blank", "two-records", "crlf", "bom", "no-final-newline",
+             "no-final-newline-after-a-digit", "format-1-line"],
+    )
+    def test_a_bad_line_names_its_number(self, body, tmp_path):
+        path = tmp_path / "bad.trc"
+        path.write_text(HEADER + body, encoding="utf-8", newline="")
+        with pytest.raises(TraceParseError, match="^line 3: "):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            '{"format": "pitlab-trace", "version": 1, "num_ranks": 2}',
+            '{"format": "pitlab-trace", "version": 3, "num_ranks": 2, "names": ["x", "y"]}',
+            '{"format": "pitlab-trace", "version": 2.0, "num_ranks": 2, "names": ["x", "y"]}',
+            '{"format": "pitlab-trace", "version": 2, "num_ranks": 2, "names": "xy"}',
+            '{"format": "pitlab-trace", "version": 2, "num_ranks": 2, "names": ["x", 1]}',
+            '{"format": "pitlab-trace", "version": 2, "num_ranks": 2, "names": ["x", "x"]}',
+            '{"format": "pitlab-trace", "version": 2, "num_ranks": 2}',
+            '{"format": "pitlab-trace", "version": 2, "num_ranks": 0, "names": ["x", "y"]}',
+            '{"format": "pitlab-trace", "version": 2, "num_ranks": true, "names": ["x", "y"]}',
+            '{"format": "other", "version": 2, "num_ranks": 2, "names": ["x", "y"]}',
+            '["x", "y"]',
+            "",
+        ],
+        ids=["version-1", "version-3", "float-version", "names-text", "int-name", "repeated-name", "no-names",
+             "zero-ranks", "bool-ranks", "other-format", "list", "empty-file"],
+    )
+    def test_a_bad_header_is_refused(self, header, tmp_path):
+        path = tmp_path / "header.trc"
+        path.write_text(f"{header}\n{GOOD}" if header else "")
+        with pytest.raises(TraceParseError, match="^line 1: bad header: "):
+            read_trace(path)
+
+    def test_a_format_1_file_asks_for_a_new_recording(self, tmp_path):
+        path = tmp_path / "v1.trc"
+        path.write_text(
+            '{"format": "pitlab-trace", "version": 1, "num_ranks": 1}\n'
+            '{"rank": 0, "kind": "region-enter", "name": "x", "t": 0.5}\n'
+        )
+        with pytest.raises(TraceParseError, match="^line 1: bad header: version 1; .* record the run again$"):
+            read_trace(path)
 
 
 class TestMerge:

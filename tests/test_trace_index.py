@@ -303,7 +303,7 @@ class TestOnePairing:
 
 class TestOneIndexPerAnalyze:
     def test_analyze_builds_the_index_once(self, tmp_path, monkeypatch):
-        path = tmp_path / "p8.trc.jsonl"
+        path = tmp_path / "p8.trc"
         write_trace(_dahlquist_trace("serial"), path)
         calls = {"match": 0, "views": 0}
         match, view_init = tracing.match_messages, tracing._RankView.__init__
