@@ -3,6 +3,8 @@
 Writes a benchmark config with an indexed parameter pair (stepped
 together rather than crossed), a jobscript template, and drives the
 expansion, sandboxed execution and result-table extraction end to end.
+The pair keeps steps x dt at 0.4, so the sweep integrates the same
+interval on 1, 2 and 4 ranks.
 """
 
 import sys
@@ -20,7 +22,7 @@ outpath = bench_run
 [parameters]
 i = 0, 1, 2
 steps indexed-by i = 1, 2, 4
-workers indexed-by i = 1, 2, 4
+dt indexed-by i = 0.4, 0.2, 0.1
 mode = serial, parallel
 
 [files]
@@ -41,13 +43,13 @@ niter_pat = Mean number of iterations: $jube_pat_fp
 file = run.out
 
 [result]
-sort = workers
-columns = steps, workers, mode, timing_pat, niter_pat
+sort = steps
+columns = steps, dt, mode, timing_pat, niter_pat
 """
 
 TEMPLATE = """\
-{python} -m pitlab run --problem dahlquist --steps #STEPS# --workers #WORKERS# \
- --dt 0.1 --mode #MODE# --trace-out trace.trc > run.out
+{python} -m pitlab run --problem dahlquist --steps #STEPS# --dt #DT# \
+ --mode #MODE# --trace-out trace.trc > run.out
 touch ready
 """
 

@@ -65,7 +65,6 @@ def build_parser():
     opt("--config", help="file of `key = value` lines, read as --key=value flags before the command line")
     opt("--problem", choices=["dahlquist", "allen-cahn"], default="dahlquist", help="test problem")
     opt("--steps", type=int, default=4, help="time steps")
-    opt("--workers", type=int, help="concurrent workers; if set, must equal --steps (pfasst) or 1 (sdc)")
     opt("--dt", type=float, default=0.1, help="step size")
     opt("--mode", choices=["serial", "parallel"], default="parallel", help="PFASST execution model")
     opt("--scheme", choices=["pfasst", "sdc"], default="pfasst", help="sdc: the time-serial baseline")
@@ -138,11 +137,6 @@ def _workers(args):
 def _run_config(args):
     """The RunConfig both schemes integrate; raises ValueError on rejected
     values, as do the factories and RunConfig.validate()."""
-    workers = _workers(args)
-    if args.workers not in (None, workers):
-        raise ValueError(
-            f"--workers must be {workers} with --scheme {args.scheme} --steps {args.steps}, got {args.workers}"
-        )
     if args.problem == "dahlquist":
         factory = dahlquist_config
         problem = dict(lambda_implicit=args.lambda_implicit, lambda_explicit=args.lambda_explicit)
@@ -227,6 +221,7 @@ def _cmd_analyze(args):
             path = analysis.emit_report(report, out_dir / f"pop.{suffix}", fmt=args.format)
             print(f"POP report written to {path}")
             print(Path(path).read_text(), end="")
+            print(f"makespan: {report.total_runtime:.6f} s measured, {report.ideal_runtime:.6f} s ideal replay")
         if do_wait:
             states = analysis.detect_late_receiver(trace, min_wait=args.min_wait)
             states += analysis.detect_late_sender(trace, min_wait=args.min_wait)

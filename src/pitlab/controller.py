@@ -9,14 +9,17 @@ once its own residual is below tolerance and its predecessor has
 stopped; the stop status travels forward on a dedicated tag together
 with the final fine value.
 
-Both execution models drive one generator per worker, which runs the
-predictor and then one iteration per resumption.  The parallel model
-exhausts each generator on its own thread over in-process channels.
-The serial model resumes every live generator once per round, in rank
-order, in a single thread: within each iteration every dependency
-points backwards in rank, so stepping workers in rank order finds every
-message already delivered.  Both models therefore produce bit-identical
-iterates and stop, or fail, at the same point.
+Both execution models call each worker's `run_all`, which runs the
+predictor and then one iteration at a time until the worker stops.  The
+parallel model runs every worker on its own thread over in-process
+channels.  The serial model runs the workers one after another, in rank
+order, in a single thread.  That is valid because a worker receives only
+from rank - 1 and sends only to rank + 1, and the serial model's sends
+are eager: no rank ever waits on a later one, and rank p finds every
+message of rank p - 1 already queued.  A channel therefore holds its
+sender's whole output until the receiver runs.  Both models produce
+bit-identical iterates; a serial run that fails stops before the later
+ranks start.
 """
 
 import math
@@ -235,30 +238,26 @@ class _Worker:
             if stop:
                 self.stopped = True
 
-    def schedule(self):
-        """The worker's life as a generator: the predictor on the first
-        resumption, then one iteration per resumption until it stops."""
+    def run_all(self):
+        """The worker's life: the predictor, then one iteration at a time
+        until it stops."""
         self.predictor()
         k = 0
         while not self.stopped:
-            yield
             k += 1
             if k > self.cfg.max_iterations:
                 raise NotConvergedError(f"worker {self.rank} hit max iterations ({self.cfg.max_iterations})")
             self.iteration(k)
 
-    def run_all(self):
-        for _ in self.schedule():
-            pass
-
 
 def run(config, mode="parallel"):
     """Integrate all steps with PFASST; returns a RunResult.
 
-    In parallel mode each worker is a thread; in serial mode the same
-    schedule is emulated round-robin.  The iterates are identical.  A
-    ConvergenceFailure maps every rank to its worker's last residual, or
-    to None for a worker that has not finished an iteration.
+    In parallel mode each worker is a thread; in serial mode the workers
+    run to their end one after another, in rank order.  The iterates are
+    identical.  A ConvergenceFailure maps every rank to its worker's last
+    residual, or to None for a worker that has not finished an iteration
+    (in serial mode, every rank after the one that failed).
     """
     config.validate()
     if mode not in ("serial", "parallel"):
@@ -267,7 +266,8 @@ def run(config, mode="parallel"):
     serial = mode == "serial"
     network = Network(
         p,
-        # rendezvous blocking only makes sense with concurrent workers
+        # rank p - 1 finishes before rank p posts any receive, so a
+        # rendezvous send would deadlock and a latency would only sleep
         rendezvous_bytes=float("inf") if serial else config.rendezvous_bytes,
         latency=0.0 if serial else config.latency,
     )
@@ -277,7 +277,8 @@ def run(config, mode="parallel"):
     start = time.perf_counter()
     try:
         if serial:
-            _run_serial(workers)
+            for w in workers:
+                w.run_all()
         else:
             _run_parallel(workers, network)
     except ConvergenceFailure as exc:
@@ -300,13 +301,6 @@ def run(config, mode="parallel"):
         fine_sweep_count=sum(w.fine_sweeps_done for w in workers),
         comm_audit=audit,
     )
-
-
-def _run_serial(workers):
-    """Resume every live schedule once per round, in rank order."""
-    schedules = [w.schedule() for w in workers]
-    while schedules:
-        schedules = [s for s in schedules if next(s, StopIteration) is not StopIteration]
 
 
 def _run_parallel(workers, network):

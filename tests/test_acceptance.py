@@ -269,7 +269,7 @@ SWEEP_CONFIG = textwrap.dedent(
 
 SWEEP_TEMPLATE = """\
 echo "# nnodes=#NNODES# ntasks=#NTASKS# space=#SPACE_SIZE# mpi=#MPI#" > run.out
-{python} -m pitlab run --problem dahlquist --steps 2 --workers 2 --dt 0.1 \
+{python} -m pitlab run --problem dahlquist --steps 2 --dt 0.1 \
  --mode serial --trace-out trace.trc >> run.out
 touch ready
 """

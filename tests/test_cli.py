@@ -8,10 +8,12 @@ from dataclasses import replace
 import pytest
 
 from conftest import fig5_trace, pop_hand_trace
+from pitlab.analysis import pop_metrics
 from pitlab.comm import DEFAULT_RENDEZVOUS_BYTES
 from pitlab.controller import allen_cahn_config, dahlquist_config, format_summary, run_sdc_serial
 from pitlab.trace import Trace, read_trace, write_trace
 
+MAKESPAN_LINE = re.compile(r"^makespan: (\S+) s measured, (\S+) s ideal replay$", re.M)
 TIME_LINE = re.compile(r"^Time to solution: ([-+0-9.eE]+) sec\.$", re.M)
 ITER_LINE = re.compile(r"^Mean number of iterations: ([-+0-9.eE]+)$", re.M)
 DELETE = object()  # a header change that removes the field
@@ -31,7 +33,7 @@ class TestRunCommand:
     def test_dahlquist_run_prints_summary_and_writes_trace(self, tmp_path):
         trace_path = tmp_path / "run.trc"
         proc = pitlab(
-            "run", "--problem", "dahlquist", "--steps", "4", "--workers", "4",
+            "run", "--problem", "dahlquist", "--steps", "4",
             "--dt", "0.1", "--trace-out", str(trace_path),
         )
         assert proc.returncode == 0, proc.stderr
@@ -46,7 +48,7 @@ class TestRunCommand:
 
         env = dict(os.environ, PITLAB_TRACE_DIR=str(tmp_path / "traces"))
         proc = pitlab(
-            "run", "--problem", "dahlquist", "--steps", "2", "--workers", "2",
+            "run", "--problem", "dahlquist", "--steps", "2",
             "--dt", "0.1", "--mode", "serial", env=env,
         )
         assert proc.returncode == 0, proc.stderr
@@ -56,7 +58,7 @@ class TestRunCommand:
         outs = []
         for i in range(2):
             proc = pitlab(
-                "run", "--problem", "allen-cahn", "--steps", "2", "--workers", "2",
+                "run", "--problem", "allen-cahn", "--steps", "2",
                 "--dt", "1e-3", "--grid", "32", "--coarse-grid", "8", "--seed", "9",
                 "--radius", "0.2", "--trace-out", str(tmp_path / f"t{i}.trc"),
             )
@@ -70,7 +72,7 @@ class TestRunCommand:
 
     def test_divergence_exit_code(self, tmp_path):
         proc = pitlab(
-            "run", "--problem", "dahlquist", "--steps", "2", "--workers", "2",
+            "run", "--problem", "dahlquist", "--steps", "2",
             "--dt", "0.5", "--lambda-implicit", "0", "--lambda-explicit", "40",
             "--trace-out", str(tmp_path / "t.trc"),
         )
@@ -94,7 +96,7 @@ class TestRunCommand:
     def test_config_file_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
-            "steps = 2\nworkers = 2\ndt = 0.1\nmode = serial\nproblem = dahlquist\n"
+            "steps = 2\ndt = 0.1\nmode = serial\nproblem = dahlquist\n"
             "lambda_implicit = -3\nfine-sweeps = 2\n"
         )
         proc = pitlab(
@@ -105,7 +107,7 @@ class TestRunCommand:
         assert trace.num_ranks == 2
         # a negative value and a hyphenated key act as the flags they name
         flags = pitlab(
-            "run", "--steps", "2", "--workers", "2", "--dt", "0.1", "--mode", "serial",
+            "run", "--steps", "2", "--dt", "0.1", "--mode", "serial",
             "--lambda-implicit", "-3", "--fine-sweeps", "2", "--trace-out", str(tmp_path / "c.trc"),
         )
         assert flags.returncode == 0, flags.stderr
@@ -113,7 +115,7 @@ class TestRunCommand:
         assert len(trace.events) == len(read_trace(tmp_path / "c.trc").events)
         # explicit flag overrides the file
         proc = pitlab(
-            "run", "--config", str(cfg), "--steps", "3", "--workers", "3",
+            "run", "--config", str(cfg), "--steps", "3",
             "--trace-out", str(tmp_path / "b.trc"),
         )
         assert proc.returncode == 0, proc.stderr
@@ -150,11 +152,9 @@ class TestRunCommand:
             ("mode = Serial", []),
             ("steps 2", []),
             (None, ["--config", "{tmp}/missing.cfg"]),
-            (None, ["--steps", "2", "--workers", "3"]),
             (None, ["--tol", "-1"]),
             (None, ["--fine-sweeps", "0"]),
             (None, ["--problem", "allen-cahn", "--grid", "12"]),
-            (None, ["--scheme", "sdc", "--workers", "2"]),
             (None, ["--problem", "allen-cahn", "--steps", "2", "--dt", "-0.001", "--grid", "32", "--coarse-grid", "8"]),
             (None, ["--dt", "0"]),
             (None, ["--dt", "-0.1"]),
@@ -200,7 +200,7 @@ class TestRunCommand:
         [
             ["--steps", "2"],
             # a run that diverges (exit 3) shows that the path is refused before the run
-            ["--problem", "dahlquist", "--steps", "2", "--workers", "2", "--dt", "0.5",
+            ["--problem", "dahlquist", "--steps", "2", "--dt", "0.5",
              "--lambda-implicit", "0", "--lambda-explicit", "40"],
         ],
         ids=["converging", "diverging"],
@@ -240,6 +240,18 @@ class TestAnalyzeCommand:
         # two fine sweeps, 8 s on rank 0 and 5 s on rank 1, nothing nested
         assert re.search(r"^\s*IT_FINE\s+2\s+13\.000000\s+13\.000000$", proc.stdout, re.M)
         assert proc.stdout.index("messages:") < proc.stdout.index("IT_FINE") < proc.stdout.index("POP report")
+
+    @pytest.mark.parametrize("full_run", [False, True], ids=["last-phase", "full-run"])
+    def test_pop_prints_the_measured_and_the_replayed_makespan(self, tmp_path, full_run):
+        path = tmp_path / "run.trc"
+        proc = pitlab("run", "--steps", "4", "--mode", "serial", "--trace-out", str(path))
+        assert proc.returncode == 0, proc.stderr
+        flags = ["--full-run"] if full_run else []
+        proc = pitlab("analyze", "--trace", str(path), "--pop", *flags, "--out-dir", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        report = pop_metrics(read_trace(path), full_run=full_run)
+        assert MAKESPAN_LINE.findall(proc.stdout) == [(f"{report.total_runtime:.6f}", f"{report.ideal_runtime:.6f}")]
+        assert proc.stdout.index("POP report") < proc.stdout.index("makespan:")
 
     def test_wait_states_from_fig5_trace(self, tmp_path):
         path = tmp_path / "fig5.trc"

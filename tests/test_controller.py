@@ -61,6 +61,23 @@ class TestCrossModeEquivalence:
         assert run_python(code, OPENBLAS_NUM_THREADS=blas_threads).split() == ["True", "True"]
 
 
+class TestSerialModelRunsRanksInOrder:
+    @pytest.mark.parametrize(
+        "make_config",
+        [lambda: dahlquist_config(8, 0.1), lambda: allen_cahn_config(4, 1e-3, n=32, coarse_n=16, radius=0.2)],
+        ids=["dahlquist-p8", "allen-cahn-p4"],
+    )
+    def test_each_rank_starts_after_its_predecessor_ends(self, make_config):
+        result = run(make_config(), mode="serial")
+        times = {}
+        for ev in result.trace.events:
+            times.setdefault(ev.rank, []).append(ev.t)
+        ranks = sorted(times)
+        assert ranks == list(range(result.trace.num_ranks))
+        for rank in ranks[1:]:
+            assert min(times[rank]) >= max(times[rank - 1])
+
+
 class TestDegenerateRuns:
     def test_single_worker_single_step_matches_direct_collocation(self):
         cfg = dahlquist_config(1, 0.1, tolerance=1e-12)
@@ -272,9 +289,18 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("mode", ["serial", "parallel"])
     def test_max_iterations_raises_not_converged(self, mode):
+        cfg = dahlquist_config(2, 0.1, tolerance=1e-30, max_iterations=3, rendezvous_bytes=0)
+        if mode == "serial":
+            # rank 0 runs to its end, and fails, before rank 1 starts
+            with pytest.raises(NotConvergedError, match=r"^worker 0 hit max iterations \(3\)$") as info:
+                run(cfg, mode=mode)
+            residuals = info.value.residuals
+            assert set(residuals) == {0, 1}
+            assert np.isfinite(residuals[0]) and residuals[0] > 1e-30
+            assert residuals[1] is None
+            return
         # under rendezvous sends rank 0 cannot run ahead of rank 1, so
         # both workers have a residual when the threaded run stops
-        cfg = dahlquist_config(2, 0.1, tolerance=1e-30, max_iterations=3, rendezvous_bytes=0)
         with pytest.raises(NotConvergedError, match=r"^worker [01] hit max iterations \(3\)$") as info:
             run(cfg, mode=mode)
         assert set(info.value.residuals) == {0, 1}

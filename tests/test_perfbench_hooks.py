@@ -15,6 +15,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from conftest import pop_hand_trace, synthetic_trace
 from pitlab import analysis
 from pitlab.controller import dahlquist_config, run
@@ -70,6 +72,19 @@ def test_wrappers_patched_after_the_config_is_built_see_every_call(monkeypatch):
     after_stop = result.iterations[0] + sum(max(0, b - a) for a, b in zip(result.iterations, result.iterations[1:]))
     assert counts["restrict"] == cfg.num_steps + 2 * iterations + after_stop
     assert counts["prolong"] == cfg.num_steps + iterations
+
+
+@pytest.mark.parametrize("mode", ["serial", "parallel"])
+def test_each_worker_runs_inside_one_controller_worker_span(monkeypatch, mode):
+    # both execution models enter _Worker.run_all once per worker, so the
+    # controller.worker span covers every worker's run in either model
+    spans = load_spans(monkeypatch)
+    recorder = spans.SpanRecorder()
+    cfg = dahlquist_config(4, 0.1)
+    with recorder.patched(layers=("controller",)):
+        run(cfg, mode)
+    names = Counter(span[0] for _, taken in recorder.take() for span in taken)
+    assert names["controller.worker"] == cfg.num_steps
 
 
 def test_each_pop_report_replays_inside_one_ideal_replay_span(monkeypatch):
