@@ -49,9 +49,6 @@ EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 EXIT_ANALYSIS = 4
 
-# rendezvous thresholds the named transport backends stand for
-BACKEND_RENDEZVOUS_BYTES = {"eager": 1 << 62, "rendezvous": 0}
-
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="pitlab", description=__doc__.splitlines()[0])
@@ -82,8 +79,7 @@ def build_parser():
     opt("--lpatches", type=int, default=1, help="unit patches per side of the domain")
     opt("--radius", type=float, help="fixed initial circle radius; drawn from --seed if unset")
     opt("--seed", type=int, default=1, help="initial-condition seed")
-    opt("--backend", choices=sorted(BACKEND_RENDEZVOUS_BYTES), help="transport; overrides --rendezvous-bytes")
-    opt("--rendezvous-bytes", type=int, default=DEFAULT_RENDEZVOUS_BYTES, help="largest eager message")
+    opt("--rendezvous-bytes", type=int, default=DEFAULT_RENDEZVOUS_BYTES, help="largest eager message; 0: all rendezvous")
     opt("--latency", type=float, default=0.0, help="message delivery delay in seconds")
     opt("--trace-out",
         help="trace path; else <problem>-<scheme>-<mode>-p<N>.trc in $PITLAB_TRACE_DIR or the current directory")
@@ -152,7 +148,7 @@ def _run_config(args):
         args.steps, args.dt, m=args.num_nodes, implicit=args.implicit,
         fine_sweeps=args.fine_sweeps, coarse_sweeps=args.coarse_sweeps,
         tolerance=args.tol, max_iterations=args.max_iters,
-        rendezvous_bytes=BACKEND_RENDEZVOUS_BYTES.get(args.backend, args.rendezvous_bytes),
+        rendezvous_bytes=args.rendezvous_bytes,
         latency=args.latency, **problem,
     )
     config.validate()
@@ -222,6 +218,9 @@ def _cmd_analyze(args):
             print(f"POP report written to {path}")
             print(Path(path).read_text(), end="")
             print(f"makespan: {report.total_runtime:.6f} s measured, {report.ideal_runtime:.6f} s ideal replay")
+            covered = len(report.comp_times)
+            hint = "" if args.full_run or covered == trace.num_ranks else "; --full-run covers every rank"
+            print(f"window: {covered} of {trace.num_ranks} ranks have events{hint}")
         if do_wait:
             states = analysis.detect_late_receiver(trace, min_wait=args.min_wait)
             states += analysis.detect_late_sender(trace, min_wait=args.min_wait)

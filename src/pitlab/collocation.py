@@ -117,8 +117,7 @@ class CollocationTable:
 
     Attributes
     ----------
-    m : node count
-    nodes : m ascending times in (0, 1], nodes[-1] == 1
+    nodes : m ascending times in (0, 1], nodes[-1] == 1; m is their count
     q : integration matrix for the unit interval
     qd_imp : lower-triangular implicit preconditioner
     qd_exp : strictly lower-triangular explicit preconditioner
@@ -131,11 +130,14 @@ class CollocationTable:
     ScaledBlocks, memoised per step size.
     """
 
-    m: int
     nodes: np.ndarray
     q: np.ndarray
     qd_imp: np.ndarray
     qd_exp: np.ndarray
+
+    @property
+    def m(self):
+        return len(self.nodes)
 
     def __post_init__(self):
         # derived here, so that dataclasses.replace derives them again
@@ -172,4 +174,4 @@ def make_radau_table(m, implicit="lu"):
         qd_imp = np.tril(np.broadcast_to(np.diff(nodes, prepend=0.0), (m, m)))
     else:
         raise ValueError(f"unknown implicit preconditioner {implicit!r}")
-    return CollocationTable(m=m, nodes=nodes, q=q, qd_imp=qd_imp, qd_exp=build_QDelta_EE(nodes))
+    return CollocationTable(nodes=nodes, q=q, qd_imp=qd_imp, qd_exp=build_QDelta_EE(nodes))

@@ -111,14 +111,21 @@ class RunConfig:
 
 @dataclass
 class RunResult:
+    """What a run recorded: per rank (per step for serial SDC) its final
+    value, iteration count and residual history, plus the merged trace,
+    the fine sweeps made and the channel audit."""
+
     final_values: list
     iterations: list
-    mean_iterations: float
     wall_time: float
     trace: tracing.Trace
     residual_histories: list
     fine_sweep_count: int
     comm_audit: dict
+
+    @property
+    def mean_iterations(self):
+        return math.fsum(self.iterations) / len(self.iterations)
 
 
 def format_summary(result):
@@ -130,12 +137,15 @@ def format_summary(result):
 
 
 class _Worker:
-    """State machine for one time step; one instance per rank."""
+    """State machine for one time step; one instance per rank.  Its
+    iteration count is the length of its residual history, which gets one
+    residual per iteration."""
 
     def __init__(self, rank, config, network, tracer):
         self.rank = rank
         self.cfg = config
         self.pair = config.pair
+        self.table = config.pair.fine_table  # both levels sweep with it
         self.tracer = tracer
         self.ep = network.endpoint(rank, tracer)
         self.fine = None
@@ -143,8 +153,6 @@ class _Worker:
         self._restricted = None
         self.prev_stopped = rank == 0  # first worker checks only its residual
         self.stopped = False
-        self.iterations = 0
-        self.fine_sweeps_done = 0
         self.residual_history = []
         # one reusable region per phase, its name formatted once
         self._regions = {phase: tracer.region(tracing.region_name(phase, rank)) for phase in tracing.PHASES}
@@ -163,12 +171,12 @@ class _Worker:
         from behind, then corrects the fine level by prolongation."""
         cfg = self.cfg
         with self._regions["PREDICT"]:
-            self.fine = LevelState.spread(cfg.u0, cfg.pair.fine_table.m, cfg.dt, self.pair.fine_problem)
+            self.fine = LevelState.spread(cfg.u0, self.table.m, cfg.dt, self.pair.fine_problem)
             coarse_u0 = self.pair.restrict(self.fine.u0)
-            self.coarse = LevelState.spread(coarse_u0, cfg.pair.coarse_table.m, cfg.dt, self.pair.coarse_problem)
+            self.coarse = LevelState.spread(coarse_u0, self.table.m, cfg.dt, self.pair.coarse_problem)
             self._restricted = self.coarse.u.copy()
             for s in range(self.rank + 1):
-                imex_sweep(self.coarse, self.pair.coarse_table, self.pair.coarse_problem)
+                imex_sweep(self.coarse, self.table, self.pair.coarse_problem)
                 self._send(("coarse", "value", -(s + 1)), pack_array(self.coarse.u[-1]))
                 if s < self.rank:
                     msg = self._recv(("coarse", "value", -(s + 1)))
@@ -186,8 +194,7 @@ class _Worker:
             with self._regions["IT_FINE"]:
                 if delay:
                     time.sleep(delay)
-                imex_sweep(self.fine, self.pair.fine_table, self.pair.fine_problem)
-                self.fine_sweeps_done += 1
+                imex_sweep(self.fine, self.table, self.pair.fine_problem)
                 if s == cfg.fine_sweeps - 1:
                     # under a progress-free (rendezvous) transport this wait
                     # blocks inside the fine sweep until the successor posts
@@ -215,7 +222,7 @@ class _Worker:
                 msg = self._recv(("coarse", "value", k))
                 self.coarse.u0 = unpack_array(msg.payload)
             for _ in range(cfg.coarse_sweeps):
-                imex_sweep(self.coarse, self.pair.coarse_table, self.pair.coarse_problem)
+                imex_sweep(self.coarse, self.table, self.pair.coarse_problem)
             self._send(("coarse", "value", k), pack_array(self.coarse.u[-1]))
 
         with self._regions["IT_UP"]:
@@ -228,9 +235,8 @@ class _Worker:
                 self.prev_stopped = stopped
                 if final is not None:
                     self.fine.u0 = final
-            res = residual(self.fine, self.pair.fine_table)
+            res = residual(self.fine, self.table)
             self.residual_history.append(res)
-            self.iterations = k
             if not np.isfinite(res) or res > DIVERGENCE_LIMIT:
                 raise DivergedError(f"worker {self.rank} diverged at iteration {k}: residual {res:.3e}")
             stop = res <= cfg.tolerance and self.prev_stopped
@@ -291,14 +297,14 @@ def run(config, mode="parallel"):
         "channels": network.audit(),
         "unwaited": {w.rank: w.ep.unwaited for w in workers},
     }
+    iterations = [len(w.residual_history) for w in workers]
     return RunResult(
         final_values=[w.fine.u[-1].copy() for w in workers],
-        iterations=[w.iterations for w in workers],
-        mean_iterations=math.fsum(w.iterations for w in workers) / p,
+        iterations=iterations,
         wall_time=wall,
         trace=merged,
         residual_histories=[list(w.residual_history) for w in workers],
-        fine_sweep_count=sum(w.fine_sweeps_done for w in workers),
+        fine_sweep_count=config.fine_sweeps * sum(iterations),
         comm_audit=audit,
     )
 
@@ -362,7 +368,6 @@ def run_sdc_serial(problem, table, u0, dt, num_steps, tolerance=1e-8, max_sweeps
     return RunResult(
         final_values=values,
         iterations=counts,
-        mean_iterations=math.fsum(counts) / len(counts),
         wall_time=wall,
         trace=merged,
         residual_histories=histories,
@@ -389,7 +394,6 @@ def dahlquist_config(
         coarse_problem=problem,
         resampler=IdentityResampler(),
         fine_table=table,
-        coarse_table=table,
     )
     return RunConfig(
         pair=pair,
@@ -424,7 +428,6 @@ def allen_cahn_config(
             coarse_problem=coarse,
             resampler=SpectralResampler(n, coarse_n),
             fine_table=table,
-            coarse_table=table,
         ),
         u0=field0.values,
         num_steps=num_steps,

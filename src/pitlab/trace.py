@@ -6,8 +6,8 @@ A trace file (format v2) is one JSON header line that names each
 distinct region or message name once, then one tab-separated line per
 event that refers to its name by id.  A trace's index lives with
 the trace and is built once, on first use; it alone decides the trace's
-order and validity.  It buckets the events by rank, sorts a rank out of
-time order stably by time, pairs the messages in each rank's time order
+order and validity.  It buckets the events by rank, sorts each rank
+stably by time, pairs the messages in each rank's time order
 (one record per message from one FIFO pairing), and walks each rank once
 for each event's compute time (the gap since the rank's previous event,
 0.0 while a blocked span is open across it) and the region stack.  The
@@ -25,7 +25,6 @@ import re
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import islice
 
 from .comm import monotonic_seconds
 
@@ -476,18 +475,17 @@ class _TraceIndex:
     """The single pass over a trace that the profile and every analysis
     step read, and the one place that decides a trace's order and
     validity.  It buckets the events by rank (0 to num_ranks - 1, then
-    others as they appear), sorts a rank stably by time if it is out of
-    order, pairs the messages in each rank's time order, and builds one
-    view per rank; a structurally broken trace raises StructuralError
-    here, so every step that reads the index refuses it."""
+    others as they appear), sorts each rank stably by time, pairs the
+    messages in each rank's time order, and builds one view per rank; a
+    structurally broken trace raises StructuralError here, so every step
+    that reads the index refuses it."""
 
     def __init__(self, trace):
         ranks = {rank: [] for rank in range(trace.num_ranks)}
         for ev in trace.events:
             (ranks.get(ev.rank) or ranks.setdefault(ev.rank, [])).append(ev)
         for events in ranks.values():
-            if not all(map(operator.le, map(_time, events), map(_time, islice(events, 1, None)))):
-                events.sort(key=_time)
+            events.sort(key=_time)
         self.matches, self.unmatched_sends, self.unmatched_recvs, columns = match_messages(ranks)
         unmatched = set(self.unmatched_sends + self.unmatched_recvs)
         self.ranks = {}

@@ -5,10 +5,11 @@ prolongation zero-pads it; both preserve mode amplitudes.  The coarse
 Nyquist mode is folded on the way down and split symmetrically on the
 way up, which makes restrict(prolong(u)) the identity, up to rounding,
 for every real coarse field.  Both take one real field or a whole
-(M, ...) node stack in one call.  The tau correction makes the coarse
+(M, ...) node stack in one call.  The levels differ in space only: both
+sweep with one collocation table.  The tau correction makes the coarse
 collocation problem reproduce restricted fine information; it integrates
-each level's (2, M, ...) right-hand-side stack in one quadrature of
-dt [q | q].
+each level's (2, M, ...) right-hand-side stack in one quadrature with that
+table's dt [q | q].
 """
 
 from dataclasses import dataclass
@@ -107,19 +108,14 @@ class IdentityResampler:
 class LevelPair:
     """Fine and coarse problem plus the transfer operators between them.
 
-    Both levels use the same collocation table layout (equal node count);
-    node-space coarsening is an extension point, not built.
+    The levels differ in space only, so both sweep with the one
+    collocation table `fine_table`.
     """
 
     fine_problem: object
     coarse_problem: object
     resampler: object
     fine_table: object
-    coarse_table: object
-
-    def __post_init__(self):
-        if self.fine_table.m != self.coarse_table.m:
-            raise ValueError("fine and coarse levels must share the node count")
 
     def restrict(self, values):
         return self.resampler.restrict(values)
@@ -135,16 +131,16 @@ def compute_fas_tau(fine_state, coarse_state, pair):
     With the collocation operator C(u) = u - dt*Q*f(u) (any fine tau
     folded in), tau = C_coarse(R u) - R C_fine(u) reduces node-wise to
 
-        tau_m = R(dt sum_j q^f_mj f^fine_j) - dt sum_j q^c_mj f^coarse_mj + R tau^fine_m
+        tau_m = R(dt sum_j q_mj f^fine_j) - dt sum_j q_mj f^coarse_j + R tau^fine_m
 
     where the coarse caches hold f evaluated at the restricted values.
     The step-transfer coupling enters through received initial values,
     not through tau.  Returns the (M, ...) stack of coarse tau values.
     """
-    dt = fine_state.dt
-    fine = node_integrals(pair.fine_table.scaled(dt).q_pair, fine_state.f.reshape(-1, *fine_state.u0.shape))
+    q_pair = pair.fine_table.scaled(fine_state.dt).q_pair
+    fine = node_integrals(q_pair, fine_state.f.reshape(-1, *fine_state.u0.shape))
     if fine_state.tau is not None:
         fine += fine_state.tau
     tau = pair.restrict(fine)
-    tau -= node_integrals(pair.coarse_table.scaled(dt).q_pair, coarse_state.f.reshape(-1, *coarse_state.u0.shape))
+    tau -= node_integrals(q_pair, coarse_state.f.reshape(-1, *coarse_state.u0.shape))
     return tau

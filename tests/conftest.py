@@ -322,7 +322,7 @@ def ref_compute_fas_tau(fine_state, coarse_state, pair):
     """FAS correction, integrating f_imp + f_exp on each level."""
     dt = fine_state.dt
     fine_integral = dt * node_integrals(pair.fine_table.q, fine_state.f_imp + fine_state.f_exp)
-    coarse_integral = dt * node_integrals(pair.coarse_table.q, coarse_state.f_imp + coarse_state.f_exp)
+    coarse_integral = dt * node_integrals(pair.fine_table.q, coarse_state.f_imp + coarse_state.f_exp)
     if fine_state.tau is not None:
         fine_integral += fine_state.tau
     restricted = np.stack([pair.restrict(v) for v in fine_integral])

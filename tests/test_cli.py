@@ -16,6 +16,7 @@ from pitlab.trace import Trace, read_trace, write_trace
 MAKESPAN_LINE = re.compile(r"^makespan: (\S+) s measured, (\S+) s ideal replay$", re.M)
 TIME_LINE = re.compile(r"^Time to solution: ([-+0-9.eE]+) sec\.$", re.M)
 ITER_LINE = re.compile(r"^Mean number of iterations: ([-+0-9.eE]+)$", re.M)
+WINDOW_LINE = re.compile(r"^window: (.*)$", re.M)
 DELETE = object()  # a header change that removes the field
 
 
@@ -147,7 +148,7 @@ class TestRunCommand:
         [
             ("scheme = sdcc", []),
             ("problem = alen-cahn", []),
-            ("backend = eagr", []),
+            ("implicit = lux", []),
             ("tolerance = 1e-2", []),
             ("mode = Serial", []),
             ("steps 2", []),
@@ -252,6 +253,20 @@ class TestAnalyzeCommand:
         report = pop_metrics(read_trace(path), full_run=full_run)
         assert MAKESPAN_LINE.findall(proc.stdout) == [(f"{report.total_runtime:.6f}", f"{report.ideal_runtime:.6f}")]
         assert proc.stdout.index("POP report") < proc.stdout.index("makespan:")
+
+    @pytest.mark.parametrize("full_run", [False, True], ids=["last-phase", "full-run"])
+    def test_pop_prints_how_many_ranks_the_window_covers(self, tmp_path, full_run):
+        # in the serial model the last rank's predictor ends after every
+        # other rank's last event, so the default window holds that rank alone
+        path = tmp_path / "run.trc"
+        proc = pitlab("run", "--steps", "8", "--mode", "serial", "--trace-out", str(path))
+        assert proc.returncode == 0, proc.stderr
+        flags = ["--full-run"] if full_run else []
+        proc = pitlab("analyze", "--trace", str(path), "--pop", *flags, "--out-dir", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        expected = "8 of 8 ranks have events" if full_run else "1 of 8 ranks have events; --full-run covers every rank"
+        assert WINDOW_LINE.findall(proc.stdout) == [expected]
+        assert proc.stdout.index("makespan:") < proc.stdout.index("window:")
 
     def test_wait_states_from_fig5_trace(self, tmp_path):
         path = tmp_path / "fig5.trc"

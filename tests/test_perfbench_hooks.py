@@ -1,4 +1,4 @@
-"""Every call site the benchmark wraps must exist.
+"""Every call site the benchmark wraps, and everything it reads, must exist.
 
 `perfbench/spans.py` names each wrapped function or method as an
 (owner, attribute) pair in `patch_targets()`.  Renaming or deleting one
@@ -6,7 +6,11 @@ of them (`Endpoint.isend`, `analysis.ideal_replay`, `_Worker.run_all`, ...)
 must fail here, not only when the benchmark runs.  The benchmark builds
 its config before it patches, so a call site bound while the config is
 built would lose its spans without any error; and the replay must stay
-inside the `analysis.ideal_replay` span of every POP report.
+inside the `analysis.ideal_replay` span of every POP report.  Each
+workload of `perfbench/workloads.py` is also built, solved and analysed
+once, with the benchmark's own checks against `traffic.json`, so a rename
+of anything it reads (`pair.fine_table`, `result.mean_iterations`, ...)
+fails here too.
 """
 
 import importlib.util
@@ -23,12 +27,12 @@ from pitlab.controller import dahlquist_config, run
 from pitlab.trace import Tracer
 from pitlab.transfer import IdentityResampler
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans(monkeypatch):
+def load_perfbench(monkeypatch, name):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # write nothing under perfbench/
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -43,7 +47,7 @@ def resolves(owner, attr):
 
 
 def test_every_patch_target_resolves(monkeypatch):
-    targets = load_spans(monkeypatch).patch_targets()
+    targets = load_perfbench(monkeypatch, "spans").patch_targets()
     assert targets
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, _ in targets if not resolves(owner, attr)]
     assert missing == []
@@ -78,7 +82,7 @@ def test_wrappers_patched_after_the_config_is_built_see_every_call(monkeypatch):
 def test_each_worker_runs_inside_one_controller_worker_span(monkeypatch, mode):
     # both execution models enter _Worker.run_all once per worker, so the
     # controller.worker span covers every worker's run in either model
-    spans = load_spans(monkeypatch)
+    spans = load_perfbench(monkeypatch, "spans")
     recorder = spans.SpanRecorder()
     cfg = dahlquist_config(4, 0.1)
     with recorder.patched(layers=("controller",)):
@@ -88,7 +92,7 @@ def test_each_worker_runs_inside_one_controller_worker_span(monkeypatch, mode):
 
 
 def test_each_pop_report_replays_inside_one_ideal_replay_span(monkeypatch):
-    spans = load_spans(monkeypatch)
+    spans = load_perfbench(monkeypatch, "spans")
     recorder = spans.SpanRecorder()
     traces = [pop_hand_trace(), synthetic_trace(4, 6, 3), run(dahlquist_config(4, 0.1), "serial").trace]
     original = analysis.ideal_replay
@@ -105,3 +109,17 @@ def test_each_pop_report_replays_inside_one_ideal_replay_span(monkeypatch):
     replays = [span for span in taken if span[0] == "analysis.ideal_replay"]
     assert [names[span[-1]] for span in replays] == ["analysis.pop_metrics"] * 2 * len(traces)
     assert len({span[-1] for span in replays}) == len(replays)
+
+
+@pytest.mark.parametrize("name", ["ac_pfasst_serial", "ac_pfasst_threads", "ac_sdc_256", "scalar_pfasst_p32"])
+def test_each_workload_passes_the_benchmark_checks(monkeypatch, tmp_path, name):
+    workloads = load_perfbench(monkeypatch, "workloads")
+    w = workloads.WORKLOADS[name]
+    expected = workloads.load_traffic()[name]
+    inputs = w.draw_inputs(1)
+    cfg = w.build(inputs)
+    assert workloads.fingerprint(cfg) == workloads.fingerprint(w.build(inputs))
+    result = w.solve(cfg)
+    assert workloads.check_solve(w, cfg, result, w.reference(cfg), expected) == []
+    outputs = workloads.analyze(result.trace, tmp_path / f"{name}.trc")
+    assert workloads.check_analysis(w, result, outputs, expected) == []

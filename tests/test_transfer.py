@@ -62,7 +62,6 @@ def ac_pair(fine_n=32, coarse_n=8, eps=0.04, m=3):
         coarse_problem=AllenCahnProblem(coarse_n, 1, eps),
         resampler=SpectralResampler(fine_n, coarse_n),
         fine_table=table,
-        coarse_table=table,
     )
 
 
@@ -257,7 +256,6 @@ class TestFasTau:
             coarse_problem=Diffusion(8, 1, 0.04),
             resampler=SpectralResampler(32, 8),
             fine_table=table,
-            coarse_table=table,
         )
         rng = np.random.default_rng(12)
         u0 = pair.prolong(pair.restrict(rng.standard_normal((32, 32))))
@@ -299,4 +297,4 @@ class TestFasTau:
         coarse.u = np.stack([pair.restrict(v) for v in fine.u])
         coarse.refresh_rhs(pair.coarse_problem)
         coarse.tau = compute_fas_tau(fine, coarse, pair)
-        assert residual(coarse, pair.coarse_table) <= 1e-11
+        assert residual(coarse, pair.fine_table) <= 1e-11
