@@ -1,6 +1,6 @@
 """Command line front end: run, analyze, sweep, report.
 
-`run` integrates a problem and writes the event trace (trace format v2,
+`run` integrates a problem and writes the event trace (trace format v3,
 see `pitlab.trace`), by default to `<problem>-<scheme>-<mode>-p<N>.trc`
 in $PITLAB_TRACE_DIR or the current directory, plus the two summary
 lines the harness scrapes; `analyze` turns a trace into POP efficiency
@@ -9,7 +9,7 @@ through the workflow harness; `report` re-renders result tables.
 
 Exit codes: 0 success, 2 usage error, 3 divergence or non-convergence,
 4 structural analysis error or a trace that does not parse (a trace an
-older pitlab wrote in format 1 among them: record the run again).  A trace
+older pitlab wrote in format 1 or 2 among them: record the run again).  A trace
 file or output directory that cannot be opened or made is a usage
 error; `run` refuses a trace path that is a directory and makes the
 trace's directory before it integrates.  `sweep`
@@ -79,8 +79,10 @@ def build_parser():
     opt("--lpatches", type=int, default=1, help="unit patches per side of the domain")
     opt("--radius", type=float, help="fixed initial circle radius; drawn from --seed if unset")
     opt("--seed", type=int, default=1, help="initial-condition seed")
-    opt("--rendezvous-bytes", type=int, default=DEFAULT_RENDEZVOUS_BYTES, help="largest eager message; 0: all rendezvous")
-    opt("--latency", type=float, default=0.0, help="message delivery delay in seconds")
+    opt("--rendezvous-bytes", type=int, default=DEFAULT_RENDEZVOUS_BYTES,
+        help="largest eager message; 0: all rendezvous; pfasst with --mode parallel only")
+    opt("--latency", type=float, default=0.0,
+        help="message delivery delay in seconds; pfasst with --mode parallel only")
     opt("--trace-out",
         help="trace path; else <problem>-<scheme>-<mode>-p<N>.trc in $PITLAB_TRACE_DIR or the current directory")
 
@@ -152,6 +154,15 @@ def _run_config(args):
         latency=args.latency, **problem,
     )
     config.validate()
+    if args.scheme == "sdc" or args.mode == "serial":
+        if args.scheme == "sdc":
+            model = "the sdc baseline sends no messages"
+        else:
+            model = "the serial model sends every message eagerly and at once"
+        for flag, value, default in (("--latency", args.latency, 0.0),
+                                     ("--rendezvous-bytes", args.rendezvous_bytes, DEFAULT_RENDEZVOUS_BYTES)):
+            if value != default:
+                raise ValueError(f"{flag} {value} acts only on PFASST with --mode parallel; {model}")
     return config
 
 

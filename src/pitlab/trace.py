@@ -2,9 +2,10 @@
 
 Each worker rank owns one tracer and appends region and communication
 events with monotonic timestamps; buffers are merged only after the run.
-A trace file (format v2) is one JSON header line that names each
-distinct region or message name once, then one tab-separated line per
-event that refers to its name by id.  A trace's index lives with
+A trace file (format v3) is one JSON header line that names each
+distinct region or message name once and counts the events, then one
+little-endian typed column per event field (COLUMNS), the name as an id
+into the header's names.  A trace's index lives with
 the trace and is built once, on first use; it alone decides the trace's
 order and validity.  It buckets the events by rank, sorts each rank
 stably by time, pairs the messages in each rank's time order
@@ -21,10 +22,14 @@ import bisect
 import json
 import math
 import operator
-import re
+import struct
+import sys
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
+
+import numpy as np
 
 from .comm import monotonic_seconds
 
@@ -48,14 +53,25 @@ PHASES = ("PREDICT", "IT_FINE", "IT_DOWN", "IT_COARSE", "IT_UP", "IT_CHECK")
 
 COMM_KINDS = ("send-post", "send-complete", "recv-post", "recv-complete")
 KINDS = ("region-enter", "region-exit") + COMM_KINDS
-_INT_OR_NONE = (int, type(None))  # a bool is neither
 
 FORMAT_NAME = "pitlab-trace"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-WRITE_CHUNK = 1000  # lines per write
-_INT_CELL = re.compile("0|-?[1-9][0-9]*").fullmatch  # a strict decimal int, as str(int) writes it
-_float_repr = float.__repr__  # repr(np.float64(0.1)) is 'np.float64(0.1)' under numpy 2
+# the body of a trace file in order: per field the struct code of its
+# column's values (int32, uint8, uint32, float64, int64, int32; all
+# little-endian), and whether a presence column (one 0 or 1 byte per
+# event) comes first
+COLUMNS = (
+    ("rank", "i", False),
+    ("kind", "B", False),
+    ("name", "I", False),
+    ("t", "d", False),
+    ("bytes", "q", True),
+    ("peer", "i", True),
+)
+_KIND_IDS = {kind: i for i, kind in enumerate(KINDS)}
+_LITTLE_ENDIAN = sys.byteorder == "little"  # the host's order is the file's
+_get_t = operator.attrgetter("t")
 
 
 class StructuralError(RuntimeError):
@@ -181,105 +197,176 @@ def merge_tracers(tracers):
 
 
 def write_trace(trace, path):
-    r"""Write the trace as format v2: a JSON header line of format, version,
-    num_ranks and `names`, each distinct name once in first-use order, then
-    per event a line `rank\tkind\tname-id\trepr(t)\tbytes\tpeer`, with an
-    empty cell for an absent bytes or peer, in chunks of WRITE_CHUNK lines.
-    It takes a positive int num_ranks and events whose rank is an int,
-    bytes and peer an int or None (a bool is no int), kind one of KINDS,
-    name a str and time any float (NaN, inf, np.float64).  At the first
-    event it cannot write it raises ValueError naming the event's index and
-    field, before it opens the file, so a refused trace leaves no file."""
+    """Write the trace as format v3: a JSON header line of format, version,
+    num_ranks, `names` (each distinct name once, in first-use order) and
+    the event count `events`, then one little-endian column per field, in
+    COLUMNS order: rank int32, kind uint8 (an index into KINDS), name id
+    uint32 (an index into `names`), t float64, and bytes and peer each as a
+    presence column of one 0 or 1 byte per event followed by the present
+    values (int64, int32).  It takes a positive int num_ranks and events
+    whose rank is an int, bytes and peer an int or None (a bool is no int),
+    each inside its column's range, kind one of KINDS, name a str and time
+    any float (NaN, inf, np.float64).  At the first event it cannot write
+    it raises ValueError naming the event's index and field, before it
+    opens the file, so a refused trace leaves no file.  Each check and each
+    column is one comprehension or numpy conversion over the events, and
+    one column is held at a time."""
     events = trace.events
     if not (type(trace.num_ranks) is int and trace.num_ranks > 0):
         raise ValueError(f"num_ranks {trace.num_ranks!r} is not a positive int")
-    ids = {}  # name -> its id's cell text
-    for i, ev in enumerate(events):
-        ok = (type(ev.rank) is int, ev.kind in KINDS, type(ev.name) is str, isinstance(ev.t, float),
-              type(ev.bytes) in _INT_OR_NONE, type(ev.peer) in _INT_OR_NONE)
-        if False in ok:
-            field = ("rank", "kind", "name", "t", "bytes", "peer")[ok.index(False)]
-            raise ValueError(f"event {i}: cannot write {field} {getattr(ev, field)!r}")
-        if ev.name not in ids:
-            ids[ev.name] = str(len(ids))
-    cells = _Cache(str, {None: ""})  # its keys are exact ints and None, so True never meets 1
-    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "num_ranks": trace.num_ranks, "names": list(ids)}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for start in range(0, len(events), WRITE_CHUNK):
-            fh.write("".join([
-                f"{cells[ev.rank]}\t{ev.kind}\t{ids[ev.name]}\t{_float_repr(ev.t)}\t{cells[ev.bytes]}\t{cells[ev.peer]}\n"
-                for ev in events[start:start + WRITE_CHUNK]
-            ]))
+    if not _writable(events):
+        _refuse(events)
+    names = {name: i for i, name in enumerate(dict.fromkeys([ev.name for ev in events]))}
+    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "num_ranks": trace.num_ranks,
+              "names": list(names), "events": len(events)}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n")
+        fh.writelines(_columns(events, names))  # drops each column once it is written
     return path
 
 
-class _Cache(dict):
-    """A dict that computes a missing key's value as make(key) and keeps it."""
-
-    def __init__(self, make, table=()):
-        super().__init__(table)
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
+def _fits(value, bits):
+    """Whether value is an int (a bool is none) that a signed column of bits holds."""
+    return type(value) is int and -(1 << bits - 1) <= value < 1 << bits - 1
 
 
-def _int_cell(cell):
-    if not _INT_CELL(cell):
-        raise ValueError(f"bad int cell {cell!r}")
-    return int(cell)
+def _all_fit(values, bits):
+    """_fits for each of the values, from their types and their least and greatest."""
+    return set(map(type, values)) <= {int} and (not values or (_fits(min(values), bits) and _fits(max(values), bits)))
+
+
+def _writable(events):
+    """Whether write_trace takes every event: one set, list or min/max pass per field."""
+    try:
+        if not {ev.kind for ev in events} <= _KIND_IDS.keys():
+            return False
+    except TypeError:  # an unhashable kind
+        return False
+    return (
+        {type(ev.name) for ev in events} <= {str}
+        and all(issubclass(tp, float) for tp in {type(ev.t) for ev in events})
+        and _all_fit([ev.rank for ev in events], 32)
+        and _all_fit([ev.bytes for ev in events if ev.bytes is not None], 64)
+        and _all_fit([ev.peer for ev in events if ev.peer is not None], 32)
+    )
+
+
+def _refuse(events):
+    """Raise ValueError at the first event write_trace cannot take, naming its first such field."""
+    for i, ev in enumerate(events):
+        try:
+            kind = ev.kind in _KIND_IDS
+        except TypeError:
+            kind = False
+        ok = (_fits(ev.rank, 32), kind, type(ev.name) is str, isinstance(ev.t, float),
+              ev.bytes is None or _fits(ev.bytes, 64), ev.peer is None or _fits(ev.peer, 32))
+        if False in ok:
+            field = COLUMNS[ok.index(False)][0]
+            raise ValueError(f"event {i}: cannot write {field} {getattr(ev, field)!r}")
+
+
+def _columns(events, names):
+    """The body's columns in COLUMNS order, each built when it is asked for."""
+    n = len(events)
+    yield np.fromiter([ev.rank for ev in events], "<i", n)
+    yield bytes([_KIND_IDS[ev.kind] for ev in events])
+    yield np.fromiter([names[ev.name] for ev in events], "<I", n)
+    yield np.fromiter(map(_get_t, events), "<d", n)  # with a list of the times, 16 B per event
+    yield bytes([ev.bytes is not None for ev in events])
+    yield np.fromiter([ev.bytes for ev in events if ev.bytes is not None], "<q")
+    yield bytes([ev.peer is not None for ev in events])
+    yield np.fromiter([ev.peer for ev in events if ev.peer is not None], "<i")
 
 
 def read_trace(path):
-    """Read a format v2 trace file; a bad line raises TraceParseError naming
-    it.  The header is a JSON object of this format and version with a
-    positive int num_ranks and `names` a list of distinct strs; any other,
-    a version 1 header too, is refused.  An event line ends in a newline
-    and has six tab-separated cells: a rank, one of the six kinds, an index
-    into `names`, a time that `float` takes without stripping whitespace or
-    `_` (ASCII only), and a bytes and a peer that may be empty; rank, bytes
-    and peer are strict decimal ints, as `str(int)` writes them.  A file
-    that is not UTF-8 names its first undecodable line.  Each event's name
-    is the header's object, so the events hold one per distinct name."""
+    """Read a format v3 trace file.  A bad header raises TraceParseError at
+    `line 1: bad header`: it must be a UTF-8 JSON object of this format and
+    version (a format 1 or 2 file is refused with a request to record the
+    run again) with a positive int num_ranks, `names` a list of distinct
+    strs and `events` an int >= 0, and end in a newline.  A bad body raises
+    TraceParseError `event <i>: <column>: ...` at the first event it fails
+    on: a body shorter or longer than the header and the presence columns
+    imply, a kind or name id out of range, or a presence byte other than 0
+    or 1.  Each event's name is the header's object and its kind KINDS',
+    so the events hold one object per distinct string; each time is a
+    float.  The events are built from views of the file's bytes, with no
+    list per column."""
+    with open(path, "rb") as fh:
+        num_ranks, names, n = _header(fh.readline(), path)
+        body = fh.read()
+    ranks, kinds, name_ids, times, sizes, peers = _columns_of(body, n)
     try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            header = fh.readline()  # outside the try: a UnicodeDecodeError is a ValueError
-            try:
-                header = json.loads(header)
-                if type(header) is not dict or header.get("format") != FORMAT_NAME:
-                    raise ValueError(f"not a {FORMAT_NAME} file")
-                version, num_ranks, names = header.get("version"), header.get("num_ranks"), header.get("names")
-                if not (type(version) is int and version == FORMAT_VERSION):
-                    raise ValueError(f"version {version!r}; pitlab reads version {FORMAT_VERSION}, so record the run again")
-                if not (type(num_ranks) is int and num_ranks > 0 and type(names) is list
-                        and all(type(name) is str for name in names) and len(set(names)) == len(names)):
-                    raise ValueError("want a positive int num_ranks and a list of distinct str names")
-            except ValueError as exc:
-                raise TraceParseError(f"line 1: bad header: {exc}") from None
-            kinds, name_ids = dict(zip(KINDS, KINDS)), {str(i): name for i, name in enumerate(names)}
-            ranks, optional = _Cache(_int_cell), _Cache(_int_cell, {"": None})
-            events, lineno, line = [], 1, "\n"
-            for lineno, line in enumerate(fh, start=2):
-                try:
-                    rank, kind, name, t, nbytes, peer = line[:-1].split("\t")
-                    if not t.isascii() or "_" in t or t.strip() != t:  # what float() alone would take
-                        raise ValueError(f"bad time cell {t!r}")
-                    events.append(TraceEvent(ranks[rank], kinds[kind], name_ids[name], float(t), optional[nbytes], optional[peer]))
-                except ValueError as exc:
-                    raise TraceParseError(f"line {lineno}: {exc}") from None
-                except KeyError as exc:
-                    raise TraceParseError(f"line {lineno}: unknown kind or name id {exc}") from None
-            if not line.endswith("\n"):
-                raise TraceParseError(f"line {lineno}: no newline at its end")
-    except UnicodeDecodeError as exc:
-        # text mode decodes ahead of the line it returns, so find the line again
-        with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
-            # an undecodable byte reads as a lone surrogate, which no UTF-8 text holds
-            lineno = next(n for n, text in enumerate(fh, 1) if re.search("[\udc80-\udcff]", text))
-        raise TraceParseError(f"line {lineno}: {path} is not UTF-8: {exc.reason}") from None
+        events = list(map(TraceEvent, ranks, map(KINDS.__getitem__, kinds), map(names.__getitem__, name_ids),
+                          times, sizes, peers))
+    except IndexError:
+        raise TraceParseError(_bad_id(kinds, name_ids, len(names))) from None
     return Trace(events=events, num_ranks=num_ranks)
+
+
+def _header(line, path):
+    """num_ranks, names and the event count of a header line, else TraceParseError."""
+    try:
+        text = line.decode()
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"line 1: {path} is not UTF-8: {exc.reason}") from None
+    try:
+        if not text.endswith("\n"):
+            raise ValueError("no newline at its end")
+        header = json.loads(text)
+        if type(header) is not dict or header.get("format") != FORMAT_NAME:
+            raise ValueError(f"not a {FORMAT_NAME} file")
+        version, num_ranks, names, n = (header.get(key) for key in ("version", "num_ranks", "names", "events"))
+        if not (type(version) is int and version == FORMAT_VERSION):
+            raise ValueError(f"version {version!r}; pitlab reads version {FORMAT_VERSION}, so record the run again")
+        if not (type(num_ranks) is int and num_ranks > 0 and type(names) is list
+                and all(type(name) is str for name in names) and len(set(names)) == len(names)
+                and type(n) is int and n >= 0):
+            raise ValueError("want a positive int num_ranks, a list of distinct str names and an int events >= 0")
+    except ValueError as exc:
+        raise TraceParseError(f"line 1: bad header: {exc}") from None
+    return num_ranks, names, n
+
+
+def _columns_of(body, n):
+    """Per field in COLUMNS order, the values of the n events in the body,
+    None where a presence byte is 0, as views of its bytes; raises
+    TraceParseError naming the first event and the column where the body
+    is short, long or holds a presence byte other than 0 or 1."""
+    view, fields, offset = memoryview(body), [], 0
+    for field, code, optional in COLUMNS:
+        count, present = n, None
+        if optional:
+            if len(body) < offset + n:
+                raise TraceParseError(f"event {len(body) - offset}: {field} presence: the file ends")
+            present, count = view[offset:offset + n], body.count(1, offset, offset + n)
+            if count + body.count(0, offset, offset + n) < n:
+                i = next(i for i, byte in enumerate(present) if byte > 1)
+                raise TraceParseError(f"event {i}: {field} presence: byte {present[i]} is neither 0 nor 1")
+            offset += n
+        size = struct.calcsize("<" + code)
+        if len(body) < offset + count * size:
+            k = (len(body) - offset) // size  # the first value missing
+            i = k if present is None else [i for i, byte in enumerate(present) if byte][k]
+            raise TraceParseError(f"event {i}: {field}: the file ends")
+        if _LITTLE_ENDIAN:  # a view of the file's bytes, aligned or not
+            values = view[offset:offset + count * size].cast(code)
+        else:
+            values = memoryview(np.frombuffer(body, "<" + code, count, offset).astype(code))
+        offset += count * size
+        # a present event takes the next value, an absent one the next None
+        fields.append(values if present is None else map(next, map((repeat(None), iter(values)).__getitem__, present)))
+    if offset < len(body):
+        raise TraceParseError(f"event {n}: {field}: {len(body) - offset} bytes after the last event")
+    return fields
+
+
+def _bad_id(kinds, name_ids, num_names):
+    """The parse error of the first event whose kind or name id is out of range."""
+    for i, (kind, name) in enumerate(zip(kinds, name_ids)):
+        if kind >= len(KINDS):
+            return f"event {i}: kind: id {kind} is not below {len(KINDS)}"
+        if name >= num_names:
+            return f"event {i}: name: id {name} is not below {num_names}"
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 import subprocess
 import sys
 import textwrap
@@ -176,6 +177,11 @@ class TestRunCommand:
             (None, ["--problem", "allen-cahn", "--grid", "16", "--coarse-grid", "8", "--dt", "0.001", "--radius", "nan"]),
             (None, ["--problem", "allen-cahn", "--grid", "16", "--coarse-grid", "8", "--dt", "0.001", "--radius", "-1"]),
             (None, ["--rendezvous-bytes", "-7"]),
+            (None, ["--mode", "serial", "--latency", "0.5"]),
+            (None, ["--mode", "serial", "--rendezvous-bytes", "0"]),
+            (None, ["--scheme", "sdc", "--latency", "0.001"]),
+            (None, ["--scheme", "sdc", "--rendezvous-bytes", "64"]),
+            ("mode = serial\nlatency = 0.5", []),
         ],
     )
     def test_bad_input_is_one_usage_error(self, config, args, tmp_path):
@@ -188,6 +194,36 @@ class TestRunCommand:
         assert "Traceback" not in proc.stderr
         assert len([line for line in proc.stderr.splitlines() if "error" in line]) == 1, proc.stderr
         assert not (tmp_path / "t.trc").exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--mode", "serial", "--latency", "0.5"],
+             "--latency 0.5 acts only on PFASST with --mode parallel; "
+             "the serial model sends every message eagerly and at once"),
+            (["--scheme", "sdc", "--rendezvous-bytes", "64"],
+             "--rendezvous-bytes 64 acts only on PFASST with --mode parallel; the sdc baseline sends no messages"),
+        ],
+        ids=["serial", "sdc"],
+    )
+    def test_transport_options_name_the_parallel_model(self, tmp_path, args, message):
+        proc = pitlab("run", *args, "--trace-out", str(tmp_path / "t.trc"))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stderr.splitlines() == [f"usage error: {message}"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--mode", "serial", "--latency", "0", "--rendezvous-bytes", str(DEFAULT_RENDEZVOUS_BYTES)],
+            ["--scheme", "sdc", "--latency", "0.0"],
+            ["--mode", "parallel", "--latency", "0.0001", "--rendezvous-bytes", "0"],
+        ],
+        ids=["serial-defaults", "sdc-zero-latency", "parallel"],
+    )
+    def test_transport_defaults_are_taken_in_every_model(self, tmp_path, args):
+        proc = pitlab("run", "--steps", "2", *args, "--trace-out", str(tmp_path / "t.trc"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     def test_uncreatable_trace_directory_is_a_usage_error_before_the_run(self, tmp_path):
         (tmp_path / "file").write_text("")
@@ -294,13 +330,12 @@ class TestAnalyzeCommand:
         assert proc.stderr.splitlines() == [proc.stderr.strip()] and proc.stderr.startswith("usage error: ")
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("line", [0, 5], ids=["header", "event"])
+    @pytest.mark.parametrize("line", [0], ids=["header"])
     def test_non_utf8_trace_exits_4_naming_file_and_line(self, tmp_path, line):
+        # the body is binary, so only the header line is text
         path = tmp_path / "latin.trc"
         write_trace(pop_hand_trace(), path)
-        lines = path.read_bytes().splitlines(keepends=True)
-        lines[line] = b"\xff" + lines[line]
-        path.write_bytes(b"".join(lines))
+        path.write_bytes(b"\xff" + path.read_bytes())
         proc = pitlab("analyze", "--trace", str(path), "--out-dir", str(tmp_path))
         assert proc.returncode == 4, proc.stderr
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
@@ -314,41 +349,43 @@ class TestAnalyzeCommand:
         assert "analysis error" in proc.stderr
 
     @pytest.mark.parametrize(
-        "kind, cell, new",
-        [("region-exit", 2, "99"), ("send-post", 4, "8.0"), ("send-complete", 1, "bogus")],
-        ids=["unknown-name-id", "float-bytes", "unknown-kind"],
+        "kind, column, value",
+        [("region-exit", "name", 99), ("send-post", "bytes presence", 2), ("send-complete", "kind", 6)],
+        ids=["unknown-name-id", "bad-presence-byte", "unknown-kind"],
     )
-    def test_badly_typed_record_exits_4(self, tmp_path, kind, cell, new):
-        path = tmp_path / "typed.trc"
-        write_trace(pop_hand_trace(), path)
-        lines = path.read_text().splitlines(keepends=True)
-        i = next(i for i, line in enumerate(lines) if f"\t{kind}\t" in line)
-        cells = lines[i].split("\t")
-        cells[cell] = new
-        lines[i] = "\t".join(cells)
-        path.write_text("".join(lines))
+    def test_badly_typed_record_exits_4(self, tmp_path, kind, column, value):
+        hand = pop_hand_trace()
+        path = write_trace(hand, tmp_path / "typed.trc")
+        data = bytearray(path.read_bytes())
+        n, body = len(hand.events), data.index(b"\n") + 1
+        i = next(i for i, e in enumerate(hand.events) if e.kind == kind)
+        # the rank, kind, name and time columns take 4, 1, 4 and 8 bytes per event
+        at = body + {"kind": 4 * n + i, "name": 5 * n + 4 * i, "bytes presence": 17 * n + i}[column]
+        data[at] = value
+        path.write_bytes(data)
         proc = pitlab("analyze", "--trace", str(path), "--out-dir", str(tmp_path))
         assert proc.returncode == 4, proc.stderr
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
-        assert proc.stderr.startswith(f"analysis error: line {i + 1}: ")
+        assert proc.stderr.startswith(f"analysis error: event {i}: {column}: ")
 
     @pytest.mark.parametrize(
         "change",
         [
             None, {"num_ranks": 2.7}, {"num_ranks": True}, {"num_ranks": "4"}, {"num_ranks": 0}, {"version": 1},
-            {"version": True}, {"version": DELETE}, {"names": "names"}, {"names": [1]},
+            {"version": 2}, {"version": True}, {"version": DELETE}, {"names": "names"}, {"names": [1]},
+            {"events": DELETE}, {"events": -1},
         ],
-        ids=["list", "float-ranks", "bool-ranks", "string-ranks", "zero-ranks", "version-1", "bool-version",
-             "no-version", "names-text", "int-name"],
+        ids=["list", "float-ranks", "bool-ranks", "string-ranks", "zero-ranks", "version-1", "version-2",
+             "bool-version", "no-version", "names-text", "int-name", "no-events", "negative-events"],
     )
     def test_bad_header_exits_4(self, tmp_path, change):
         path = tmp_path / "header.trc"
         write_trace(pop_hand_trace(), path)
-        header, *lines = path.read_text().splitlines(keepends=True)
+        header, newline, body = path.read_bytes().partition(b"\n")
         fields = json.loads(header)
         for key, value in (change or {}).items():
             fields.pop(key) if value is DELETE else fields.update({key: value})
-        path.write_text(json.dumps(fields if change else [1]) + "\n" + "".join(lines))
+        path.write_bytes(json.dumps(fields if change else [1]).encode() + newline + body)
         proc = pitlab("analyze", "--trace", str(path), "--out-dir", str(tmp_path))
         assert proc.returncode == 4, proc.stderr
         assert proc.stderr.splitlines() == [proc.stderr.strip()]
@@ -360,7 +397,7 @@ class TestAnalyzeCommand:
         i = next(i for i, e in enumerate(hand.events) if e.rank == 1 and e.kind == "region-exit")
         events = hand.events[:i] + [replace(hand.events[i], t=t)] + hand.events[i + 1:]
         path = write_trace(Trace(events=events, num_ranks=hand.num_ranks), tmp_path / "bad.trc")
-        assert ("\tnan\t" if t != t else "\tinf\t") in path.read_text()
+        assert struct.pack("<d", t) in path.read_bytes()
         proc = pitlab("analyze", "--trace", str(path), "--out-dir", str(tmp_path))
         assert proc.returncode == 4, proc.stdout + proc.stderr
         assert proc.stderr.startswith(f"analysis error: rank 1: non-finite time t={t} in region-exit ")
@@ -368,12 +405,27 @@ class TestAnalyzeCommand:
 
     def test_unbalanced_trace_is_structural_error(self, tmp_path):
         path = tmp_path / "unbalanced.trc"
-        path.write_text(
-            '{"format": "pitlab-trace", "version": 2, "num_ranks": 1, "names": ["REGION -- IT_FINE -- 0"]}\n'
-            "0\tregion-enter\t0\t0.0\t\t\n"
+        # one event, so its columns follow each other: rank 0, region-enter,
+        # name 0, t 0.0, and no bytes or peer
+        path.write_bytes(
+            b'{"format": "pitlab-trace", "version": 3, "num_ranks": 1, "names": ["REGION -- IT_FINE -- 0"], '
+            b'"events": 1}\n' + struct.pack("<iBIdBB", 0, 0, 0, 0.0, 0, 0)
         )
         proc = pitlab("analyze", "--trace", str(path), "--pop")
         assert proc.returncode == 4
+        assert "never exited" in proc.stderr
+
+    def test_a_format_2_trace_exits_4_asking_for_a_new_recording(self, tmp_path):
+        path = tmp_path / "v2.trc"
+        path.write_text(
+            '{"format": "pitlab-trace", "version": 2, "num_ranks": 1, "names": ["REGION -- IT_FINE -- 0"]}\n'
+            "0\tregion-enter\t0\t0.0\t\t\n0\tregion-exit\t0\t1.0\t\t\n"
+        )
+        proc = pitlab("analyze", "--trace", str(path), "--pop")
+        assert proc.returncode == 4, proc.stdout + proc.stderr
+        assert proc.stderr.splitlines() == [
+            "analysis error: line 1: bad header: version 2; pitlab reads version 3, so record the run again"
+        ]
 
 
 class TestSweepAndReport:
